@@ -1,10 +1,10 @@
 """Densely connected bidirectional LSTM sentence classifiers, from scratch.
 
-Pure numpy numerics with optional numba-compiled recurrence kernels; set
-DCBILSTM_BACKEND=numpy to force the plain interpreter path.
+Pure numpy: explicit forward passes, backpropagation through time and
+Adam, with every recurrence run by the packed time-major kernels in
+``kernels``.
 """
 
-from .backend import active_backend
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -13,20 +13,16 @@ from .errors import (
     ShapeError,
     TrainingDiverged,
 )
-from .lstm import Direction, LstmParams, lstm_step, lstm_step_backward, run_direction
 from .model import (
+    LstmParams,
     Model,
     ModelConfig,
-    average_pool,
-    classify,
     count_params,
-    dense_forward,
     dropout,
     load_checkpoint,
     model_backward,
     model_forward,
     save_checkpoint,
-    stacked_forward,
 )
 from .train import TrainConfig, TrainReport, evaluate, train
 from .gradcheck import check_model, finite_diff
@@ -34,11 +30,9 @@ from .gradcheck import check_model, finite_diff
 __version__ = "0.1.0"
 
 __all__ = [
-    "Model", "ModelConfig", "TrainConfig", "TrainReport", "Direction", "LstmParams",
-    "active_backend", "average_pool", "check_model", "classify", "count_params",
-    "dense_forward", "dropout", "evaluate", "finite_diff", "load_checkpoint",
-    "lstm_step", "lstm_step_backward", "model_backward", "model_forward",
-    "run_direction", "save_checkpoint", "stacked_forward", "train",
+    "Model", "ModelConfig", "TrainConfig", "TrainReport", "LstmParams",
+    "check_model", "count_params", "dropout", "evaluate", "finite_diff",
+    "load_checkpoint", "model_backward", "model_forward", "save_checkpoint", "train",
     "CheckpointError", "ConfigError", "EmptySequenceError", "ParseError",
     "ShapeError", "TrainingDiverged", "__version__",
 ]

@@ -86,16 +86,6 @@ def tokenize(text):
     return [tok for tok in text.split() if tok]
 
 
-def tokenize_and_filter(raw, table):
-    """Tokenize and abandon tokens the embedding table does not cover.
-
-    Idempotent: running the result through again changes nothing.  May
-    return an empty list; callers decide how to handle fully-unknown
-    sentences (vectorize substitutes a single unknown index).
-    """
-    return [tok for tok in tokenize(raw) if tok in table]
-
-
 @dataclass
 class Example:
     tokens: list

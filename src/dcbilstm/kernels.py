@@ -1,12 +1,15 @@
 """Hot sequence kernels: full forward / backward recurrences of one LSTM
 direction over a padded batch.
 
-These are the inner loops of the whole package.  Each function is written
-once as plain numpy restricted to numba-compilable constructs; the binding
-actually used (``lstm_layer_forward`` / ``lstm_layer_backward``) is the
-jitted version unless the environment selects the numpy fallback (see
-``backend``).  The ``*_plain`` names always refer to the uncompiled twins
-so the two paths can be benchmarked against each other.
+These are the inner loops of the whole package.  Both kernels work on a
+packed, time-major copy of the batch (Appleyard et al. 2016, §3): rows are
+ordered by decreasing length, so the sentences still running at position
+``t`` are a prefix of that order, and the real tokens of step ``t`` sit in
+one contiguous block.  The input projection is one matrix product over the
+real tokens; each step then advances every active sentence with one
+``(k_t, d) @ (d, 4d)`` product.  The reverse direction runs the same loop
+from the last position down: a sentence joins at ``t = L-1`` with a zero
+state, which is simply the absence of a predecessor row.
 
 Conventions shared with the rest of the package:
   - weights ``W`` of shape ``(input_dim + d, 4d)`` act on ``[x; h_prev]``,
@@ -14,7 +17,9 @@ Conventions shared with the rest of the package:
   - the ``4d`` axis is sliced in the fixed gate order ``[i | f | o | g]``;
   - initial hidden and cell states are exactly zero;
   - positions at or beyond a sentence's length are never touched and hold
-    zero vectors, so padded and unpadded runs are bit-identical.
+    zero vectors;
+  - only real tokens enter a matrix product, so a sentence's outputs do not
+    depend on how far its batch is padded, bit for bit.
 
 The gate-value array ``G`` stores the activated gates, and sigmoids are
 computed as ``0.5 * (tanh(z/2) + 1)``, which saturates without overflow.
@@ -22,14 +27,36 @@ computed as ``0.5 * (tanh(z/2) + 1)``, which saturates without overflow.
 
 import numpy as np
 
-from .backend import jit_compile
+
+def _pack(lengths):
+    """Packed time-major layout of a batch.
+
+    Returns (rows, ts, sizes, starts): packed entry ``e`` is position
+    ``ts[e]`` of sentence ``rows[e]``; step ``t`` holds ``sizes[t]``
+    entries beginning at ``starts[t]``, sentences in decreasing length.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(int(lengths.max(initial=0)))
+    active = lengths[order][None, :] > steps[:, None]
+    ts, slots = np.nonzero(active)
+    sizes = active.sum(axis=1)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return order[slots], ts, sizes.tolist(), starts.tolist()
 
 
-def _lstm_layer_forward(X, lengths, W, b, reverse):
+def _predecessor(t, reverse, sizes, starts):
+    """Start of the step that feeds step t, and how many of its rows do."""
+    tp = t + 1 if reverse else t - 1
+    if not 0 <= tp < len(sizes):
+        return 0, 0
+    return starts[tp], min(sizes[t], sizes[tp])
+
+
+def lstm_layer_forward(X, lengths, W, b, reverse):
     """Run one direction of an LSTM layer over every sentence of a batch.
 
     X:       (B, T, Din) float64, padded inputs
-    lengths: (B,) int64, true lengths (>= 1)
+    lengths: (B,) int64, true lengths
     W:       (Din + d, 4d);  b: (4d,)
     reverse: False processes positions 0..L-1, True processes L-1..0
 
@@ -37,107 +64,104 @@ def _lstm_layer_forward(X, lengths, W, b, reverse):
     activated gate values (B, T, 4d), all zero beyond each length.
     """
     B, T, Din = X.shape
-    H4 = W.shape[1]
-    d = H4 // 4
-    Wx = W[:Din]
+    d = W.shape[1] // 4
     Wh = W[Din:]
+    rows, ts, sizes, starts = _pack(lengths)
+    # pre-activations of every real token, turned into gate values in place
+    Z = X[rows, ts] @ W[:Din] + b
+    Hp = np.empty((len(rows), d))
+    Cp = np.empty((len(rows), d))
+    for t in (range(len(sizes) - 1, -1, -1) if reverse else range(len(sizes))):
+        lo, hi = starts[t], starts[t] + sizes[t]
+        plo, kp = _predecessor(t, reverse, sizes, starts)
+        z = Z[lo:hi]
+        z[:kp] += Hp[plo:plo + kp] @ Wh
+        s = z[:, :3 * d]
+        s *= 0.5
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5
+        np.tanh(z[:, 3 * d:], out=z[:, 3 * d:])
+        i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
+        c = Cp[lo:hi]
+        np.multiply(i, g, out=c)
+        c[:kp] += f[:kp] * Cp[plo:plo + kp]
+        h = Hp[lo:hi]
+        np.tanh(c, out=h)
+        h *= o
     H = np.zeros((B, T, d))
     C = np.zeros((B, T, d))
-    G = np.zeros((B, T, H4))
-    for n in range(B):
-        L = lengths[n]
-        XW = np.dot(X[n, :L], Wx)
-        h = np.zeros(d)
-        c = np.zeros(d)
-        for j in range(L):
-            t = L - 1 - j if reverse else j
-            z = XW[t] + np.dot(h, Wh) + b
-            i = 0.5 * (np.tanh(0.5 * z[:d]) + 1.0)
-            f = 0.5 * (np.tanh(0.5 * z[d:2 * d]) + 1.0)
-            o = 0.5 * (np.tanh(0.5 * z[2 * d:3 * d]) + 1.0)
-            g = np.tanh(z[3 * d:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            G[n, t, :d] = i
-            G[n, t, d:2 * d] = f
-            G[n, t, 2 * d:3 * d] = o
-            G[n, t, 3 * d:] = g
-            C[n, t] = c
-            H[n, t] = h
+    G = np.zeros((B, T, 4 * d))
+    H[rows, ts] = Hp
+    C[rows, ts] = Cp
+    G[rows, ts] = Z
     return H, C, G
 
 
-def _lstm_layer_backward(X, lengths, W, H, C, G, dH, reverse):
-    """Reverse-mode pass matching ``_lstm_layer_forward``.
+def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
+    """Backpropagation through time in the packed layout.
+
+    Returns (dZ, Hprev): the loss gradient w.r.t. every real token's gate
+    pre-activations (N, 4d), and the hidden state each token read (N, d).
+    Steps are visited opposite to the forward consumption order while
+    carrying the recurrent gradients dh and dc; everything that does not
+    depend on them is computed once for all tokens before the loop.
+    """
+    rows, ts, sizes, starts = packing
+    N, d = len(rows), WhT.shape[1]
+    Gp = G[rows, ts]
+    i, f, o, g = Gp[:, :d], Gp[:, d:2 * d], Gp[:, 2 * d:3 * d], Gp[:, 3 * d:]
+    Hp = H[rows, ts]
+    Cp = C[rows, ts]
+    tc = np.tanh(Cp)
+    # (h, c) of each token's predecessor, zero where a sentence starts
+    Hprev = np.zeros((N, d))
+    Cprev = np.zeros((N, d))
+    for t in range(len(sizes)):
+        plo, kp = _predecessor(t, reverse, sizes, starts)
+        Hprev[starts[t]:starts[t] + kp] = Hp[plo:plo + kp]
+        Cprev[starts[t]:starts[t] + kp] = Cp[plo:plo + kp]
+    # gate derivatives; the loop scales the o block by dh and the rest by dc
+    dZ = np.empty((N, 4, d))
+    dZ[:, 0] = g * i * (1.0 - i)
+    dZ[:, 1] = Cprev * f * (1.0 - f)
+    dZ[:, 2] = tc * o * (1.0 - o)
+    dZ[:, 3] = i * (1.0 - g * g)
+    dc_dh = o * (1.0 - tc * tc)
+    dHp = dH[rows, ts]
+    # gradients carried to the first rows of the next step visited
+    dh_rec = dc_rec = np.zeros((0, d))
+    for t in (range(len(sizes)) if reverse else range(len(sizes) - 1, -1, -1)):
+        lo, hi = starts[t], starts[t] + sizes[t]
+        dh = dHp[lo:hi]
+        dh[:len(dh_rec)] += dh_rec
+        dc = dh * dc_dh[lo:hi]
+        dc[:len(dc_rec)] += dc_rec
+        dz = dZ[lo:hi]
+        dz[:, :2] *= dc[:, None, :]
+        dz[:, 2] *= dh
+        dz[:, 3] *= dc
+        _, kp = _predecessor(t, reverse, sizes, starts)
+        dh_rec = dz[:kp].reshape(kp, 4 * d) @ WhT
+        dc_rec = dc[:kp] * f[lo:lo + kp]
+    return dZ.reshape(N, 4 * d), Hprev
+
+
+def lstm_layer_backward(X, lengths, W, H, C, G, dH, reverse):
+    """Reverse-mode pass matching ``lstm_layer_forward``.
 
     dH holds the loss gradient w.r.t. every stored hidden state.  Returns
     (dW, db, dX) with dW/db accumulated over all sentences and positions.
-    Positions are visited opposite to the forward consumption order while
-    carrying the recurrent gradients dh and dc; the per-step gate gradients
-    are buffered so the weight accumulation runs as one matrix product per
-    sentence instead of a rank-1 update per step.
+    The gate gradients of every real token are buffered, so dW, db and dX
+    are each one product or sum over the whole batch.
     """
-    B, T, Din = X.shape
-    H4 = W.shape[1]
-    d = H4 // 4
-    WxT = np.ascontiguousarray(W[:Din].T)
-    WhT = np.ascontiguousarray(W[Din:].T)
-    dW = np.zeros_like(W)
-    db = np.zeros(H4)
+    Din = X.shape[2]
+    packing = _pack(lengths)
+    rows, ts = packing[:2]
+    dZ, Hprev = _gate_gradients(H, C, G, dH, np.ascontiguousarray(W[Din:].T), reverse, packing)
+    dW = np.empty_like(W)
+    dW[:Din] = X[rows, ts].T @ dZ
+    dW[Din:] = Hprev.T @ dZ
     dX = np.zeros_like(X)
-    for n in range(B):
-        L = lengths[n]
-        dZ = np.zeros((L, H4))
-        Hprev = np.zeros((L, d))
-        dh_rec = np.zeros(d)
-        dc = np.zeros(d)
-        for j in range(L):
-            t = j if reverse else L - 1 - j
-            i = G[n, t, :d]
-            f = G[n, t, d:2 * d]
-            o = G[n, t, 2 * d:3 * d]
-            g = G[n, t, 3 * d:]
-            tc = np.tanh(C[n, t])
-            dh = dH[n, t] + dh_rec
-            dc = dc + dh * o * (1.0 - tc * tc)
-            if reverse:
-                prev_in_range = t + 1 < L
-                tp = t + 1
-            else:
-                prev_in_range = t - 1 >= 0
-                tp = t - 1
-            if prev_in_range:
-                c_prev = C[n, tp]
-                Hprev[t] = H[n, tp]
-            else:
-                c_prev = np.zeros(d)
-            dz = dZ[t]
-            dz[:d] = (dc * g) * i * (1.0 - i)
-            dz[d:2 * d] = (dc * c_prev) * f * (1.0 - f)
-            dz[2 * d:3 * d] = (dh * tc) * o * (1.0 - o)
-            dz[3 * d:] = (dc * i) * (1.0 - g * g)
-            db += dz
-            dh_rec = np.dot(dz, WhT)
-            dc = dc * f
-        Xn = np.ascontiguousarray(X[n, :L])
-        dW[:Din] += np.dot(np.ascontiguousarray(Xn.T), dZ)
-        dW[Din:] += np.dot(np.ascontiguousarray(Hprev.T), dZ)
-        dX[n, :L] = np.dot(dZ, WxT)
-    return dW, db, dX
-
-
-lstm_layer_forward_plain = _lstm_layer_forward
-lstm_layer_backward_plain = _lstm_layer_backward
-
-lstm_layer_forward = jit_compile(_lstm_layer_forward)
-lstm_layer_backward = jit_compile(_lstm_layer_backward)
-
-
-def warmup():
-    """Trigger jit compilation on a tiny instance (no-op on the numpy path)."""
-    X = np.zeros((1, 2, 3))
-    lengths = np.ones(1, dtype=np.int64)
-    W = np.zeros((3 + 2, 8))
-    b = np.zeros(8)
-    H, C, G = lstm_layer_forward(X, lengths, W, b, False)
-    lstm_layer_backward(X, lengths, W, H, C, G, np.zeros((1, 2, 2)), True)
+    dX[rows, ts] = dZ @ W[:Din].T
+    return dW, dZ.sum(axis=0), dX

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
-from .lstm import LstmParams
-from .tensor import matmul
+from .tensor import glorot_uniform, matmul
 
 ARCH_DENSE = "dense"
 ARCH_STACKED = "stacked"
@@ -79,6 +78,35 @@ class ModelConfig:
         if self.arch == ARCH_DENSE:
             return self.m + 2 * self.dh * self.dl
         return 2 * self.dh
+
+
+@dataclass
+class LstmParams:
+    """Affine transform of one direction: W (input_dim + d, 4d), b (1, 4d).
+
+    W acts on ``[x; h_prev]`` and its columns are the gates in the order
+    ``[i | f | o | g]``.
+    """
+
+    W: np.ndarray
+    b: np.ndarray
+
+    @property
+    def d(self):
+        return self.W.shape[1] // 4
+
+    @property
+    def input_dim(self):
+        return self.W.shape[0] - self.d
+
+    @classmethod
+    def init(cls, input_dim, d, rng, forget_bias=0.0):
+        """Glorot-uniform weights, zero bias (optionally offset the f block)."""
+        W = glorot_uniform(input_dim + d, 4 * d, rng)
+        b = np.zeros((1, 4 * d))
+        if forget_bias:
+            b[0, d:2 * d] = forget_bias
+        return cls(W=W, b=b)
 
 
 @dataclass
@@ -145,8 +173,6 @@ class Model:
     def build(cls, config, rng):
         """Fresh Glorot-initialized model; draw order is fixed for reproducibility."""
         config.validate()
-        from .tensor import glorot_uniform
-
         dense = [
             BiLayerParams.init(config.layer_input_dim(l), config.dh, rng, config.forget_bias)
             for l in range(1, config.dl + 1)
@@ -171,13 +197,6 @@ class Model:
         out.append(("softmax.W", self.softmax_W))
         out.append(("softmax.b", self.softmax_b))
         return out
-
-    def set_param(self, name, value):
-        """Replace a named parameter array (same shape)."""
-        current = dict(self.named_params())[name]
-        if current.shape != value.shape:
-            raise ShapeError(f"set_param {name}: shape {value.shape} != {current.shape}")
-        current[...] = value
 
     def copy_params(self):
         return {name: arr.copy() for name, arr in self.named_params()}
@@ -338,25 +357,25 @@ def arch_backward_batch(model, trace, dHtop):
     return grads, dEmb
 
 
+def _real_positions(lengths, T):
+    """(B, T, 1) mask of the positions inside each sentence."""
+    return (np.arange(T) < lengths[:, None])[:, :, None]
+
+
 def average_pool_batch(H, lengths):
     """Mean of each sentence's hidden vectors over true positions only."""
-    B = H.shape[0]
-    out = np.zeros((B, H.shape[2]))
-    for n in range(B):
-        L = int(lengths[n])
-        if L < 1:
-            raise EmptySequenceError("average_pool: zero-length sentence")
-        out[n] = H[n, :L].sum(axis=0) / L
-    return out
+    if (lengths < 1).any():
+        raise EmptySequenceError("average_pool: zero-length sentence")
+    T = H.shape[1]
+    if lengths.max() > T:
+        raise ShapeError(f"average_pool: length {lengths.max()} exceeds {T} positions")
+    total = np.where(_real_positions(lengths, T), H, 0.0).sum(axis=1)
+    return total / lengths[:, None]
 
 
 def pool_backward_batch(dPool, lengths, T):
-    B, width = dPool.shape
-    dH = np.zeros((B, T, width))
-    for n in range(B):
-        L = int(lengths[n])
-        dH[n, :L] = dPool[n] / L
-    return dH
+    share = (dPool / lengths[:, None])[:, None, :]
+    return np.where(_real_positions(lengths, T), share, 0.0)
 
 
 def softmax_rows(logits):
@@ -382,57 +401,6 @@ def dropout(x, rate, rng, training):
     keep = (rng.random(x.shape) >= rate).astype(np.float64)
     mask = keep / (1.0 - rate)
     return x * mask, mask
-
-
-# ---------------------------------------------------------------------------
-# single-sentence wrappers
-
-
-def _stack_sentence(embedded, m):
-    T = len(embedded)
-    if T == 0:
-        raise EmptySequenceError("empty sentence")
-    X = np.zeros((1, T, m))
-    for t, v in enumerate(embedded):
-        v = np.asarray(v, dtype=np.float64).reshape(1, -1)
-        if v.shape[1] != m:
-            raise ShapeError(f"position {t}: width {v.shape[1]}, expected {m}")
-        X[0, t] = v[0]
-    return X
-
-
-def dense_forward(model, embedded, length):
-    """Single-sentence dense forward; returns (list of (1, 2*th) rows, trace)."""
-    if model.config.arch != ARCH_DENSE:
-        raise ConfigError("dense_forward requires arch=dense")
-    if length < 1:
-        raise EmptySequenceError("dense_forward: length must be >= 1")
-    X = _stack_sentence(embedded, model.config.m)
-    Htop, trace = dense_forward_batch(model, X, np.array([length], dtype=np.int64))
-    return [Htop[0, t].reshape(1, -1) for t in range(len(embedded))], trace
-
-
-def stacked_forward(model, embedded, length):
-    if model.config.arch != ARCH_STACKED:
-        raise ConfigError("stacked_forward requires arch=stacked")
-    if length < 1:
-        raise EmptySequenceError("stacked_forward: length must be >= 1")
-    X = _stack_sentence(embedded, model.config.m)
-    Htop, trace = stacked_forward_batch(model, X, np.array([length], dtype=np.int64))
-    return [Htop[0, t].reshape(1, -1) for t in range(len(embedded))], trace
-
-
-def average_pool(hL, length):
-    if length < 1:
-        raise EmptySequenceError("average_pool: length must be >= 1")
-    if length > len(hL):
-        raise ShapeError(f"average_pool: length {length} exceeds {len(hL)} positions")
-    rows = np.concatenate([np.asarray(h).reshape(1, -1) for h in hL[:length]], axis=0)
-    return (rows.sum(axis=0) / length).reshape(1, -1)
-
-
-def classify(h_star, W, b):
-    return classify_batch(np.asarray(h_star).reshape(1, -1), W, b)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +509,20 @@ def save_checkpoint(path, model, seed, vocab=None, emb_matrix=None):
 
 
 def _read_line(fh, what):
-    raw = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
-        if ch == b"\n":
-            return raw.decode("utf-8")
-        raw.extend(ch)
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise CheckpointError(f"truncated checkpoint while reading {what}")
+    try:
+        return line[:-1].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} is not utf-8 text")
+
+
+def _read_count(text, what):
+    """A non-negative decimal integer from the checkpoint's text part."""
+    if not (text.isascii() and text.isdigit()):
+        raise CheckpointError(f"{what} {text!r} is not a non-negative integer")
+    return int(text)
 
 
 def load_checkpoint(path):
@@ -563,9 +537,10 @@ def load_checkpoint(path):
             line = _read_line(fh, "manifest")
             key, _, value = line.partition(" ")
             if key == "vocab":
-                vocab_tokens = [_read_line(fh, "vocab token") for _ in range(int(value))]
+                n_vocab = _read_count(value, "vocab size")
+                vocab_tokens = [_read_line(fh, "vocab token") for _ in range(n_vocab)]
             elif key == "tensors":
-                n_tensors = int(value)
+                n_tensors = _read_count(value, "tensor count")
             else:
                 manifest[key] = value
 
@@ -585,28 +560,37 @@ def load_checkpoint(path):
             header = _read_line(fh, "tensor header").split(" ")
             if len(header) != 3:
                 raise CheckpointError(f"{path}: malformed tensor header {header!r}")
-            name, rows, cols = header[0], int(header[1]), int(header[2])
+            name = header[0]
+            rows = _read_count(header[1], f"{path}: tensor {name} rows")
+            cols = _read_count(header[2], f"{path}: tensor {name} cols")
             nbytes = rows * cols * 8
             buf = fh.read(nbytes)
             if len(buf) != nbytes:
                 raise CheckpointError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
+            arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
+            tensors[name] = arr
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 
-    cfg = ModelConfig(
-        m=int(manifest["m"]),
-        dl=int(manifest["dl"]),
-        dh=int(manifest["dh"]),
-        th=int(manifest["th"]),
-        num_classes=int(manifest["num_classes"]),
-        arch=manifest["arch"],
-        dropout_embed=float(manifest["dropout_embed"]),
-        dropout_pool=float(manifest["dropout_pool"]),
-        max_norm_s=None if manifest["max_norm_s"] == "none" else float(manifest["max_norm_s"]),
-        forget_bias=float(manifest["forget_bias"]),
-        train_embeddings=bool(int(manifest["train_embeddings"])),
-    )
+    try:
+        cfg = ModelConfig(
+            m=int(manifest["m"]),
+            dl=int(manifest["dl"]),
+            dh=int(manifest["dh"]),
+            th=int(manifest["th"]),
+            num_classes=int(manifest["num_classes"]),
+            arch=manifest["arch"],
+            dropout_embed=float(manifest["dropout_embed"]),
+            dropout_pool=float(manifest["dropout_pool"]),
+            max_norm_s=None if manifest["max_norm_s"] == "none" else float(manifest["max_norm_s"]),
+            forget_bias=float(manifest["forget_bias"]),
+            train_embeddings=bool(int(manifest["train_embeddings"])),
+        )
+        seed = int(manifest["seed"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: malformed manifest value ({exc})")
 
     def grab(name):
         try:
@@ -627,7 +611,7 @@ def load_checkpoint(path):
     )
     model = Model(cfg, dense, top, grab("softmax.W"), grab("softmax.b"))
 
-    meta = {"seed": int(manifest["seed"]), "vocab": None, "emb_matrix": None}
+    meta = {"seed": seed, "vocab": None, "emb_matrix": None}
     if vocab_tokens is not None:
         meta["vocab"] = {tok: idx + 2 for idx, tok in enumerate(vocab_tokens)}
         meta["emb_matrix"] = grab("embeddings")

@@ -12,12 +12,9 @@ from .errors import ShapeError
 
 __all__ = [
     "make_rng",
-    "as_tensor",
     "matmul",
     "sigmoid",
     "tanh",
-    "activation",
-    "concat_cols",
     "glorot_uniform",
 ]
 
@@ -25,16 +22,6 @@ __all__ = [
 def make_rng(seed):
     """Seeded PCG64 generator; identical seed gives an identical draw stream."""
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def as_tensor(x):
-    """Coerce to a 2-D float64 array, rejecting other ranks."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D tensor, got ndim={a.ndim}")
-    return np.ascontiguousarray(a)
 
 
 def matmul(a, b):
@@ -53,36 +40,6 @@ def sigmoid(x):
 
 def tanh(x):
     return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh}
-
-
-def activation(kind, x):
-    """Element-wise sigmoid or tanh, shape preserved."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}, expected one of {sorted(_ACTIVATIONS)}")
-    return fn(x)
-
-
-def concat_cols(parts):
-    """Horizontal concatenation; all parts must share the row count.
-
-    Order is part of the contract: callers rely on part 0 occupying the
-    leftmost columns.
-    """
-    if not parts:
-        raise ShapeError("concat_cols: empty part list")
-    arrs = [np.asarray(p) for p in parts]
-    rows = arrs[0].shape[0]
-    for a in arrs:
-        if a.ndim != 2 or a.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols: row mismatch, shapes {[tuple(x.shape) for x in arrs]}"
-            )
-    return np.concatenate(arrs, axis=1)
 
 
 def glorot_uniform(rows, cols, rng):

@@ -21,7 +21,6 @@ from .errors import ConfigError, TrainingDiverged
 from .model import (
     Model,
     ModelConfig,
-    dropout,  # noqa: F401  (re-exported; the two dropout sites live in model_forward)
     model_backward,
     model_forward,
     save_checkpoint,
@@ -29,7 +28,7 @@ from .model import (
 
 __all__ = [
     "TrainConfig", "TrainReport", "AdamState", "adam_update", "cross_entropy",
-    "max_norm_constrain", "train", "evaluate", "dropout",
+    "max_norm_constrain", "train", "evaluate",
 ]
 
 

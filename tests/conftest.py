@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from dcbilstm import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure math, not JIT."""
-    kernels.warmup()
-
 
 def _toy_corpus_lines(n=32, seed=7):
     """Deterministic separable 2-class corpus: one signal word per sentence."""

@@ -18,7 +18,6 @@ from dcbilstm.data import (
     parse_tree,
     random_embedding_matrix,
     tokenize,
-    tokenize_and_filter,
     vectorize,
 )
 from dcbilstm.errors import ConfigError, ParseError
@@ -93,12 +92,20 @@ def test_tokenize_separates_punctuation():
 
 
 def test_tokenize_and_filter_abandons_oov(emb_path):
+    # the pretrained-table pipeline: tokens the table lacks get no vocab row
+    # and vectorize(drop_unknown=True) abandons them
     table = load_embeddings(emb_path)
-    assert tokenize_and_filter("The movie, so good", table) == ["the", "movie", "good"]
-    assert tokenize_and_filter("entirely unknown words", table) == []
+    examples = [Example(tokenize(text), 0) for text in
+                ("The movie, so good", "entirely unknown words", "good good movie")]
+    vocab = build_vocab([examples], table)
+    assert sorted(vocab) == ["good", "movie", "the"]
+    inv = {idx: tok for tok, idx in vocab.items()}
+    kept = [[inv.get(i) for i in idxs] for idxs, _ in vectorize(examples, vocab, drop_unknown=True)]
+    assert kept[0] == ["the", "movie", "good"]
+    assert kept[1] == [None]  # the single unknown index, never length zero
     # idempotence: a filtered sentence passes through unchanged
-    once = tokenize_and_filter("good good movie", table)
-    assert tokenize_and_filter(" ".join(once), table) == once
+    again = vectorize([Example(kept[2], 0)], vocab, drop_unknown=True)
+    assert [inv[i] for i in again[0][0]] == kept[2] == ["good", "good", "movie"]
 
 
 def test_load_tsv(tmp_path):

@@ -1,12 +1,14 @@
-"""Cell-level contracts: hand-computed values, step gradients, direction runs."""
+"""Cell-level contracts: the step oracle against hand-computed values and
+finite differences, then the layer kernels against the oracle."""
 
 import numpy as np
 import pytest
 
 from dcbilstm import kernels
-from dcbilstm.errors import EmptySequenceError, ShapeError
-from dcbilstm.lstm import Direction, LstmParams, lstm_step, lstm_step_backward, run_direction
+from dcbilstm.errors import ShapeError
+from dcbilstm.model import LstmParams
 from dcbilstm.tensor import make_rng
+from lstm_oracle import lstm_step, lstm_step_backward
 
 # Scalar hand case, d = 1, input_dim = 1, every weight 0.5, bias 0, x = 1,
 # zero initial state.  All four pre-activations equal 0.5, so with
@@ -121,6 +123,14 @@ def test_step_backward_rejects_bad_grad_shape():
         lstm_step_backward(p, cache, np.zeros((1, 2)), np.zeros((1, 3)))
 
 
+def run_sentence(p, X, length, reverse):
+    """Hidden states (T, d) of one direction over one (T, input_dim) sentence."""
+    H, _, _ = kernels.lstm_layer_forward(
+        X[None], np.array([length], dtype=np.int64), p.W, p.b[0], reverse
+    )
+    return H[0]
+
+
 def test_run_direction_matches_composed_steps():
     """The layer kernel must agree with a plain chain of lstm_step calls.
 
@@ -131,21 +141,21 @@ def test_run_direction_matches_composed_steps():
         rng = make_rng(100 + seed)
         input_dim, d, T = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
         p = LstmParams.init(input_dim, d, rng)
-        inputs = [rng.standard_normal((1, input_dim)) for _ in range(T)]
+        X = rng.standard_normal((T, input_dim))
 
-        out = run_direction(p, inputs, T, Direction.FORWARD)
+        out = run_sentence(p, X, T, reverse=False)
         h = np.zeros((1, d))
         c = np.zeros((1, d))
         for t in range(T):
-            h, c, _ = lstm_step(p, inputs[t], h, c)
-            assert np.abs(out[t] - h).max() < 1e-12, f"seed {seed} position {t}"
+            h, c, _ = lstm_step(p, X[t:t + 1], h, c)
+            assert np.abs(out[t] - h[0]).max() < 1e-12, f"seed {seed} position {t}"
 
-        out_b = run_direction(p, inputs, T, Direction.BACKWARD)
+        out_b = run_sentence(p, X, T, reverse=True)
         h = np.zeros((1, d))
         c = np.zeros((1, d))
         for t in range(T - 1, -1, -1):
-            h, c, _ = lstm_step(p, inputs[t], h, c)
-            assert np.abs(out_b[t] - h).max() < 1e-12
+            h, c, _ = lstm_step(p, X[t:t + 1], h, c)
+            assert np.abs(out_b[t] - h[0]).max() < 1e-12
 
 
 def test_reversal_duality_bitwise():
@@ -154,9 +164,9 @@ def test_reversal_duality_bitwise():
         rng = make_rng(200 + seed)
         input_dim, d, T = int(rng.integers(1, 8)), int(rng.integers(1, 8)), int(rng.integers(1, 12))
         p = LstmParams.init(input_dim, d, rng)
-        inputs = [rng.standard_normal((1, input_dim)) for _ in range(T)]
-        bwd = run_direction(p, inputs, T, Direction.BACKWARD)
-        fwd_rev = run_direction(p, inputs[::-1], T, Direction.FORWARD)
+        X = rng.standard_normal((T, input_dim))
+        bwd = run_sentence(p, X, T, reverse=True)
+        fwd_rev = run_sentence(p, X[::-1], T, reverse=False)
         for t in range(T):
             assert np.array_equal(bwd[t], fwd_rev[T - 1 - t]), f"seed {seed} t={t}"
 
@@ -164,44 +174,52 @@ def test_reversal_duality_bitwise():
 def test_run_direction_padding_left_untouched():
     rng = make_rng(9)
     p = LstmParams.init(3, 2, rng)
-    inputs = [rng.standard_normal((1, 3)) for _ in range(6)]
-    out = run_direction(p, inputs, 4, Direction.FORWARD)
-    assert np.array_equal(out[4], np.zeros((1, 2)))
-    assert np.array_equal(out[5], np.zeros((1, 2)))
-    # and the first 4 equal the unpadded run exactly
-    ref = run_direction(p, inputs[:4], 4, Direction.FORWARD)
-    for t in range(4):
-        assert np.array_equal(out[t], ref[t])
+    X = rng.standard_normal((6, 3))
+    for reverse in (False, True):
+        out = run_sentence(p, X, 4, reverse)
+        assert np.array_equal(out[4:], np.zeros((2, 2)))
+        # and the first 4 equal the unpadded run exactly
+        assert np.array_equal(out[:4], run_sentence(p, X[:4], 4, reverse))
+
+    # the same holds row by row in a mixed-length batch padded further
+    lengths = np.array([4, 2, 6], dtype=np.int64)
+    Xb = rng.standard_normal((3, 6, 3))
+    Xpad = np.concatenate([Xb, rng.standard_normal((3, 3, 3))], axis=1)
+    for reverse in (False, True):
+        tight = kernels.lstm_layer_forward(Xb, lengths, p.W, p.b[0], reverse)
+        loose = kernels.lstm_layer_forward(Xpad, lengths, p.W, p.b[0], reverse)
+        for a, b in zip(tight, loose):
+            assert np.array_equal(b[:, :6], a)
+            assert not b[:, 6:].any()
 
 
-def test_run_direction_errors():
-    p = LstmParams.init(2, 2, make_rng(0))
-    inputs = [np.zeros((1, 2))]
-    with pytest.raises(EmptySequenceError):
-        run_direction(p, inputs, 0, Direction.FORWARD)
-    with pytest.raises(ShapeError):
-        run_direction(p, inputs, 2, Direction.FORWARD)
-    with pytest.raises(ShapeError):
-        run_direction(p, [np.zeros((1, 3))], 1, Direction.FORWARD)
-
-
-def test_layer_kernel_jit_and_plain_paths_agree():
-    rng = make_rng(42)
-    B, T, Din, d = 3, 7, 5, 4
-    X = rng.standard_normal((B, T, Din))
-    lengths = np.array([7, 4, 1], dtype=np.int64)
+def test_kernel_rows_do_not_interact():
+    """The kernels reorder rows by length internally; a batch must still
+    equal its sentences run one at a time, with padding exactly zero."""
+    rng = make_rng(31)
+    lengths = np.array([1, 7, 3, 7, 1, 5], dtype=np.int64)
+    B, T, Din, d = len(lengths), int(lengths.max()), 5, 4
+    real = (np.arange(T) < lengths[:, None])[:, :, None]
+    X = rng.standard_normal((B, T, Din)) * real
+    dH = rng.standard_normal((B, T, d)) * real
     W = 0.4 * rng.standard_normal((Din + d, 4 * d))
     b = 0.1 * rng.standard_normal(4 * d)
-    dH = rng.standard_normal((B, T, d))
-    for n in range(B):
-        dH[n, lengths[n]:] = 0.0
-    for rev in (False, True):
-        H, C, G = kernels.lstm_layer_forward(X, lengths, W, b, rev)
-        Hp, Cp, Gp = kernels.lstm_layer_forward_plain(X, lengths, W, b, rev)
-        assert np.abs(H - Hp).max() < 1e-13
-        assert np.abs(C - Cp).max() < 1e-13
-        assert np.abs(G - Gp).max() < 1e-13
-        out = kernels.lstm_layer_backward(X, lengths, W, H, C, G, dH, rev)
-        ref = kernels.lstm_layer_backward_plain(X, lengths, W, Hp, Cp, Gp, dH, rev)
-        for a, b_ in zip(out, ref):
-            assert np.abs(a - b_).max() < 1e-12
+    for reverse in (False, True):
+        H, C, G = kernels.lstm_layer_forward(X, lengths, W, b, reverse)
+        dW, db, dX = kernels.lstm_layer_backward(X, lengths, W, H, C, G, dH, reverse)
+        for out in (H, C, G, dX):
+            assert not (out * ~real).any()
+        dW_sum, db_sum = np.zeros_like(dW), np.zeros_like(db)
+        for n, L in enumerate(lengths):
+            one = lengths[n:n + 1]
+            Hn, Cn, Gn = kernels.lstm_layer_forward(X[n:n + 1, :L], one, W, b, reverse)
+            for got, want in ((H, Hn), (C, Cn), (G, Gn)):
+                assert np.abs(got[n, :L] - want[0]).max() < 1e-12, (reverse, n)
+            dWn, dbn, dXn = kernels.lstm_layer_backward(
+                X[n:n + 1, :L], one, W, Hn, Cn, Gn, dH[n:n + 1, :L], reverse
+            )
+            assert np.abs(dX[n, :L] - dXn[0]).max() < 1e-12, (reverse, n)
+            dW_sum += dWn
+            db_sum += dbn
+        assert np.abs(dW - dW_sum).max() < 1e-12
+        assert np.abs(db - db_sum).max() < 1e-12

@@ -10,18 +10,14 @@ import pytest
 
 from dcbilstm.data import Batch
 from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
-from dcbilstm.lstm import LstmParams, lstm_step
 from dcbilstm.model import (
+    LstmParams,
     Model,
     ModelConfig,
-    arch_backward_batch,
     arch_forward_batch,
-    average_pool,
     average_pool_batch,
-    classify,
     classify_batch,
     count_params,
-    dense_forward,
     dense_forward_batch,
     dropout,
     format_param_count,
@@ -30,10 +26,10 @@ from dcbilstm.model import (
     model_forward,
     save_checkpoint,
     softmax_rows,
-    stacked_forward,
     stacked_forward_batch,
 )
-from dcbilstm.tensor import concat_cols, make_rng
+from dcbilstm.tensor import make_rng
+from lstm_oracle import lstm_step
 
 
 def small_config(arch="dense", dl=2, m=6, dh=3, th=4, num_classes=3):
@@ -61,7 +57,7 @@ def _naive_bilayer(layer, xs):
     for t in range(T - 1, -1, -1):
         h, c, _ = lstm_step(layer.bwd, xs[t], h, c)
         bwd[t] = h
-    return [concat_cols([fwd[t], bwd[t]]) for t in range(T)]
+    return [np.concatenate([fwd[t], bwd[t]], axis=1) for t in range(T)]
 
 
 def _naive_forward(model, emb_rows):
@@ -70,7 +66,7 @@ def _naive_forward(model, emb_rows):
     for layer in model.dense_layers:
         outs = _naive_bilayer(layer, feats)
         if model.config.arch == "dense":
-            feats = [concat_cols([feats[t], outs[t]]) for t in range(len(feats))]
+            feats = [np.concatenate([feats[t], outs[t]], axis=1) for t in range(len(feats))]
         else:
             feats = outs
     top = _naive_bilayer(model.top_layer, feats)
@@ -99,27 +95,6 @@ def test_forward_matches_naive_reimplementation(arch, dl):
     assert np.abs(pooled - ref_pooled).max() < 1e-12
     probs = classify_batch(pooled, model.softmax_W, model.softmax_b)
     assert np.abs(probs - ref_probs).max() < 1e-12
-
-
-def test_single_sentence_wrappers_match_batch():
-    rng = make_rng(77)
-    cfg = small_config(arch="dense", dl=2)
-    model = Model.build(cfg, rng)
-    emb_rows = [rng.standard_normal((1, cfg.m)) for _ in range(4)]
-    hL, _ = dense_forward(model, emb_rows, 4)
-    assert len(hL) == 4 and hL[0].shape == (1, 2 * cfg.th)
-    pooled = average_pool(hL, 4)
-    probs = classify(pooled, model.softmax_W, model.softmax_b)
-    assert abs(probs.sum() - 1.0) < 1e-12
-
-    scfg = small_config(arch="stacked", dl=2)
-    smodel = Model.build(scfg, make_rng(78))
-    hS, _ = stacked_forward(smodel, emb_rows, 4)
-    assert hS[0].shape == (1, 2 * scfg.th)
-    with pytest.raises(ConfigError):
-        stacked_forward(model, emb_rows, 4)
-    with pytest.raises(ConfigError):
-        dense_forward(smodel, emb_rows, 4)
 
 
 def test_degenerate_dl0_architectures_identical_bitwise():
@@ -217,36 +192,49 @@ def test_count_params_zero_width_dense_stack():
 # pooling and head
 
 
+def one_length(n):
+    return np.array([n], dtype=np.int64)
+
+
 def test_average_pool_identical_vectors():
-    v = np.array([[1.5, -2.0, 0.25]])
-    assert np.abs(average_pool([v, v, v], 3) - v).max() < 1e-15
+    v = np.array([1.5, -2.0, 0.25])
+    H = np.tile(v, (1, 3, 1))
+    assert np.abs(average_pool_batch(H, one_length(3)) - v).max() < 1e-15
 
 
 def test_average_pool_hand_case():
-    out = average_pool([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])], 2)
+    out = average_pool_batch(np.array([[[1.0, 0.0], [0.0, 1.0]]]), one_length(2))
     assert np.array_equal(out, np.array([[0.5, 0.5]]))
 
 
 def test_average_pool_ignores_padding():
     rng = make_rng(2)
-    rows = [rng.standard_normal((1, 4)) for _ in range(6)]
-    assert np.abs(average_pool(rows, 3) - average_pool(rows[:3], 3)).max() < 1e-12
+    H = rng.standard_normal((1, 6, 4))
+    pooled = average_pool_batch(H, one_length(3))
+    assert np.abs(pooled - average_pool_batch(H[:, :3], one_length(3))).max() < 1e-12
+    # rows of a mixed-length batch pool as they would alone
+    lengths = np.array([3, 6, 1], dtype=np.int64)
+    Hb = rng.standard_normal((3, 6, 4))
+    batched = average_pool_batch(Hb, lengths)
+    for n, L in enumerate(lengths):
+        alone = average_pool_batch(Hb[n:n + 1, :L], lengths[n:n + 1])
+        assert np.abs(batched[n] - alone[0]).max() < 1e-12
     with pytest.raises(EmptySequenceError):
-        average_pool(rows, 0)
+        average_pool_batch(H, one_length(0))
     with pytest.raises(ShapeError):
-        average_pool(rows[:2], 5)
+        average_pool_batch(H[:, :2], one_length(5))
 
 
 def test_classify_uniform_and_shift_invariance():
     h = np.array([[0.3, -1.2, 4.0, 0.0]])
     W0 = np.zeros((4, 5))
     b0 = np.zeros((1, 5))
-    assert np.abs(classify(h, W0, b0) - 0.2).max() < 1e-15
+    assert np.abs(classify_batch(h, W0, b0) - 0.2).max() < 1e-15
 
     rng = make_rng(3)
     W = rng.standard_normal((4, 5))
     b = rng.standard_normal((1, 5))
-    p1 = classify(h, W, b)
+    p1 = classify_batch(h, W, b)
     assert abs(p1.sum() - 1.0) < 1e-12
     p2 = softmax_rows((h @ W + b) + 123.456)
     assert np.abs(p1 - p2).max() < 1e-12
@@ -402,3 +390,37 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(weird)
     assert "bogus" in str(info.value) or "missing" in str(info.value)
+
+
+def _corrupt(blob, old, new):
+    assert old in blob
+    return blob.replace(old, new, 1)
+
+
+def _nan_entry(blob):
+    """The first value of the softmax bias replaced by NaN."""
+    at = blob.index(b"softmax.b 1 3\n") + len(b"softmax.b 1 3\n")
+    return blob[:at] + np.array([np.nan], "<f8").tobytes() + blob[at + 8:]
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda blob: _corrupt(blob, b"vocab 3\n", b"vocab three\n"),
+    lambda blob: _corrupt(blob, b"vocab 3\n", b"vocab -1\n"),
+    lambda blob: _corrupt(blob, b"\ntensors ", b"\ntensors x"),
+    lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b 1 3.0\n"),
+    lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b -1 -3\n"),
+    lambda blob: _corrupt(blob, b"\nm 6\n", b"\nm six\n"),
+    _nan_entry,
+    lambda blob: blob[:blob.index(b"\n")],
+], ids=["vocab-word", "vocab-negative", "tensor-count", "header-float", "header-negative",
+        "manifest-int", "nan-tensor", "no-newline"])
+def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
+    rng = make_rng(12)
+    model = Model.build(small_config(dl=1), rng)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, model, seed=3, vocab={"a": 2, "b": 3, "c": 4},
+                    emb_matrix=rng.standard_normal((5, 6)))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(mangle(good.read_bytes()))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)

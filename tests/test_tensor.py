@@ -6,9 +6,6 @@ from scipy.special import expit
 
 from dcbilstm.errors import ShapeError
 from dcbilstm.tensor import (
-    activation,
-    as_tensor,
-    concat_cols,
     glorot_uniform,
     make_rng,
     matmul,
@@ -44,26 +41,6 @@ def test_tanh_frozen_value():
     assert abs(tanh(0.5) - TANH_HALF) < 1e-16
 
 
-def test_activation_dispatch():
-    x = np.array([[0.5, -0.5]])
-    assert np.array_equal(activation("sigmoid", x), sigmoid(x))
-    assert np.array_equal(activation("tanh", x), tanh(x))
-    with pytest.raises(ValueError):
-        activation("relu", x)
-
-
-def test_as_tensor_promotes_vectors():
-    v = as_tensor([1.0, 2.0, 3.0])
-    assert v.shape == (1, 3)
-    assert v.dtype == np.float64
-    assert v.flags["C_CONTIGUOUS"]
-
-
-def test_as_tensor_rejects_higher_rank():
-    with pytest.raises(ShapeError):
-        as_tensor(np.zeros((2, 2, 2)))
-
-
 def test_matmul_agrees_with_numpy():
     rng = make_rng(3)
     a = rng.standard_normal((4, 7))
@@ -75,18 +52,6 @@ def test_matmul_error_names_both_shapes():
     with pytest.raises(ShapeError) as info:
         matmul(np.zeros((2, 3)), np.zeros((4, 5)))
     assert "(2, 3)" in str(info.value) and "(4, 5)" in str(info.value)
-
-
-def test_concat_cols_order_and_checks():
-    a = np.ones((2, 1))
-    b = np.zeros((2, 2))
-    out = concat_cols([a, b])
-    assert out.shape == (2, 3)
-    assert np.array_equal(out[:, :1], a)
-    with pytest.raises(ShapeError):
-        concat_cols([])
-    with pytest.raises(ShapeError):
-        concat_cols([a, np.zeros((3, 1))])
 
 
 def test_glorot_uniform_bound_and_determinism():
