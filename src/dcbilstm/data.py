@@ -48,16 +48,19 @@ class EmbeddingTable:
 
 
 def load_embeddings(path, dim=None):
-    """Parse whitespace-separated "word v1 v2 ... vd" lines.
+    """Parse space-separated "word v1 v2 ... vd" lines.
 
-    The first data line fixes the dimension unless dim is given.  Repeated
-    words keep the first occurrence (GloVe files list cased variants; we
-    lowercase keys, so "The" after "the" is dropped).
+    The first data line fixes the dimension unless dim is given.  The last
+    d fields of a line are the vector and the rest is the word, so a word
+    may contain spaces (glove.840B.300d has a few).  Repeated words keep
+    the first occurrence (GloVe files list cased variants; we lowercase
+    keys, so "The" after "the" is dropped).
     """
     vectors = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            # split at most d times from the right; every space while d is unknown
+            parts = line.rstrip("\n").rsplit(" ", dim or -1)
             if len(parts) < 2:
                 if line.strip() == "":
                     continue

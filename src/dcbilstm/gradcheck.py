@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import Model, ModelConfig, model_backward, model_forward
+from .model import Model, ModelConfig, embedding_gradient, model_backward, model_forward
 from .data import Batch
 from .tensor import make_rng
 
@@ -136,7 +136,7 @@ def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
     arrays = dict(model.named_params())
     if check_input:
         arrays["input"] = emb_matrix
-        analytic["input"] = dEmb[0]
+        analytic["input"] = embedding_gradient(trace, dEmb, seq_len)
 
     numeric = finite_diff(loss_fn, arrays, eps)
     groups = [

@@ -1,47 +1,57 @@
 """Hot sequence kernels: full forward / backward recurrences of one LSTM
-direction over a padded batch.
+direction over a packed batch.
 
-These are the inner loops of the whole package.  Both kernels work on a
-packed, time-major copy of the batch (Appleyard et al. 2016, §3): rows are
-ordered by decreasing length, so the sentences still running at position
-``t`` are a prefix of that order, and the real tokens of step ``t`` sit in
-one contiguous block.  The input projection is one matrix product over the
-real tokens; each step then advances every active sentence with one
-``(k_t, d) @ (d, 4d)`` product.  The reverse direction runs the same loop
-from the last position down: a sentence joins at ``t = L-1`` with a zero
-state, which is simply the absence of a predecessor row.
+These are the inner loops of the whole package.  A batch is packed once,
+time-major (Appleyard et al. 2016, §3): rows are ordered by decreasing
+length, so the sentences still running at position ``t`` are a prefix of
+that order, and the real tokens of step ``t`` sit in one contiguous block
+of ``(N, ·)`` arrays, ``N`` being the batch's token count.  The input
+projection is one matrix product over all tokens; each step then advances
+every active sentence with one ``(k_t, d) @ (d, 4d)`` product.  The
+reverse direction runs the same loop from the last step down: a sentence
+joins at ``t = L-1`` with a zero state, which is simply the absence of a
+predecessor row.
 
 Conventions shared with the rest of the package:
   - weights ``W`` of shape ``(input_dim + d, 4d)`` act on ``[x; h_prev]``,
     bias ``b`` of shape ``(4d,)``;
   - the ``4d`` axis is sliced in the fixed gate order ``[i | f | o | g]``;
   - initial hidden and cell states are exactly zero;
-  - positions at or beyond a sentence's length are never touched and hold
-    zero vectors;
-  - only real tokens enter a matrix product, so a sentence's outputs do not
-    depend on how far its batch is padded, bit for bit.
+  - padding is never packed, so a sentence's outputs do not depend on how
+    far its batch is padded, bit for bit.
 
 The gate-value array ``G`` stores the activated gates, and sigmoids are
 computed as ``0.5 * (tanh(z/2) + 1)``, which saturates without overflow.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 
-def _pack(lengths):
+class Packing(NamedTuple):
     """Packed time-major layout of a batch.
 
-    Returns (rows, ts, sizes, starts): packed entry ``e`` is position
-    ``ts[e]`` of sentence ``rows[e]``; step ``t`` holds ``sizes[t]``
-    entries beginning at ``starts[t]``, sentences in decreasing length.
+    Packed entry ``e`` is position ``ts[e]`` of sentence ``rows[e]``; step
+    ``t`` holds ``sizes[t]`` entries beginning at ``starts[t]``, sentences
+    in decreasing length.
     """
+
+    rows: np.ndarray
+    ts: np.ndarray
+    sizes: list
+    starts: list
+
+
+def pack(lengths):
+    """The packed layout of a batch with the given (B,) true lengths."""
     order = np.argsort(-lengths, kind="stable")
     steps = np.arange(int(lengths.max(initial=0)))
     active = lengths[order][None, :] > steps[:, None]
     ts, slots = np.nonzero(active)
     sizes = active.sum(axis=1)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return order[slots], ts, sizes.tolist(), starts.tolist()
+    return Packing(order[slots], ts, sizes.tolist(), starts.tolist())
 
 
 def _predecessor(t, reverse, sizes, starts):
@@ -52,30 +62,30 @@ def _predecessor(t, reverse, sizes, starts):
     return starts[tp], min(sizes[t], sizes[tp])
 
 
-def lstm_layer_forward(X, lengths, W, b, reverse):
+def lstm_layer_forward(X, packing, W, b, reverse):
     """Run one direction of an LSTM layer over every sentence of a batch.
 
-    X:       (B, T, Din) float64, padded inputs
-    lengths: (B,) int64, true lengths
+    X:       (N, Din) float64, packed inputs; a row-strided view is fine
+    packing: the batch's ``Packing``
     W:       (Din + d, 4d);  b: (4d,)
     reverse: False processes positions 0..L-1, True processes L-1..0
 
-    Returns (H, C, G): hidden states (B, T, d), cell states (B, T, d) and
-    activated gate values (B, T, 4d), all zero beyond each length.
+    Returns packed (H, C, G): hidden states (N, d), cell states (N, d) and
+    activated gate values (N, 4d).
     """
-    B, T, Din = X.shape
+    Din = X.shape[1]
     d = W.shape[1] // 4
     Wh = W[Din:]
-    rows, ts, sizes, starts = _pack(lengths)
-    # pre-activations of every real token, turned into gate values in place
-    Z = X[rows, ts] @ W[:Din] + b
-    Hp = np.empty((len(rows), d))
-    Cp = np.empty((len(rows), d))
+    sizes, starts = packing.sizes, packing.starts
+    # pre-activations of every token, turned into gate values in place
+    Z = X @ W[:Din] + b
+    H = np.empty((len(Z), d))
+    C = np.empty((len(Z), d))
     for t in (range(len(sizes) - 1, -1, -1) if reverse else range(len(sizes))):
         lo, hi = starts[t], starts[t] + sizes[t]
         plo, kp = _predecessor(t, reverse, sizes, starts)
         z = Z[lo:hi]
-        z[:kp] += Hp[plo:plo + kp] @ Wh
+        z[:kp] += H[plo:plo + kp] @ Wh
         s = z[:, :3 * d]
         s *= 0.5
         np.tanh(s, out=s)
@@ -83,44 +93,35 @@ def lstm_layer_forward(X, lengths, W, b, reverse):
         s *= 0.5
         np.tanh(z[:, 3 * d:], out=z[:, 3 * d:])
         i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
-        c = Cp[lo:hi]
+        c = C[lo:hi]
         np.multiply(i, g, out=c)
-        c[:kp] += f[:kp] * Cp[plo:plo + kp]
-        h = Hp[lo:hi]
+        c[:kp] += f[:kp] * C[plo:plo + kp]
+        h = H[lo:hi]
         np.tanh(c, out=h)
         h *= o
-    H = np.zeros((B, T, d))
-    C = np.zeros((B, T, d))
-    G = np.zeros((B, T, 4 * d))
-    H[rows, ts] = Hp
-    C[rows, ts] = Cp
-    G[rows, ts] = Z
-    return H, C, G
+    return H, C, Z
 
 
 def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
     """Backpropagation through time in the packed layout.
 
-    Returns (dZ, Hprev): the loss gradient w.r.t. every real token's gate
+    Returns (dZ, Hprev): the loss gradient w.r.t. every token's gate
     pre-activations (N, 4d), and the hidden state each token read (N, d).
     Steps are visited opposite to the forward consumption order while
     carrying the recurrent gradients dh and dc; everything that does not
     depend on them is computed once for all tokens before the loop.
     """
-    rows, ts, sizes, starts = packing
-    N, d = len(rows), WhT.shape[1]
-    Gp = G[rows, ts]
-    i, f, o, g = Gp[:, :d], Gp[:, d:2 * d], Gp[:, 2 * d:3 * d], Gp[:, 3 * d:]
-    Hp = H[rows, ts]
-    Cp = C[rows, ts]
-    tc = np.tanh(Cp)
+    sizes, starts = packing.sizes, packing.starts
+    N, d = len(G), WhT.shape[1]
+    i, f, o, g = G[:, :d], G[:, d:2 * d], G[:, 2 * d:3 * d], G[:, 3 * d:]
+    tc = np.tanh(C)
     # (h, c) of each token's predecessor, zero where a sentence starts
     Hprev = np.zeros((N, d))
     Cprev = np.zeros((N, d))
     for t in range(len(sizes)):
         plo, kp = _predecessor(t, reverse, sizes, starts)
-        Hprev[starts[t]:starts[t] + kp] = Hp[plo:plo + kp]
-        Cprev[starts[t]:starts[t] + kp] = Cp[plo:plo + kp]
+        Hprev[starts[t]:starts[t] + kp] = H[plo:plo + kp]
+        Cprev[starts[t]:starts[t] + kp] = C[plo:plo + kp]
     # gate derivatives; the loop scales the o block by dh and the rest by dc
     dZ = np.empty((N, 4, d))
     dZ[:, 0] = g * i * (1.0 - i)
@@ -128,12 +129,11 @@ def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
     dZ[:, 2] = tc * o * (1.0 - o)
     dZ[:, 3] = i * (1.0 - g * g)
     dc_dh = o * (1.0 - tc * tc)
-    dHp = dH[rows, ts]
     # gradients carried to the first rows of the next step visited
     dh_rec = dc_rec = np.zeros((0, d))
     for t in (range(len(sizes)) if reverse else range(len(sizes) - 1, -1, -1)):
         lo, hi = starts[t], starts[t] + sizes[t]
-        dh = dHp[lo:hi]
+        dh = dH[lo:hi].copy()
         dh[:len(dh_rec)] += dh_rec
         dc = dh * dc_dh[lo:hi]
         dc[:len(dc_rec)] += dc_rec
@@ -147,21 +147,19 @@ def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
     return dZ.reshape(N, 4 * d), Hprev
 
 
-def lstm_layer_backward(X, lengths, W, H, C, G, dH, reverse):
+def lstm_layer_backward(X, packing, W, H, C, G, dH, reverse, dX):
     """Reverse-mode pass matching ``lstm_layer_forward``.
 
-    dH holds the loss gradient w.r.t. every stored hidden state.  Returns
-    (dW, db, dX) with dW/db accumulated over all sentences and positions.
-    The gate gradients of every real token are buffered, so dW, db and dX
-    are each one product or sum over the whole batch.
+    dH holds the loss gradient w.r.t. every packed hidden state; it is read,
+    not written.  The input gradient is added into dX (N, Din), which may
+    be a view of a larger buffer.  Returns (dW, db), accumulated over all
+    tokens.  The gate gradients of every token are buffered, so dW, db and
+    the dX update are each one product or sum over the whole batch.
     """
-    Din = X.shape[2]
-    packing = _pack(lengths)
-    rows, ts = packing[:2]
+    Din = X.shape[1]
     dZ, Hprev = _gate_gradients(H, C, G, dH, np.ascontiguousarray(W[Din:].T), reverse, packing)
     dW = np.empty_like(W)
-    dW[:Din] = X[rows, ts].T @ dZ
+    dW[:Din] = X.T @ dZ
     dW[Din:] = Hprev.T @ dZ
-    dX = np.zeros_like(X)
-    dX[rows, ts] = dZ @ W[:Din].T
-    return dW, dZ.sum(axis=0), dX
+    dX += dZ @ W[:Din].T
+    return dW, dZ.sum(axis=0)

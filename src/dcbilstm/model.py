@@ -15,7 +15,7 @@ softmax classifier.  Dropout is applied at exactly two sites, the word
 embeddings and the pooled vector.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,150 +232,100 @@ def format_param_count(n):
 
 # ---------------------------------------------------------------------------
 # batched forward / backward
+#
+# A batch is packed once (``kernels.pack``) and stays packed, ``(N, ·)`` with
+# one row per real token, from the embedding gather through pooling.  The
+# layer stack lives in a few packed buffers: for the dense architecture one
+# concatenation buffer ``M`` of width m + 2*dh*dl (embeddings first, then
+# each layer's [fwd | bwd] states), so layer l reads the prefix view
+# ``M[:, :w_in]`` without a copy (Pleiss et al. 2017, arXiv 1707.06990);
+# for the stacked one a buffer per layer.  The top layer writes its states
+# into a last buffer of width 2*th.  The backward pass accumulates into
+# zero-filled buffers of the same shapes.
 
 
-@dataclass
-class LayerTrace:
-    X: np.ndarray  # (B, T, w_in) contiguous input consumed by both directions
-    Hf: np.ndarray
-    Cf: np.ndarray
-    Gf: np.ndarray
-    Hb: np.ndarray
-    Cb: np.ndarray
-    Gb: np.ndarray
+def _stack_buffers(cfg, N):
+    """Packed buffers of the layer stack; the embeddings are bufs[0][:, :m]."""
+    if cfg.arch == ARCH_DENSE:
+        widths = [cfg.top_input_dim()]
+    else:
+        widths = [cfg.m] + [2 * cfg.dh] * cfg.dl
+    return [np.empty((N, w)) for w in widths + [2 * cfg.th]]
 
 
-@dataclass
-class ArchTrace:
-    lengths: np.ndarray
-    layers: list
-    top: LayerTrace
+def _layer_views(cfg, bufs):
+    """(input, output) views of every layer of the stack, the top layer last."""
+    if cfg.arch == ARCH_DENSE:
+        M, Htop = bufs
+        views = []
+        for l in range(1, cfg.dl + 1):
+            w_in = cfg.layer_input_dim(l)
+            views.append((M[:, :w_in], M[:, w_in:w_in + 2 * cfg.dh]))
+        return views + [(M, Htop)]
+    return list(zip(bufs[:-1], bufs[1:]))
 
 
-def _run_bilayer(layer, X, lengths):
-    Hf, Cf, Gf = kernels.lstm_layer_forward(X, lengths, layer.fwd.W, layer.fwd.b[0], False)
-    Hb, Cb, Gb = kernels.lstm_layer_forward(X, lengths, layer.bwd.W, layer.bwd.b[0], True)
-    return LayerTrace(X=X, Hf=Hf, Cf=Cf, Gf=Gf, Hb=Hb, Cb=Cb, Gb=Gb)
+def _named_layers(model):
+    return [(f"dense{l}", layer) for l, layer in enumerate(model.dense_layers)] + [
+        ("top", model.top_layer)
+    ]
 
 
-def _bilayer_backward(layer, tr, dHcat, lengths):
-    d = layer.d
-    dHf = np.ascontiguousarray(dHcat[:, :, :d])
-    dHb = np.ascontiguousarray(dHcat[:, :, d:])
-    dWf, dbf, dXf = kernels.lstm_layer_backward(
-        tr.X, lengths, layer.fwd.W, tr.Hf, tr.Cf, tr.Gf, dHf, False
-    )
-    dWb, dbb, dXb = kernels.lstm_layer_backward(
-        tr.X, lengths, layer.bwd.W, tr.Hb, tr.Cb, tr.Gb, dHb, True
-    )
-    return (dWf, dbf, dWb, dbb), dXf + dXb
+def arch_forward_batch(model, bufs, packing):
+    """Run the layer stack over packed buffers whose embeddings are filled.
 
-
-def dense_forward_batch(model, emb, lengths):
-    """Dense module over a padded batch (B, T, m); returns (Htop, trace)."""
-    cfg = model.config
-    B, T, m = emb.shape
-    if m != cfg.m:
-        raise ConfigError(f"embedding width {m} != configured m {cfg.m}")
-    M = np.zeros((B, T, cfg.top_input_dim()))
-    M[:, :, :cfg.m] = emb
-    layer_traces = []
-    for l, layer in enumerate(model.dense_layers):
-        w_in = cfg.layer_input_dim(l + 1)
-        X = np.ascontiguousarray(M[:, :, :w_in])
-        tr = _run_bilayer(layer, X, lengths)
-        M[:, :, w_in:w_in + cfg.dh] = tr.Hf
-        M[:, :, w_in + cfg.dh:w_in + 2 * cfg.dh] = tr.Hb
-        layer_traces.append(tr)
-    top_tr = _run_bilayer(model.top_layer, M, lengths)
-    Htop = np.concatenate([top_tr.Hf, top_tr.Hb], axis=2)
-    return Htop, ArchTrace(lengths=lengths, layers=layer_traces, top=top_tr)
-
-
-def stacked_forward_batch(model, emb, lengths):
-    """Plain stacked module: each layer reads only its predecessor's output."""
-    cfg = model.config
-    if emb.shape[2] != cfg.m:
-        raise ConfigError(f"embedding width {emb.shape[2]} != configured m {cfg.m}")
-    X = np.ascontiguousarray(emb)
-    layer_traces = []
-    for layer in model.dense_layers:
-        tr = _run_bilayer(layer, X, lengths)
-        X = np.concatenate([tr.Hf, tr.Hb], axis=2)
-        layer_traces.append(tr)
-    top_tr = _run_bilayer(model.top_layer, X, lengths)
-    Htop = np.concatenate([top_tr.Hf, top_tr.Hb], axis=2)
-    return Htop, ArchTrace(lengths=lengths, layers=layer_traces, top=top_tr)
-
-
-def arch_forward_batch(model, emb, lengths):
-    if model.config.arch == ARCH_DENSE:
-        return dense_forward_batch(model, emb, lengths)
-    return stacked_forward_batch(model, emb, lengths)
+    Each layer's two directions write their hidden states into its output
+    view.  Returns the per-layer (Cf, Gf, Cb, Gb) the backward pass needs.
+    """
+    states = []
+    for (_, layer), (X, Y) in zip(_named_layers(model), _layer_views(model.config, bufs)):
+        d = layer.d
+        Y[:, :d], Cf, Gf = kernels.lstm_layer_forward(X, packing, layer.fwd.W, layer.fwd.b[0], False)
+        Y[:, d:], Cb, Gb = kernels.lstm_layer_forward(X, packing, layer.bwd.W, layer.bwd.b[0], True)
+        states.append((Cf, Gf, Cb, Gb))
+    return states
 
 
 def arch_backward_batch(model, trace, dHtop):
     """Backprop through the layer stack.
 
-    dHtop is the gradient on the top layer's concatenated hidden states.
-    Returns (grads by parameter name, gradient on the embedded inputs).
+    dHtop is the packed gradient on the top layer's [fwd | bwd] states.
+    Returns (grads by parameter name, packed gradient on the embeddings).
     """
     cfg = model.config
-    lengths = trace.lengths
+    dbufs = [np.zeros_like(buf) for buf in trace.bufs[:-1]] + [dHtop]
+    layers = zip(_named_layers(model), _layer_views(cfg, trace.bufs),
+                 _layer_views(cfg, dbufs), trace.states)
     grads = {}
-    (dWf, dbf, dWb, dbb), dXtop = _bilayer_backward(model.top_layer, trace.top, dHtop, lengths)
-    grads["top.fwd.W"] = dWf
-    grads["top.fwd.b"] = dbf.reshape(1, -1)
-    grads["top.bwd.W"] = dWb
-    grads["top.bwd.b"] = dbb.reshape(1, -1)
-
-    if cfg.arch == ARCH_DENSE:
-        dM = dXtop.copy()
-        for l in range(cfg.dl - 1, -1, -1):
-            w_in = cfg.layer_input_dim(l + 1)
-            dHcat = np.ascontiguousarray(dM[:, :, w_in:w_in + 2 * cfg.dh])
-            (dWf, dbf, dWb, dbb), dX = _bilayer_backward(
-                model.dense_layers[l], trace.layers[l], dHcat, lengths
+    for (name, layer), (X, Y), (dX, dY), (Cf, Gf, Cb, Gb) in reversed(list(layers)):
+        d = layer.d
+        for tag, p, cols, C, G, reverse in (("fwd", layer.fwd, slice(None, d), Cf, Gf, False),
+                                            ("bwd", layer.bwd, slice(d, None), Cb, Gb, True)):
+            dW, db = kernels.lstm_layer_backward(
+                X, trace.packing, p.W, Y[:, cols], C, G, dY[:, cols], reverse, dX
             )
-            grads[f"dense{l}.fwd.W"] = dWf
-            grads[f"dense{l}.fwd.b"] = dbf.reshape(1, -1)
-            grads[f"dense{l}.bwd.W"] = dWb
-            grads[f"dense{l}.bwd.b"] = dbb.reshape(1, -1)
-            dM[:, :, :w_in] += dX
-        dEmb = np.ascontiguousarray(dM[:, :, :cfg.m])
-    else:
-        dX = dXtop
-        for l in range(cfg.dl - 1, -1, -1):
-            (dWf, dbf, dWb, dbb), dX = _bilayer_backward(
-                model.dense_layers[l], trace.layers[l], dX, lengths
-            )
-            grads[f"dense{l}.fwd.W"] = dWf
-            grads[f"dense{l}.fwd.b"] = dbf.reshape(1, -1)
-            grads[f"dense{l}.bwd.W"] = dWb
-            grads[f"dense{l}.bwd.b"] = dbb.reshape(1, -1)
-        dEmb = dX
-    return grads, dEmb
+            grads[f"{name}.{tag}.W"] = dW
+            grads[f"{name}.{tag}.b"] = db.reshape(1, -1)
+    return grads, dbufs[0][:, :cfg.m]
 
 
-def _real_positions(lengths, T):
-    """(B, T, 1) mask of the positions inside each sentence."""
-    return (np.arange(T) < lengths[:, None])[:, :, None]
-
-
-def average_pool_batch(H, lengths):
-    """Mean of each sentence's hidden vectors over true positions only."""
+def average_pool_batch(H, lengths, packing):
+    """Mean of each sentence's packed hidden vectors: a sum over packed steps."""
     if (lengths < 1).any():
         raise EmptySequenceError("average_pool: zero-length sentence")
-    T = H.shape[1]
-    if lengths.max() > T:
-        raise ShapeError(f"average_pool: length {lengths.max()} exceeds {T} positions")
-    total = np.where(_real_positions(lengths, T), H, 0.0).sum(axis=1)
-    return total / lengths[:, None]
+    if len(H) != len(packing.rows):
+        raise ShapeError(f"average_pool: {len(H)} packed rows for {len(packing.rows)} tokens")
+    # every sentence is active at step 0, so its rows list them in packed order
+    total = np.zeros((len(lengths), H.shape[1]))
+    for lo, k in zip(packing.starts, packing.sizes):
+        total[:k] += H[lo:lo + k]
+    pooled = np.empty_like(total)
+    pooled[packing.rows[:len(lengths)]] = total
+    return pooled / lengths[:, None]
 
 
-def pool_backward_batch(dPool, lengths, T):
-    share = (dPool / lengths[:, None])[:, None, :]
-    return np.where(_real_positions(lengths, T), share, 0.0)
+def pool_backward_batch(dPool, lengths, packing):
+    return (dPool / lengths[:, None])[packing.rows]
 
 
 def softmax_rows(logits):
@@ -388,6 +338,11 @@ def classify_batch(h, W, b):
     return softmax_rows(matmul(h, W) + b)
 
 
+def _dropout_mask(draws, rate):
+    """Kept-and-scaled multiplier from uniform draws on [0, 1)."""
+    return (draws >= rate) / (1.0 - rate)
+
+
 def dropout(x, rate, rng, training):
     """Inverted dropout; identity when rate == 0 or not training.
 
@@ -398,8 +353,7 @@ def dropout(x, rate, rng, training):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(np.float64)
-    mask = keep / (1.0 - rate)
+    mask = _dropout_mask(rng.random(x.shape), rate)
     return x * mask, mask
 
 
@@ -409,11 +363,12 @@ def dropout(x, rate, rng, training):
 
 @dataclass
 class ModelTrace:
-    indices: np.ndarray
+    tokens: np.ndarray  # (N,) packed token ids
     lengths: np.ndarray
-    mask_embed: np.ndarray | None
-    arch: ArchTrace
-    Htop: np.ndarray
+    packing: kernels.Packing
+    mask_embed: np.ndarray | None  # (N, m)
+    bufs: list  # packed stack buffers, the top layer's states last
+    states: list  # (Cf, Gf, Cb, Gb) of every layer, the top layer last
     mask_pool: np.ndarray | None
     pooled_dropped: np.ndarray
     probs: np.ndarray
@@ -424,18 +379,30 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     cfg = model.config
     if training and (cfg.dropout_embed > 0 or cfg.dropout_pool > 0) and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
-    emb = emb_matrix[batch.indices]
-    emb_d, mask_e = dropout(emb, cfg.dropout_embed, rng, training)
-    Htop, atrace = arch_forward_batch(model, np.ascontiguousarray(emb_d), batch.lengths)
-    pooled = average_pool_batch(Htop, batch.lengths)
+    if emb_matrix.shape[1] != cfg.m:
+        raise ConfigError(f"embedding width {emb_matrix.shape[1]} != configured m {cfg.m}")
+    packing = kernels.pack(batch.lengths)
+    tokens = batch.indices[packing.rows, packing.ts]
+    bufs = _stack_buffers(cfg, len(tokens))
+    emb = bufs[0][:, :cfg.m]
+    emb[...] = emb_matrix[tokens]
+    mask_e = None
+    if training and cfg.dropout_embed > 0:
+        # drawn over the padded batch, so seeded runs keep their random stream
+        draws = rng.random(batch.indices.shape + (cfg.m,))
+        mask_e = _dropout_mask(draws[packing.rows, packing.ts], cfg.dropout_embed)
+        emb *= mask_e
+    states = arch_forward_batch(model, bufs, packing)
+    pooled = average_pool_batch(bufs[-1], batch.lengths, packing)
     pooled_d, mask_p = dropout(pooled, cfg.dropout_pool, rng, training)
     probs = classify_batch(pooled_d, model.softmax_W, model.softmax_b)
     trace = ModelTrace(
-        indices=batch.indices,
+        tokens=tokens,
         lengths=batch.lengths,
+        packing=packing,
         mask_embed=mask_e,
-        arch=atrace,
-        Htop=Htop,
+        bufs=bufs,
+        states=states,
         mask_pool=mask_p,
         pooled_dropped=pooled_d,
         probs=probs,
@@ -444,10 +411,11 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
 
 
 def model_backward(model, trace, dlogits):
-    """Gradients of every model parameter plus the embedded-input gradient.
+    """Gradients of every model parameter plus the packed embedding gradient.
 
     dlogits is the loss gradient at the softmax pre-activations (for mean
-    cross-entropy over a batch: (probs - onehot) / B).
+    cross-entropy over a batch: (probs - onehot) / B).  The embedding
+    gradient has one row per token of ``trace.tokens``.
     """
     grads = {
         "softmax.W": trace.pooled_dropped.T @ dlogits,
@@ -456,12 +424,19 @@ def model_backward(model, trace, dlogits):
     dpool = dlogits @ model.softmax_W.T
     if trace.mask_pool is not None:
         dpool = dpool * trace.mask_pool
-    dHtop = pool_backward_batch(dpool, trace.lengths, trace.Htop.shape[1])
-    layer_grads, dEmb = arch_backward_batch(model, trace.arch, dHtop)
+    dHtop = pool_backward_batch(dpool, trace.lengths, trace.packing)
+    layer_grads, dEmb = arch_backward_batch(model, trace, dHtop)
     grads.update(layer_grads)
     if trace.mask_embed is not None:
         dEmb = dEmb * trace.mask_embed
     return grads, dEmb
+
+
+def embedding_gradient(trace, dEmb, vocab_size):
+    """Scatter a packed embedding gradient onto the rows of the embedding matrix."""
+    full = np.zeros((vocab_size, dEmb.shape[1]))
+    np.add.at(full, trace.tokens, dEmb)
+    return full
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dense 2-D float64 tensor operations and the seeded RNG.
 
-A "tensor" throughout this package is a C-contiguous 2-D ``float64`` numpy
-array; a vector is a 1 x n tensor.  Randomness always flows through a
-``numpy.random.Generator`` seeded with PCG64 so that every run is
-reproducible from its recorded seed.
+A "tensor" throughout this package is a 2-D ``float64`` numpy array,
+possibly a row-strided view; a vector is a 1 x n tensor.  Randomness
+always flows through a ``numpy.random.Generator`` seeded with PCG64 so
+that every run is reproducible from its recorded seed.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ from .errors import ShapeError
 __all__ = [
     "make_rng",
     "matmul",
-    "sigmoid",
-    "tanh",
     "glorot_uniform",
 ]
 
@@ -31,15 +29,6 @@ def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     return a @ b
-
-
-def sigmoid(x):
-    """Logistic function via 0.5*(tanh(x/2)+1); saturates without overflow."""
-    return 0.5 * (np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 1.0)
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def glorot_uniform(rows, cols, rng):

@@ -21,6 +21,7 @@ from .errors import ConfigError, TrainingDiverged
 from .model import (
     Model,
     ModelConfig,
+    embedding_gradient,
     model_backward,
     model_forward,
     save_checkpoint,
@@ -261,9 +262,7 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             for name, arr in model.named_params():
                 adam_update(arr, grads[name], states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
             if cfg.train_embeddings:
-                full = np.zeros_like(emb)
-                np.add.at(full, batch.indices, dEmb)
-                full[D.PAD_IDX] = 0.0
+                full = embedding_gradient(trace, dEmb, len(emb))
                 adam_update(emb, full, emb_state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
                 emb[D.PAD_IDX] = 0.0
             max_norm_constrain(model.softmax_W, cfg.max_norm_s)

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcbilstm.errors import ShapeError
-from dcbilstm.tensor import matmul, sigmoid, tanh
+from dcbilstm.tensor import matmul
+
+
+def sigmoid(x):
+    """Logistic function via 0.5*(tanh(x/2)+1); saturates without overflow."""
+    return 0.5 * (np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 1.0)
+
+
+def tanh(x):
+    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 @dataclass

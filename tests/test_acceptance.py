@@ -111,11 +111,12 @@ def test_04_reversal_duality_is_bitwise():
         T = int(rng.integers(1, 13))
         p = LstmParams.init(din, d, rng)
         X = rng.standard_normal((1, T, din))
-        lengths = np.array([T], dtype=np.int64)
-        bwd, _, _ = kernels.lstm_layer_forward(X, lengths, p.W, p.b[0], True)
-        fwd_rev, _, _ = kernels.lstm_layer_forward(X[:, ::-1], lengths, p.W, p.b[0], False)
+        P = kernels.pack(np.array([T], dtype=np.int64))
+        # one sentence packs in position order: packed row t is position t
+        bwd, _, _ = kernels.lstm_layer_forward(X[P.rows, P.ts], P, p.W, p.b[0], True)
+        fwd_rev, _, _ = kernels.lstm_layer_forward(X[:, ::-1][P.rows, P.ts], P, p.W, p.b[0], False)
         for t in range(T):
-            assert bwd[0, t].tobytes() == fwd_rev[0, T - 1 - t].tobytes(), (
+            assert bwd[t].tobytes() == fwd_rev[T - 1 - t].tobytes(), (
                 f"seed {seed}, position {t}"
             )
     print("\n100 instances, backward == reversed(forward(reversed input)) bitwise")

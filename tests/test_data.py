@@ -77,6 +77,24 @@ def test_load_embeddings_errors(tmp_path):
         load_embeddings(p)
 
 
+def test_load_embeddings_words_with_spaces(tmp_path):
+    # glove.840B.300d lists a few tokens with spaces, such as ". . ."; the
+    # last dim fields are the vector and the rest, space-joined, the word
+    p = tmp_path / "spaced.txt"
+    p.write_text("the 0.1 0.2 0.3\n. . . -1.0 0.5 0.25\nAt Name@Domain.com 1.0 2.0 3.0\n",
+                 encoding="utf-8")
+    for dim in (None, 3):
+        table = load_embeddings(p, dim=dim)
+        assert table.dim == 3 and len(table) == 3
+        assert np.array_equal(table.get(". . ."), np.array([-1.0, 0.5, 0.25]))
+        assert np.array_equal(table.get("at name@domain.com"), np.array([1.0, 2.0, 3.0]))
+    # fewer than dim + 1 fields is still an error
+    p.write_text("the 0.1 0.2 0.3\n. . 1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_embeddings(p)
+    assert "line 2" in str(info.value)
+
+
 def test_load_embeddings_first_occurrence_wins(tmp_path):
     p = tmp_path / "dup.txt"
     p.write_text("the 1.0 1.0\nThe 2.0 2.0\n", encoding="utf-8")

@@ -123,11 +123,33 @@ def test_step_backward_rejects_bad_grad_shape():
         lstm_step_backward(p, cache, np.zeros((1, 2)), np.zeros((1, 3)))
 
 
+def forward_padded(X, lengths, W, b, reverse):
+    """The forward kernel on a padded (B, T, Din) batch, packed with the
+    package's own packing; outputs come back padded with zeros."""
+    P = kernels.pack(lengths)
+    return tuple(unpack(a, P, X.shape[:2])
+                 for a in kernels.lstm_layer_forward(X[P.rows, P.ts], P, W, b, reverse))
+
+
+def backward_padded(X, lengths, W, H, C, G, dH, reverse):
+    """The backward kernel on padded arrays; returns (dW, db, padded dX)."""
+    P = kernels.pack(lengths)
+    dX = np.zeros((len(P.rows), X.shape[2]))
+    dW, db = kernels.lstm_layer_backward(X[P.rows, P.ts], P, W, H[P.rows, P.ts],
+                                         C[P.rows, P.ts], G[P.rows, P.ts],
+                                         dH[P.rows, P.ts], reverse, dX)
+    return dW, db, unpack(dX, P, X.shape[:2])
+
+
+def unpack(a, P, shape):
+    out = np.zeros(shape + a.shape[1:])
+    out[P.rows, P.ts] = a
+    return out
+
+
 def run_sentence(p, X, length, reverse):
     """Hidden states (T, d) of one direction over one (T, input_dim) sentence."""
-    H, _, _ = kernels.lstm_layer_forward(
-        X[None], np.array([length], dtype=np.int64), p.W, p.b[0], reverse
-    )
+    H, _, _ = forward_padded(X[None], np.array([length], dtype=np.int64), p.W, p.b[0], reverse)
     return H[0]
 
 
@@ -186,8 +208,8 @@ def test_run_direction_padding_left_untouched():
     Xb = rng.standard_normal((3, 6, 3))
     Xpad = np.concatenate([Xb, rng.standard_normal((3, 3, 3))], axis=1)
     for reverse in (False, True):
-        tight = kernels.lstm_layer_forward(Xb, lengths, p.W, p.b[0], reverse)
-        loose = kernels.lstm_layer_forward(Xpad, lengths, p.W, p.b[0], reverse)
+        tight = forward_padded(Xb, lengths, p.W, p.b[0], reverse)
+        loose = forward_padded(Xpad, lengths, p.W, p.b[0], reverse)
         for a, b in zip(tight, loose):
             assert np.array_equal(b[:, :6], a)
             assert not b[:, 6:].any()
@@ -205,17 +227,17 @@ def test_kernel_rows_do_not_interact():
     W = 0.4 * rng.standard_normal((Din + d, 4 * d))
     b = 0.1 * rng.standard_normal(4 * d)
     for reverse in (False, True):
-        H, C, G = kernels.lstm_layer_forward(X, lengths, W, b, reverse)
-        dW, db, dX = kernels.lstm_layer_backward(X, lengths, W, H, C, G, dH, reverse)
+        H, C, G = forward_padded(X, lengths, W, b, reverse)
+        dW, db, dX = backward_padded(X, lengths, W, H, C, G, dH, reverse)
         for out in (H, C, G, dX):
             assert not (out * ~real).any()
         dW_sum, db_sum = np.zeros_like(dW), np.zeros_like(db)
         for n, L in enumerate(lengths):
             one = lengths[n:n + 1]
-            Hn, Cn, Gn = kernels.lstm_layer_forward(X[n:n + 1, :L], one, W, b, reverse)
+            Hn, Cn, Gn = forward_padded(X[n:n + 1, :L], one, W, b, reverse)
             for got, want in ((H, Hn), (C, Cn), (G, Gn)):
                 assert np.abs(got[n, :L] - want[0]).max() < 1e-12, (reverse, n)
-            dWn, dbn, dXn = kernels.lstm_layer_backward(
+            dWn, dbn, dXn = backward_padded(
                 X[n:n + 1, :L], one, W, Hn, Cn, Gn, dH[n:n + 1, :L], reverse
             )
             assert np.abs(dX[n, :L] - dXn[0]).max() < 1e-12, (reverse, n)
@@ -223,3 +245,28 @@ def test_kernel_rows_do_not_interact():
             db_sum += dbn
         assert np.abs(dW - dW_sum).max() < 1e-12
         assert np.abs(db - db_sum).max() < 1e-12
+
+
+def test_backward_adds_into_a_strided_input_view():
+    """The backward kernel reads its inputs and dH from views of wider
+    buffers, leaves dH untouched and adds its input gradient to dX."""
+    rng = make_rng(32)
+    lengths = np.array([4, 1, 6, 3], dtype=np.int64)
+    P = kernels.pack(lengths)
+    N, Din, d = len(P.rows), 5, 3
+    M = rng.standard_normal((N, Din + 7))
+    W = 0.4 * rng.standard_normal((Din + d, 4 * d))
+    b = 0.1 * rng.standard_normal(4 * d)
+    for reverse in (False, True):
+        H, C, G = kernels.lstm_layer_forward(M[:, :Din], P, W, b, reverse)
+        assert np.array_equal(H, kernels.lstm_layer_forward(M[:, :Din].copy(), P, W, b, reverse)[0])
+        dM = rng.standard_normal((N, Din + 2 * d))
+        before = dM.copy()
+        dW, db = kernels.lstm_layer_backward(M[:, :Din], P, W, H, C, G, dM[:, Din:Din + d],
+                                             reverse, dM[:, :Din])
+        fresh = np.zeros((N, Din))
+        dW2, db2 = kernels.lstm_layer_backward(M[:, :Din].copy(), P, W, H, C, G,
+                                               dM[:, Din:Din + d].copy(), reverse, fresh)
+        assert np.array_equal(dM[:, Din:], before[:, Din:])
+        assert np.array_equal(dM[:, :Din], before[:, :Din] + fresh)
+        assert np.array_equal(dW, dW2) and np.array_equal(db, db2)

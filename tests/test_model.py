@@ -8,17 +8,16 @@ no code with the batched kernels.
 import numpy as np
 import pytest
 
+from dcbilstm import kernels
 from dcbilstm.data import Batch
 from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
 from dcbilstm.model import (
     LstmParams,
     Model,
     ModelConfig,
-    arch_forward_batch,
     average_pool_batch,
     classify_batch,
     count_params,
-    dense_forward_batch,
     dropout,
     format_param_count,
     load_checkpoint,
@@ -26,7 +25,6 @@ from dcbilstm.model import (
     model_forward,
     save_checkpoint,
     softmax_rows,
-    stacked_forward_batch,
 )
 from dcbilstm.tensor import make_rng
 from lstm_oracle import lstm_step
@@ -86,12 +84,15 @@ def test_forward_matches_naive_reimplementation(arch, dl):
 
     ref_top, ref_pooled, ref_probs = _naive_forward(model, emb_rows)
 
-    X = np.concatenate(emb_rows, axis=0).reshape(1, T, cfg.m)
+    # the embedding matrix is the sentence itself, one row per position
     lengths = np.array([T], dtype=np.int64)
-    Htop, _ = arch_forward_batch(model, np.ascontiguousarray(X), lengths)
+    batch = Batch(indices=np.arange(T).reshape(1, T), lengths=lengths,
+                  labels=np.zeros(1, dtype=np.int64))
+    _, trace = model_forward(model, np.concatenate(emb_rows, axis=0), batch)
+    Htop = trace.bufs[-1]  # packed; one sentence packs in position order
     for t in range(T):
-        assert np.abs(Htop[0, t] - ref_top[t][0]).max() < 1e-12
-    pooled = average_pool_batch(Htop, lengths)
+        assert np.abs(Htop[t] - ref_top[t][0]).max() < 1e-12
+    pooled = average_pool_batch(Htop, lengths, trace.packing)
     assert np.abs(pooled - ref_pooled).max() < 1e-12
     probs = classify_batch(pooled, model.softmax_W, model.softmax_b)
     assert np.abs(probs - ref_probs).max() < 1e-12
@@ -107,11 +108,12 @@ def test_degenerate_dl0_architectures_identical_bitwise():
     for trial in range(10):
         r = make_rng(1000 + trial)
         T = int(r.integers(1, 9))
-        X = np.ascontiguousarray(r.standard_normal((1, T, dense_cfg.m)))
-        lengths = np.array([T], dtype=np.int64)
-        Ha, _ = dense_forward_batch(model, X, lengths)
-        Hb, _ = stacked_forward_batch(twin, X, lengths)
-        assert np.array_equal(Ha, Hb)
+        X = r.standard_normal((T, dense_cfg.m))
+        batch = Batch(indices=np.arange(T).reshape(1, T), lengths=np.array([T], dtype=np.int64),
+                      labels=np.zeros(1, dtype=np.int64))
+        _, ta = model_forward(model, X, batch)
+        _, tb = model_forward(twin, X, batch)
+        assert np.array_equal(ta.bufs[-1], tb.bufs[-1])
 
 
 def test_growth_law_fail_fast():
@@ -196,33 +198,39 @@ def one_length(n):
     return np.array([n], dtype=np.int64)
 
 
+def packed(H, lengths):
+    """A padded (B, T, D) array packed with the package's own packing."""
+    P = kernels.pack(lengths)
+    return H[P.rows, P.ts], lengths, P
+
+
 def test_average_pool_identical_vectors():
     v = np.array([1.5, -2.0, 0.25])
     H = np.tile(v, (1, 3, 1))
-    assert np.abs(average_pool_batch(H, one_length(3)) - v).max() < 1e-15
+    assert np.abs(average_pool_batch(*packed(H, one_length(3))) - v).max() < 1e-15
 
 
 def test_average_pool_hand_case():
-    out = average_pool_batch(np.array([[[1.0, 0.0], [0.0, 1.0]]]), one_length(2))
+    out = average_pool_batch(*packed(np.array([[[1.0, 0.0], [0.0, 1.0]]]), one_length(2)))
     assert np.array_equal(out, np.array([[0.5, 0.5]]))
 
 
 def test_average_pool_ignores_padding():
     rng = make_rng(2)
     H = rng.standard_normal((1, 6, 4))
-    pooled = average_pool_batch(H, one_length(3))
-    assert np.abs(pooled - average_pool_batch(H[:, :3], one_length(3))).max() < 1e-12
+    pooled = average_pool_batch(*packed(H, one_length(3)))
+    assert np.abs(pooled - average_pool_batch(*packed(H[:, :3], one_length(3)))).max() < 1e-12
     # rows of a mixed-length batch pool as they would alone
     lengths = np.array([3, 6, 1], dtype=np.int64)
     Hb = rng.standard_normal((3, 6, 4))
-    batched = average_pool_batch(Hb, lengths)
+    batched = average_pool_batch(*packed(Hb, lengths))
     for n, L in enumerate(lengths):
-        alone = average_pool_batch(Hb[n:n + 1, :L], lengths[n:n + 1])
+        alone = average_pool_batch(*packed(Hb[n:n + 1, :L], lengths[n:n + 1]))
         assert np.abs(batched[n] - alone[0]).max() < 1e-12
     with pytest.raises(EmptySequenceError):
-        average_pool_batch(H, one_length(0))
+        average_pool_batch(H[0], one_length(0), kernels.pack(one_length(0)))
     with pytest.raises(ShapeError):
-        average_pool_batch(H[:, :2], one_length(5))
+        average_pool_batch(H[0, :2], one_length(5), kernels.pack(one_length(5)))
 
 
 def test_classify_uniform_and_shift_invariance():
@@ -311,7 +319,34 @@ def test_model_backward_returns_every_parameter():
     assert set(grads) == names
     for name, arr in model.named_params():
         assert grads[name].shape == arr.shape, name
-    assert dEmb.shape == (1, 3, cfg.m)
+    assert dEmb.shape == (3, cfg.m) and len(trace.tokens) == 3
+
+
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+def test_padding_a_batch_further_changes_nothing_bitwise(arch):
+    """Padding never enters the packed layout, so the same batch padded 3
+    positions further gives byte-identical probabilities and gradients."""
+    rng = make_rng(13)
+    cfg = small_config(arch=arch, dl=2)
+    model = Model.build(cfg, rng)
+    emb_matrix = rng.standard_normal((12, cfg.m))
+    lengths = np.array([2, 6, 1, 4, 6], dtype=np.int64)
+    idx = rng.integers(2, 12, size=(5, 6))
+    idx[np.arange(6) >= lengths[:, None]] = 0
+    labels = np.array([0, 2, 1, 1, 0], dtype=np.int64)
+    results = []
+    for extra in (0, 3):
+        batch = Batch(indices=np.pad(idx, ((0, 0), (0, extra))), lengths=lengths, labels=labels)
+        probs, trace = model_forward(model, emb_matrix, batch)
+        dlogits = probs.copy()
+        dlogits[np.arange(5), labels] -= 1.0
+        grads, dEmb = model_backward(model, trace, dlogits / 5)
+        results.append((probs, {**grads, "embeddings": dEmb}))
+    (p0, g0), (p3, g3) = results
+    assert p0.tobytes() == p3.tobytes()
+    assert set(g0) == set(g3)
+    for name in g0:
+        assert g0[name].tobytes() == g3[name].tobytes(), name
 
 
 def test_training_forward_requires_rng():

@@ -6,9 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from dcbilstm.data import Batch, make_batches
+from dcbilstm.data import PAD_IDX, Batch, make_batches
 from dcbilstm.errors import ConfigError, TrainingDiverged
-from dcbilstm.model import Model, softmax_rows
+from dcbilstm.model import (
+    Model,
+    embedding_gradient,
+    load_checkpoint,
+    model_backward,
+    model_forward,
+    softmax_rows,
+)
 from dcbilstm.tensor import make_rng
 from dcbilstm.train import (
     AdamState,
@@ -187,7 +194,6 @@ def test_evaluate_matches_confusion_matrix_recount():
     indexed = [(idxs, label % 3) for idxs, label in _indexed_toy(30, seed=5)]
     acc = evaluate(model, emb, indexed, batch_size=4)
 
-    from dcbilstm.model import model_forward
     confusion = np.zeros((3, 3), dtype=int)
     for batch in make_batches(indexed, 1):
         probs, _ = model_forward(model, emb, batch, training=False)
@@ -228,7 +234,6 @@ def test_train_writes_log_and_checkpoint(toy_tsv, tmp_path):
     assert set(epochs[0]["grad_norm_per_layer"]) == {"dense0", "top", "softmax"}
     assert lines[-1]["event"] == "result"
 
-    from dcbilstm.model import load_checkpoint
     model, meta = load_checkpoint(report.checkpoint_path)
     assert meta["seed"] == 0 and meta["vocab"] is not None
     assert model.config.dl == 1
@@ -309,6 +314,38 @@ def test_train_diverges_on_corrupt_embeddings(toy_tsv, tmp_path):
         train(cfg)
     msg = str(info.value)
     assert "batch" in msg and "seed 0" in msg
+
+
+def _embedding_grad(model, emb, indexed, scale):
+    batch = make_batches(indexed, len(indexed))[0]
+    probs, trace = model_forward(model, emb, batch)
+    _, dlogits = cross_entropy(probs, batch.labels)
+    _, dEmb = model_backward(model, trace, dlogits * len(indexed) / scale)
+    return embedding_gradient(trace, dEmb, len(emb))
+
+
+def test_embedding_gradient_is_the_sum_of_sentence_gradients():
+    # mixed lengths, tokens repeated within and across sentences
+    cfg = small_config(arch="dense", dl=2, num_classes=3)
+    model = Model.build(cfg, make_rng(21))
+    emb = make_rng(22).standard_normal((9, cfg.m))
+    emb[PAD_IDX] = 0.0
+    indexed = [([2, 3, 2, 5], 0), ([3], 1), ([5, 5, 5, 2, 8, 3], 2), ([8, 2], 1), ([4, 4, 4], 0)]
+    full = _embedding_grad(model, emb, indexed, len(indexed))
+    summed = sum(_embedding_grad(model, emb, [ex], len(indexed)) for ex in indexed)
+    assert np.abs(full - summed).max() < 1e-12
+    assert not full[[PAD_IDX, 1, 6, 7]].any() and full[[2, 3, 4, 5, 8]].all()
+
+
+def test_train_embeddings_moves_rows_but_not_padding(toy_tsv, tmp_path):
+    # one full-batch step with and without embedding training
+    kw = dict(epochs=1, batch_size=32, dev_fraction=0.0)
+    frozen = train(_quick_cfg(toy_tsv, tmp_path / "frozen", **kw))
+    tuned = train(_quick_cfg(toy_tsv, tmp_path / "tuned", train_embeddings=True, **kw))
+    before = load_checkpoint(frozen.checkpoint_path)[1]["emb_matrix"]
+    after = load_checkpoint(tuned.checkpoint_path)[1]["emb_matrix"]
+    assert after[PAD_IDX].tobytes() == np.zeros(after.shape[1]).tobytes()
+    assert (after[2:] != before[2:]).any(axis=1).all()
 
 
 def test_train_config_validation():
