@@ -14,7 +14,6 @@ from .errors import (
     TrainingDiverged,
 )
 from .model import (
-    LstmParams,
     Model,
     ModelConfig,
     count_params,
@@ -24,15 +23,15 @@ from .model import (
     model_forward,
     save_checkpoint,
 )
-from .train import TrainConfig, TrainReport, evaluate, train
+from .train import TrainConfig, TrainReport, evaluate
 from .gradcheck import check_model, finite_diff
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Model", "ModelConfig", "TrainConfig", "TrainReport", "LstmParams",
+    "Model", "ModelConfig", "TrainConfig", "TrainReport",
     "check_model", "count_params", "dropout", "evaluate", "finite_diff",
-    "load_checkpoint", "model_backward", "model_forward", "save_checkpoint", "train",
+    "load_checkpoint", "model_backward", "model_forward", "save_checkpoint",
     "CheckpointError", "ConfigError", "EmptySequenceError", "ParseError",
     "ShapeError", "TrainingDiverged", "__version__",
 ]

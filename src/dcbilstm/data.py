@@ -47,14 +47,16 @@ class EmbeddingTable:
         return self.vectors.get(word.lower())
 
 
-def load_embeddings(path, dim=None):
+def load_embeddings(path, dim=None, keep=None):
     """Parse space-separated "word v1 v2 ... vd" lines.
 
     The first data line fixes the dimension unless dim is given.  The last
     d fields of a line are the vector and the rest is the word, so a word
     may contain spaces (glove.840B.300d has a few).  Repeated words keep
     the first occurrence (GloVe files list cased variants; we lowercase
-    keys, so "The" after "the" is dropped).
+    keys, so "The" after "the" is dropped).  Every line is parsed and
+    checked, but when keep is given only its (lowercase) words are stored,
+    so a corpus needs memory for its own vocabulary, not the whole file.
     """
     vectors = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -76,7 +78,7 @@ def load_embeddings(path, dim=None):
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"bad vector component ({exc})", line_no)
-            if word not in vectors:
+            if word not in vectors and (keep is None or word in keep):
                 vectors[word] = vec
     if dim is None:
         raise ParseError("embedding file is empty", 0)

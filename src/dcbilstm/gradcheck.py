@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .model import Model, ModelConfig, embedding_gradient, model_backward, model_forward
 from .data import Batch
 from .tensor import make_rng
+from .train import cross_entropy
 
 
 def finite_diff(loss_fn, arrays, eps=1e-5):
@@ -122,12 +123,10 @@ def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
 
     def loss_fn():
         probs, _ = model_forward(model, emb_matrix, batch, training=False)
-        p = probs[0, batch.labels[0]]
-        return float(-np.log(np.maximum(p, np.finfo(np.float64).tiny)))
+        return cross_entropy(probs, batch.labels)[0]
 
     probs, trace = model_forward(model, emb_matrix, batch, training=False)
-    dlogits = probs.copy()
-    dlogits[0, batch.labels[0]] -= 1.0
+    _, dlogits = cross_entropy(probs, batch.labels)
     analytic, dEmb = model_backward(model, trace, dlogits)
     if inject_fault:
         analytic["softmax.W"] = analytic["softmax.W"].copy()

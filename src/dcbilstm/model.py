@@ -15,13 +15,14 @@ softmax classifier.  Dropout is applied at exactly two sites, the word
 embeddings and the pooled vector.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
-from .tensor import glorot_uniform, matmul
+from .tensor import glorot_uniform
 
 ARCH_DENSE = "dense"
 ARCH_STACKED = "stacked"
@@ -80,145 +81,88 @@ class ModelConfig:
         return 2 * self.dh
 
 
-@dataclass
-class LstmParams:
-    """Affine transform of one direction: W (input_dim + d, 4d), b (1, 4d).
+def param_shapes(cfg):
+    """(name, shape) of every trained tensor, in the fixed order of ``named_params``.
 
-    W acts on ``[x; h_prev]`` and its columns are the gates in the order
-    ``[i | f | o | g]``.
+    The one place parameter names and shapes are written down.  Each
+    direction of a Bi-LSTM layer of width d that reads w columns has a
+    weight W (w + d, 4d), acting on ``[x; h_prev]`` with its columns the
+    gates in the order ``[i | f | o | g]``, and a bias b (1, 4d).  Dense
+    layers come first, then the top layer, then the softmax head.
     """
-
-    W: np.ndarray
-    b: np.ndarray
-
-    @property
-    def d(self):
-        return self.W.shape[1] // 4
-
-    @property
-    def input_dim(self):
-        return self.W.shape[0] - self.d
-
-    @classmethod
-    def init(cls, input_dim, d, rng, forget_bias=0.0):
-        """Glorot-uniform weights, zero bias (optionally offset the f block)."""
-        W = glorot_uniform(input_dim + d, 4 * d, rng)
-        b = np.zeros((1, 4 * d))
-        if forget_bias:
-            b[0, d:2 * d] = forget_bias
-        return cls(W=W, b=b)
-
-
-@dataclass
-class BiLayerParams:
-    """Forward and backward direction parameters of one Bi-LSTM layer."""
-
-    fwd: LstmParams
-    bwd: LstmParams
-
-    @property
-    def d(self):
-        return self.fwd.d
-
-    @property
-    def input_dim(self):
-        return self.fwd.input_dim
-
-    @classmethod
-    def init(cls, input_dim, d, rng, forget_bias=0.0):
-        return cls(
-            fwd=LstmParams.init(input_dim, d, rng, forget_bias),
-            bwd=LstmParams.init(input_dim, d, rng, forget_bias),
-        )
+    layers = [(f"dense{l - 1}", cfg.layer_input_dim(l), cfg.dh) for l in range(1, cfg.dl + 1)]
+    layers.append(("top", cfg.top_input_dim(), cfg.th))
+    table = []
+    for layer, w, d in layers:
+        for tag in ("fwd", "bwd"):
+            table += [(f"{layer}.{tag}.W", (w + d, 4 * d)), (f"{layer}.{tag}.b", (1, 4 * d))]
+    return table + [("softmax.W", (2 * cfg.th, cfg.num_classes)),
+                    ("softmax.b", (1, cfg.num_classes))]
 
 
 class Model:
-    """Parameter set of one classifier; construction enforces the width chain."""
+    """Parameter set of one classifier; construction enforces ``param_shapes``."""
 
-    def __init__(self, config, dense_layers, top_layer, softmax_W, softmax_b):
+    def __init__(self, config, params):
         config.validate()
         self.config = config
-        self.dense_layers = dense_layers
-        self.top_layer = top_layer
-        self.softmax_W = softmax_W
-        self.softmax_b = softmax_b
-        self._validate_shapes()
-
-    def _validate_shapes(self):
-        cfg = self.config
-        if len(self.dense_layers) != cfg.dl:
-            raise ConfigError(f"expected {cfg.dl} dense layers, got {len(self.dense_layers)}")
-        for l, layer in enumerate(self.dense_layers, start=1):
-            want_in = cfg.layer_input_dim(l)
-            for tag, p in (("fwd", layer.fwd), ("bwd", layer.bwd)):
-                if p.W.shape != (want_in + cfg.dh, 4 * cfg.dh) or p.b.shape != (1, 4 * cfg.dh):
-                    raise ConfigError(
-                        f"dense layer {l} {tag}: W {p.W.shape}, b {p.b.shape}, "
-                        f"expected W ({want_in + cfg.dh}, {4 * cfg.dh})"
-                    )
-        want_in = cfg.top_input_dim()
-        for tag, p in (("fwd", self.top_layer.fwd), ("bwd", self.top_layer.bwd)):
-            if p.W.shape != (want_in + cfg.th, 4 * cfg.th) or p.b.shape != (1, 4 * cfg.th):
-                raise ConfigError(
-                    f"top layer {tag}: W {p.W.shape}, expected ({want_in + cfg.th}, {4 * cfg.th})"
-                )
-        if self.softmax_W.shape != (2 * cfg.th, cfg.num_classes):
-            raise ConfigError(
-                f"softmax W shape {self.softmax_W.shape}, expected ({2 * cfg.th}, {cfg.num_classes})"
-            )
-        if self.softmax_b.shape != (1, cfg.num_classes):
-            raise ConfigError(f"softmax b shape {self.softmax_b.shape}, expected (1, {cfg.num_classes})")
+        shapes = dict(param_shapes(config))
+        missing = sorted(shapes.keys() - params.keys())
+        extra = sorted(params.keys() - shapes.keys())
+        if missing or extra:
+            raise ConfigError(f"parameters missing {missing}, unexpected {extra}")
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ConfigError(f"{name} shape {params[name].shape}, expected {shape}")
+        self.params = {name: params[name] for name in shapes}
 
     @classmethod
     def build(cls, config, rng):
-        """Fresh Glorot-initialized model; draw order is fixed for reproducibility."""
+        """Glorot weights, zero biases (LSTM forget blocks offset by forget_bias).
+
+        Weights are drawn in table order, so a seed fixes the whole model.
+        """
         config.validate()
-        dense = [
-            BiLayerParams.init(config.layer_input_dim(l), config.dh, rng, config.forget_bias)
-            for l in range(1, config.dl + 1)
-        ]
-        top = BiLayerParams.init(config.top_input_dim(), config.th, rng, config.forget_bias)
-        softmax_W = glorot_uniform(2 * config.th, config.num_classes, rng)
-        softmax_b = np.zeros((1, config.num_classes))
-        return cls(config, dense, top, softmax_W, softmax_b)
+        params = {}
+        for name, shape in param_shapes(config):
+            if name.endswith(".W"):
+                params[name] = glorot_uniform(*shape, rng)
+                continue
+            params[name] = np.zeros(shape)
+            if config.forget_bias and name != "softmax.b":
+                d = shape[1] // 4
+                params[name][0, d:2 * d] = config.forget_bias
+        return cls(config, params)
+
+    @property
+    def softmax_W(self):
+        return self.params["softmax.W"]
+
+    @property
+    def softmax_b(self):
+        return self.params["softmax.b"]
 
     def named_params(self):
         """(name, array) pairs in a stable order used by Adam, gradcheck and checkpoints."""
-        out = []
-        for l, layer in enumerate(self.dense_layers):
-            out.append((f"dense{l}.fwd.W", layer.fwd.W))
-            out.append((f"dense{l}.fwd.b", layer.fwd.b))
-            out.append((f"dense{l}.bwd.W", layer.bwd.W))
-            out.append((f"dense{l}.bwd.b", layer.bwd.b))
-        out.append(("top.fwd.W", self.top_layer.fwd.W))
-        out.append(("top.fwd.b", self.top_layer.fwd.b))
-        out.append(("top.bwd.W", self.top_layer.bwd.W))
-        out.append(("top.bwd.b", self.top_layer.bwd.b))
-        out.append(("softmax.W", self.softmax_W))
-        out.append(("softmax.b", self.softmax_b))
-        return out
+        return list(self.params.items())
 
     def copy_params(self):
-        return {name: arr.copy() for name, arr in self.named_params()}
+        return {name: arr.copy() for name, arr in self.params.items()}
 
     def load_params(self, snapshot):
-        for name, arr in self.named_params():
+        for name, arr in self.params.items():
             arr[...] = snapshot[name]
 
 
 def count_params(m, dl, dh, th):
-    """Trainable values in the recurrent layers.
+    """Trainable values in the recurrent layers of a dense model.
 
     Counts weights and biases of both directions of every dense layer plus
     the top layer; the embedding table and softmax head are excluded.
     """
-    total = 0
-    for l in range(1, dl + 1):
-        in_dim = m + 2 * dh * (l - 1)
-        total += 2 * (4 * dh * (in_dim + dh) + 4 * dh)
-    top_in = m + 2 * dh * dl
-    total += 2 * (4 * th * (top_in + th) + 4 * th)
-    return total
+    cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=2)
+    return sum(math.prod(shape) for name, shape in param_shapes(cfg)
+               if not name.startswith("softmax."))
 
 
 def format_param_count(n):
@@ -265,10 +209,9 @@ def _layer_views(cfg, bufs):
     return list(zip(bufs[:-1], bufs[1:]))
 
 
-def _named_layers(model):
-    return [(f"dense{l}", layer) for l, layer in enumerate(model.dense_layers)] + [
-        ("top", model.top_layer)
-    ]
+def _layer_names(model):
+    """Names of the Bi-LSTM layers in stack order, the top layer last."""
+    return [name.removesuffix(".fwd.W") for name in model.params if name.endswith(".fwd.W")]
 
 
 def arch_forward_batch(model, bufs, packing):
@@ -277,11 +220,14 @@ def arch_forward_batch(model, bufs, packing):
     Each layer's two directions write their hidden states into its output
     view.  Returns the per-layer (Cf, Gf, Cb, Gb) the backward pass needs.
     """
+    P = model.params
     states = []
-    for (_, layer), (X, Y) in zip(_named_layers(model), _layer_views(model.config, bufs)):
-        d = layer.d
-        Y[:, :d], Cf, Gf = kernels.lstm_layer_forward(X, packing, layer.fwd.W, layer.fwd.b[0], False)
-        Y[:, d:], Cb, Gb = kernels.lstm_layer_forward(X, packing, layer.bwd.W, layer.bwd.b[0], True)
+    for name, (X, Y) in zip(_layer_names(model), _layer_views(model.config, bufs)):
+        d = Y.shape[1] // 2
+        Y[:, :d], Cf, Gf = kernels.lstm_layer_forward(
+            X, packing, P[f"{name}.fwd.W"], P[f"{name}.fwd.b"][0], False)
+        Y[:, d:], Cb, Gb = kernels.lstm_layer_forward(
+            X, packing, P[f"{name}.bwd.W"], P[f"{name}.bwd.b"][0], True)
         states.append((Cf, Gf, Cb, Gb))
     return states
 
@@ -294,15 +240,16 @@ def arch_backward_batch(model, trace, dHtop):
     """
     cfg = model.config
     dbufs = [np.zeros_like(buf) for buf in trace.bufs[:-1]] + [dHtop]
-    layers = zip(_named_layers(model), _layer_views(cfg, trace.bufs),
+    layers = zip(_layer_names(model), _layer_views(cfg, trace.bufs),
                  _layer_views(cfg, dbufs), trace.states)
     grads = {}
-    for (name, layer), (X, Y), (dX, dY), (Cf, Gf, Cb, Gb) in reversed(list(layers)):
-        d = layer.d
-        for tag, p, cols, C, G, reverse in (("fwd", layer.fwd, slice(None, d), Cf, Gf, False),
-                                            ("bwd", layer.bwd, slice(d, None), Cb, Gb, True)):
+    for name, (X, Y), (dX, dY), (Cf, Gf, Cb, Gb) in reversed(list(layers)):
+        d = Y.shape[1] // 2
+        for tag, cols, C, G, reverse in (("fwd", slice(None, d), Cf, Gf, False),
+                                         ("bwd", slice(d, None), Cb, Gb, True)):
             dW, db = kernels.lstm_layer_backward(
-                X, trace.packing, p.W, Y[:, cols], C, G, dY[:, cols], reverse, dX
+                X, trace.packing, model.params[f"{name}.{tag}.W"], Y[:, cols], C, G,
+                dY[:, cols], reverse, dX
             )
             grads[f"{name}.{tag}.W"] = dW
             grads[f"{name}.{tag}.b"] = db.reshape(1, -1)
@@ -335,7 +282,7 @@ def softmax_rows(logits):
 
 
 def classify_batch(h, W, b):
-    return softmax_rows(matmul(h, W) + b)
+    return softmax_rows(h @ W + b)
 
 
 def _dropout_mask(draws, rate):
@@ -573,18 +520,7 @@ def load_checkpoint(path):
         except KeyError:
             raise CheckpointError(f"{path}: missing tensor {name}")
 
-    dense = [
-        BiLayerParams(
-            fwd=LstmParams(W=grab(f"dense{l}.fwd.W"), b=grab(f"dense{l}.fwd.b")),
-            bwd=LstmParams(W=grab(f"dense{l}.bwd.W"), b=grab(f"dense{l}.bwd.b")),
-        )
-        for l in range(cfg.dl)
-    ]
-    top = BiLayerParams(
-        fwd=LstmParams(W=grab("top.fwd.W"), b=grab("top.fwd.b")),
-        bwd=LstmParams(W=grab("top.bwd.W"), b=grab("top.bwd.b")),
-    )
-    model = Model(cfg, dense, top, grab("softmax.W"), grab("softmax.b"))
+    model = Model(cfg, {name: grab(name) for name, _ in param_shapes(cfg)})
 
     meta = {"seed": seed, "vocab": None, "emb_matrix": None}
     if vocab_tokens is not None:

@@ -12,7 +12,6 @@ from .errors import ShapeError
 
 __all__ = [
     "make_rng",
-    "matmul",
     "glorot_uniform",
 ]
 
@@ -20,15 +19,6 @@ __all__ = [
 def make_rng(seed):
     """Seeded PCG64 generator; identical seed gives an identical draw stream."""
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def matmul(a, b):
-    """Matrix product with an explicit conformance check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    return a @ b
 
 
 def glorot_uniform(rows, cols, rng):

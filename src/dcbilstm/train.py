@@ -198,7 +198,8 @@ def _prepare_single(cfg, rng_split):
 def _build_tables(cfg, example_sets, rng_emb):
     sets = [s for s in example_sets if s]
     if cfg.embeddings_path:
-        table = D.load_embeddings(cfg.embeddings_path)
+        keep = {tok.lower() for examples in sets for ex in examples for tok in ex.tokens}
+        table = D.load_embeddings(cfg.embeddings_path, keep=keep)
         vocab = D.build_vocab(sets, table)
         emb_matrix = D.build_embedding_matrix(vocab, table)
         m = table.dim

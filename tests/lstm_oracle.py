@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcbilstm.errors import ShapeError
-from dcbilstm.tensor import matmul
+from dcbilstm.tensor import glorot_uniform
 
 
 def sigmoid(x):
@@ -27,6 +27,27 @@ def sigmoid(x):
 
 def tanh(x):
     return np.tanh(np.asarray(x, dtype=np.float64))
+
+
+@dataclass
+class CellParams:
+    """Affine transform of one direction: W (input_dim + d, 4d), b (1, 4d)."""
+
+    W: np.ndarray
+    b: np.ndarray
+
+    @property
+    def d(self):
+        return self.W.shape[1] // 4
+
+    @property
+    def input_dim(self):
+        return self.W.shape[0] - self.d
+
+    @classmethod
+    def init(cls, input_dim, d, rng):
+        """Glorot-uniform weights and a zero bias, drawn as ``Model.build`` does."""
+        return cls(W=glorot_uniform(input_dim + d, 4 * d, rng), b=np.zeros((1, 4 * d)))
 
 
 @dataclass
@@ -54,10 +75,10 @@ def _check_step_shapes(p, x, h_prev, c_prev):
 
 
 def lstm_step(p, x, h_prev, c_prev):
-    """One cell update of LstmParams ``p``; returns (h, c, cache)."""
+    """One cell update of CellParams ``p``; returns (h, c, cache)."""
     _check_step_shapes(p, x, h_prev, c_prev)
     d = p.d
-    z = matmul(np.concatenate([x, h_prev], axis=1), p.W) + p.b
+    z = np.concatenate([x, h_prev], axis=1) @ p.W + p.b
     i = sigmoid(z[:, :d])
     f = sigmoid(z[:, d:2 * d])
     o = sigmoid(z[:, 2 * d:3 * d])

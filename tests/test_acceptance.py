@@ -26,7 +26,6 @@ from dcbilstm.cli import main
 from dcbilstm.data import Batch
 from dcbilstm.gradcheck import check_model
 from dcbilstm.model import (
-    LstmParams,
     Model,
     ModelConfig,
     count_params,
@@ -37,6 +36,7 @@ from dcbilstm.tensor import make_rng
 from dcbilstm.train import TrainConfig, train
 
 from conftest import _toy_corpus_lines
+from lstm_oracle import CellParams
 
 # Every published (dl, dh, th) cell at m=300, with its exact parameter
 # count and the 0.01M string the count must print as.
@@ -87,8 +87,7 @@ def test_03_degenerate_equivalence_is_bitwise():
     cfg = ModelConfig(m=12, dl=0, dh=0, th=5, num_classes=3, arch="dense",
                       dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None)
     dense = Model.build(cfg, make_rng(314))
-    stacked = Model(replace(cfg, arch="stacked"), [], dense.top_layer,
-                    dense.softmax_W, dense.softmax_b)
+    stacked = Model(replace(cfg, arch="stacked"), dense.params)
     rng = make_rng(2718)
     emb = rng.standard_normal((40, cfg.m))
     for trial in range(100):
@@ -109,7 +108,7 @@ def test_04_reversal_duality_is_bitwise():
         d = int(rng.integers(1, 7))
         din = int(rng.integers(1, 9))
         T = int(rng.integers(1, 13))
-        p = LstmParams.init(din, d, rng)
+        p = CellParams.init(din, d, rng)
         X = rng.standard_normal((1, T, din))
         P = kernels.pack(np.array([T], dtype=np.int64))
         # one sentence packs in position order: packed row t is position t

@@ -95,6 +95,32 @@ def test_load_embeddings_words_with_spaces(tmp_path):
     assert "line 2" in str(info.value)
 
 
+def test_load_embeddings_keeps_only_the_kept_words(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("the 1.0 1.0\nzebra 2.0 2.0\nMovie 3.0 3.0\n. . . 4.0 4.0\nThe 5.0 5.0\n",
+                 encoding="utf-8")
+    table = load_embeddings(p, keep={"the", "movie", ". . .", "absent"})
+    assert table.dim == 2 and len(table) == 3
+    assert set(table.vectors) == {"the", "movie", ". . ."}
+    assert "zebra" not in table
+    # the first occurrence still wins, among kept words too
+    assert np.array_equal(table.get("The"), np.array([1.0, 1.0]))
+    assert np.array_equal(table.get("movie"), np.array([3.0, 3.0]))
+    # the full table is unchanged without keep
+    assert len(load_embeddings(p)) == 4
+
+
+def test_load_embeddings_checks_lines_it_does_not_keep(tmp_path):
+    p = tmp_path / "bad.txt"
+    for text, line in (("the 1.0 1.0\nzebra 2.0\n", 2),
+                       ("the 1.0 1.0\nzebra 2.0 oops\n", 2),
+                       ("zebra\nthe 2.0 2.0\n", 1)):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_embeddings(p, keep={"the"})
+        assert f"line {line}" in str(info.value)
+
+
 def test_load_embeddings_first_occurrence_wins(tmp_path):
     p = tmp_path / "dup.txt"
     p.write_text("the 1.0 1.0\nThe 2.0 2.0\n", encoding="utf-8")

@@ -6,9 +6,9 @@ import pytest
 
 from dcbilstm import kernels
 from dcbilstm.errors import ShapeError
-from dcbilstm.model import LstmParams
+from dcbilstm.model import Model, ModelConfig
 from dcbilstm.tensor import make_rng
-from lstm_oracle import lstm_step, lstm_step_backward
+from lstm_oracle import CellParams, lstm_step, lstm_step_backward
 
 # Scalar hand case, d = 1, input_dim = 1, every weight 0.5, bias 0, x = 1,
 # zero initial state.  All four pre-activations equal 0.5, so with
@@ -26,7 +26,7 @@ HAND = {
 
 
 def _scalar_params():
-    return LstmParams(W=np.full((2, 4), 0.5), b=np.zeros((1, 4)))
+    return CellParams(W=np.full((2, 4), 0.5), b=np.zeros((1, 4)))
 
 
 def test_step_scalar_hand_case():
@@ -42,7 +42,7 @@ def test_step_scalar_hand_case():
 
 def test_step_zero_input_zero_state():
     # all pre-activations 0: gates 0.5, candidate 0, so c = 0 and h = 0
-    p = LstmParams(W=np.zeros((5, 8)), b=np.zeros((1, 8)))
+    p = CellParams(W=np.zeros((5, 8)), b=np.zeros((1, 8)))
     h, c, cache = lstm_step(p, np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)))
     assert np.array_equal(h, np.zeros((1, 2)))
     assert np.array_equal(c, np.zeros((1, 2)))
@@ -50,7 +50,7 @@ def test_step_zero_input_zero_state():
 
 
 def test_step_shape_validation():
-    p = LstmParams(W=np.zeros((5, 8)), b=np.zeros((1, 8)))
+    p = CellParams(W=np.zeros((5, 8)), b=np.zeros((1, 8)))
     with pytest.raises(ShapeError):
         lstm_step(p, np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ShapeError):
@@ -58,7 +58,9 @@ def test_step_shape_validation():
 
 
 def test_init_forget_bias_block():
-    p = LstmParams.init(3, 4, make_rng(0), forget_bias=1.5)
+    cfg = ModelConfig(m=3, dl=0, dh=0, th=4, num_classes=2, forget_bias=1.5)
+    model = Model.build(cfg, make_rng(0))
+    p = CellParams(W=model.params["top.fwd.W"], b=model.params["top.fwd.b"])
     assert np.array_equal(p.b[0, 4:8], np.full(4, 1.5))
     assert np.array_equal(p.b[0, :4], np.zeros(4))
     assert np.array_equal(p.b[0, 8:], np.zeros(8))
@@ -102,7 +104,7 @@ def test_step_backward_matches_finite_differences():
         rng = make_rng(seed)
         input_dim = int(rng.integers(1, 9))
         d = int(rng.integers(1, 9))
-        p = LstmParams.init(input_dim, d, rng)
+        p = CellParams.init(input_dim, d, rng)
         x = rng.standard_normal((1, input_dim))
         h_prev = 0.5 * rng.standard_normal((1, d))
         c_prev = 0.5 * rng.standard_normal((1, d))
@@ -117,7 +119,7 @@ def test_step_backward_matches_finite_differences():
 
 
 def test_step_backward_rejects_bad_grad_shape():
-    p = LstmParams.init(2, 3, make_rng(1))
+    p = CellParams.init(2, 3, make_rng(1))
     _, _, cache = lstm_step(p, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ShapeError):
         lstm_step_backward(p, cache, np.zeros((1, 2)), np.zeros((1, 3)))
@@ -162,7 +164,7 @@ def test_run_direction_matches_composed_steps():
     for seed in range(5):
         rng = make_rng(100 + seed)
         input_dim, d, T = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
-        p = LstmParams.init(input_dim, d, rng)
+        p = CellParams.init(input_dim, d, rng)
         X = rng.standard_normal((T, input_dim))
 
         out = run_sentence(p, X, T, reverse=False)
@@ -185,7 +187,7 @@ def test_reversal_duality_bitwise():
     for seed in range(20):
         rng = make_rng(200 + seed)
         input_dim, d, T = int(rng.integers(1, 8)), int(rng.integers(1, 8)), int(rng.integers(1, 12))
-        p = LstmParams.init(input_dim, d, rng)
+        p = CellParams.init(input_dim, d, rng)
         X = rng.standard_normal((T, input_dim))
         bwd = run_sentence(p, X, T, reverse=True)
         fwd_rev = run_sentence(p, X[::-1], T, reverse=False)
@@ -195,7 +197,7 @@ def test_reversal_duality_bitwise():
 
 def test_run_direction_padding_left_untouched():
     rng = make_rng(9)
-    p = LstmParams.init(3, 2, rng)
+    p = CellParams.init(3, 2, rng)
     X = rng.standard_normal((6, 3))
     for reverse in (False, True):
         out = run_sentence(p, X, 4, reverse)

@@ -5,6 +5,8 @@ that chains single lstm_step calls and python-list concatenation, sharing
 no code with the batched kernels.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from dcbilstm import kernels
 from dcbilstm.data import Batch
 from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
 from dcbilstm.model import (
-    LstmParams,
     Model,
     ModelConfig,
     average_pool_batch,
@@ -26,8 +27,8 @@ from dcbilstm.model import (
     save_checkpoint,
     softmax_rows,
 )
-from dcbilstm.tensor import make_rng
-from lstm_oracle import lstm_step
+from dcbilstm.tensor import glorot_uniform, make_rng
+from lstm_oracle import CellParams, lstm_step
 
 
 def small_config(arch="dense", dl=2, m=6, dh=3, th=4, num_classes=3):
@@ -39,21 +40,24 @@ def small_config(arch="dense", dl=2, m=6, dh=3, th=4, num_classes=3):
 # naive reference path
 
 
-def _naive_bilayer(layer, xs):
+def _naive_bilayer(model, layer, xs):
     """xs: list of (1, w) rows.  Returns list of (1, 2d) concatenated states."""
+    P = model.params
+    fwd_p, bwd_p = (CellParams(W=P[f"{layer}.{tag}.W"], b=P[f"{layer}.{tag}.b"])
+                    for tag in ("fwd", "bwd"))
     T = len(xs)
-    d = layer.d
+    d = fwd_p.d
     fwd = []
     h = np.zeros((1, d))
     c = np.zeros((1, d))
     for t in range(T):
-        h, c, _ = lstm_step(layer.fwd, xs[t], h, c)
+        h, c, _ = lstm_step(fwd_p, xs[t], h, c)
         fwd.append(h)
     bwd = [None] * T
     h = np.zeros((1, d))
     c = np.zeros((1, d))
     for t in range(T - 1, -1, -1):
-        h, c, _ = lstm_step(layer.bwd, xs[t], h, c)
+        h, c, _ = lstm_step(bwd_p, xs[t], h, c)
         bwd[t] = h
     return [np.concatenate([fwd[t], bwd[t]], axis=1) for t in range(T)]
 
@@ -61,13 +65,13 @@ def _naive_bilayer(layer, xs):
 def _naive_forward(model, emb_rows):
     """Per-position python-list version of both architectures."""
     feats = list(emb_rows)
-    for layer in model.dense_layers:
-        outs = _naive_bilayer(layer, feats)
+    for l in range(model.config.dl):
+        outs = _naive_bilayer(model, f"dense{l}", feats)
         if model.config.arch == "dense":
             feats = [np.concatenate([feats[t], outs[t]], axis=1) for t in range(len(feats))]
         else:
             feats = outs
-    top = _naive_bilayer(model.top_layer, feats)
+    top = _naive_bilayer(model, "top", feats)
     pooled = sum(top) / len(top)
     probs = softmax_rows(pooled @ model.softmax_W + model.softmax_b)
     return top, pooled, probs
@@ -103,7 +107,7 @@ def test_degenerate_dl0_architectures_identical_bitwise():
     dense_cfg = small_config(arch="dense", dl=0)
     model = Model.build(dense_cfg, rng)
     stacked_cfg = small_config(arch="stacked", dl=0)
-    twin = Model(stacked_cfg, [], model.top_layer, model.softmax_W, model.softmax_b)
+    twin = Model(stacked_cfg, model.params)
 
     for trial in range(10):
         r = make_rng(1000 + trial)
@@ -121,16 +125,15 @@ def test_growth_law_fail_fast():
     cfg = small_config(arch="dense", dl=2)
     good = Model.build(cfg, rng)
     # swap in a layer whose input width skips the dense growth law
-    bad_layer = type(good.dense_layers[1])(
-        fwd=LstmParams.init(cfg.m, cfg.dh, rng),  # should be m + 2*dh
-        bwd=LstmParams.init(cfg.m, cfg.dh, rng),
-    )
+    bad = dict(good.params)
+    for tag in ("fwd", "bwd"):
+        # input width m, where the growth law gives m + 2*dh
+        bad[f"dense1.{tag}.W"] = glorot_uniform(cfg.m + cfg.dh, 4 * cfg.dh, rng)
     with pytest.raises(ConfigError):
-        Model(cfg, [good.dense_layers[0], bad_layer], good.top_layer,
-              good.softmax_W, good.softmax_b)
+        Model(cfg, bad)
+    one_layer = {name: arr for name, arr in good.params.items() if not name.startswith("dense1.")}
     with pytest.raises(ConfigError):
-        Model(cfg, [good.dense_layers[0]], good.top_layer,
-              good.softmax_W, good.softmax_b)
+        Model(cfg, one_layer)
 
 
 def test_model_config_validation():
@@ -383,6 +386,22 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "again.ckpt"
     save_checkpoint(path2, loaded, seed=99)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_from_before_the_parameter_table_round_trips(tmp_path):
+    # written by the code that still built models from per-layer parameter
+    # objects (commit 15c4a20): dense, dl=2, forget bias, a vocab with a
+    # non-ascii token and an embedding matrix
+    path = Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt"
+    model, meta = load_checkpoint(path)
+    assert model.config == ModelConfig(m=4, dl=2, dh=2, th=3, num_classes=2, arch="dense",
+                                       dropout_embed=0.5, dropout_pool=0.25, max_norm_s=3.0,
+                                       forget_bias=1.0, train_embeddings=True)
+    assert meta["seed"] == 17
+    assert meta["vocab"] == {"café": 2, "film": 3, "great": 4, "the": 5}
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, model, meta["seed"], vocab=meta["vocab"], emb_matrix=meta["emb_matrix"])
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_vocab_round_trip(tmp_path):

@@ -6,11 +6,7 @@ import pytest
 from scipy.special import expit
 
 from dcbilstm.errors import ShapeError
-from dcbilstm.tensor import (
-    glorot_uniform,
-    make_rng,
-    matmul,
-)
+from dcbilstm.tensor import glorot_uniform, make_rng
 from lstm_oracle import sigmoid, tanh
 
 # reference values computed once with mpmath at 30 significant digits
@@ -39,19 +35,6 @@ def test_sigmoid_matches_scipy_expit():
 
 def test_tanh_frozen_value():
     assert abs(tanh(0.5) - TANH_HALF) < 1e-16
-
-
-def test_matmul_agrees_with_numpy():
-    rng = make_rng(3)
-    a = rng.standard_normal((4, 7))
-    b = rng.standard_normal((7, 2))
-    assert np.array_equal(matmul(a, b), a @ b)
-
-
-def test_matmul_error_names_both_shapes():
-    with pytest.raises(ShapeError) as info:
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    assert "(2, 3)" in str(info.value) and "(4, 5)" in str(info.value)
 
 
 def test_glorot_uniform_bound_and_determinism():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -359,3 +360,11 @@ def test_train_config_validation():
         TrainConfig(train_path="x", epochs=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(train_path="x", data_format="parquet").validate()
+
+
+def test_train_submodule_is_not_shadowed_by_a_root_export():
+    import dcbilstm
+    import dcbilstm.train
+
+    assert isinstance(dcbilstm.train, types.ModuleType)
+    assert dcbilstm.train.cross_entropy is cross_entropy
