@@ -24,24 +24,23 @@ def finite_diff(loss_fn, arrays, eps=1e-5):
     """Two-sided difference of loss_fn w.r.t. every element of `arrays`.
 
     arrays maps names to float64 tensors that loss_fn reads; each element
-    is nudged in place and restored.  Cost is two loss evaluations per
-    element, so keep the model tiny.
+    is nudged in place and restored, through the array itself, so a view
+    of a wider array (a model parameter) is nudged where the model reads
+    it.  Cost is two loss evaluations per element, so keep the model tiny.
     """
     grads = {}
     for name, arr in arrays.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            saved = flat[k]
-            flat[k] = saved + eps
+        g = np.zeros(arr.shape)
+        for k in np.ndindex(arr.shape):
+            saved = arr[k]
+            arr[k] = saved + eps
             lo_hi = loss_fn()
-            flat[k] = saved - eps
+            arr[k] = saved - eps
             lo_lo = loss_fn()
-            flat[k] = saved
+            arr[k] = saved
             if not (np.isfinite(lo_hi) and np.isfinite(lo_lo)):
-                raise ConfigError(f"non-finite loss while probing {name}[{k}]")
-            gflat[k] = (lo_hi - lo_lo) / (2.0 * eps)
+                raise ConfigError(f"non-finite loss while probing {name}{list(k)}")
+            g[k] = (lo_hi - lo_lo) / (2.0 * eps)
         grads[name] = g
     return grads
 

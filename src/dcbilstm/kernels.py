@@ -5,16 +5,17 @@ These are the inner loops of the whole package.  A batch is packed once,
 time-major (Appleyard et al. 2016, §3): rows are ordered by decreasing
 length, so the sentences still running at position ``t`` are a prefix of
 that order, and the real tokens of step ``t`` sit in one contiguous block
-of ``(N, ·)`` arrays, ``N`` being the batch's token count.  The input
-projection is one matrix product over all tokens; each step then advances
-every active sentence with one ``(k_t, d) @ (d, 4d)`` product.  The
-reverse direction runs the same loop from the last step down: a sentence
-joins at ``t = L-1`` with a zero state, which is simply the absence of a
-predecessor row.
+of ``(N, ·)`` arrays, ``N`` being the batch's token count.  The kernels
+cover the recurrence only: the caller projects the inputs of every token
+(``model.arch_forward_batch`` does it for all layers at once) and hands
+over the pre-activations; each step then advances every active sentence
+with one ``(k_t, d) @ (d, 4d)`` product.  The reverse direction runs the
+same loop from the last step down: a sentence joins at ``t = L-1`` with a
+zero state, which is simply the absence of a predecessor row.
 
 Conventions shared with the rest of the package:
-  - weights ``W`` of shape ``(input_dim + d, 4d)`` act on ``[x; h_prev]``,
-    bias ``b`` of shape ``(4d,)``;
+  - weights ``W`` of shape ``(input_dim + d, 4d)`` act on ``[x; h_prev]``;
+    the kernels read only the recurrent rows ``W[input_dim:]``;
   - the ``4d`` axis is sliced in the fixed gate order ``[i | f | o | g]``;
   - initial hidden and cell states are exactly zero;
   - padding is never packed, so a sentence's outputs do not depend on how
@@ -62,23 +63,22 @@ def _predecessor(t, reverse, sizes, starts):
     return starts[tp], min(sizes[t], sizes[tp])
 
 
-def lstm_layer_forward(X, packing, W, b, reverse):
+def lstm_layer_forward(Z, packing, W, reverse):
     """Run one direction of an LSTM layer over every sentence of a batch.
 
-    X:       (N, Din) float64, packed inputs; a row-strided view is fine
+    Z:       (N, 4d) float64, each packed token's input pre-activations
+             ``x @ W[:Din] + b``; a column view of a wider buffer is fine.
+             The recurrent terms are added in place, and Z ends holding
+             the activated gate values the backward pass reads.
     packing: the batch's ``Packing``
-    W:       (Din + d, 4d);  b: (4d,)
+    W:       (Din + d, 4d); only the recurrent rows ``W[Din:]`` are read
     reverse: False processes positions 0..L-1, True processes L-1..0
 
-    Returns packed (H, C, G): hidden states (N, d), cell states (N, d) and
-    activated gate values (N, 4d).
+    Returns packed (H, C): hidden states (N, d) and cell states (N, d).
     """
-    Din = X.shape[1]
     d = W.shape[1] // 4
-    Wh = W[Din:]
+    Wh = W[-d:]
     sizes, starts = packing.sizes, packing.starts
-    # pre-activations of every token, turned into gate values in place
-    Z = X @ W[:Din] + b
     H = np.empty((len(Z), d))
     C = np.empty((len(Z), d))
     for t in (range(len(sizes) - 1, -1, -1) if reverse else range(len(sizes))):
@@ -99,20 +99,27 @@ def lstm_layer_forward(X, packing, W, b, reverse):
         h = H[lo:hi]
         np.tanh(c, out=h)
         h *= o
-    return H, C, Z
+    return H, C
 
 
-def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
-    """Backpropagation through time in the packed layout.
+def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
+    """Reverse-mode pass matching ``lstm_layer_forward``; backpropagation
+    through time in the packed layout.
 
-    Returns (dZ, Hprev): the loss gradient w.r.t. every token's gate
-    pre-activations (N, 4d), and the hidden state each token read (N, d).
+    G holds the gate values the forward pass left in its Z.  They are
+    overwritten with the loss gradient w.r.t. every token's gate
+    pre-activations, dZ (N, 4d), from which the caller forms the bias,
+    input-row weight and input gradients.  dH, the loss gradient w.r.t.
+    every packed hidden state, is read, not written.  Returns the gradient
+    of the recurrent rows ``W[Din:]`` (d, 4d), accumulated over all tokens.
+
     Steps are visited opposite to the forward consumption order while
     carrying the recurrent gradients dh and dc; everything that does not
     depend on them is computed once for all tokens before the loop.
     """
     sizes, starts = packing.sizes, packing.starts
-    N, d = len(G), WhT.shape[1]
+    N, d = len(G), W.shape[1] // 4
+    WhT = np.ascontiguousarray(W[-d:].T)
     i, f, o, g = G[:, :d], G[:, d:2 * d], G[:, 2 * d:3 * d], G[:, 3 * d:]
     tc = np.tanh(C)
     # (h, c) of each token's predecessor, zero where a sentence starts
@@ -122,13 +129,16 @@ def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
         plo, kp = _predecessor(t, reverse, sizes, starts)
         Hprev[starts[t]:starts[t] + kp] = H[plo:plo + kp]
         Cprev[starts[t]:starts[t] + kp] = C[plo:plo + kp]
-    # gate derivatives; the loop scales the o block by dh and the rest by dc
-    dZ = np.empty((N, 4, d))
-    dZ[:, 0] = g * i * (1.0 - i)
-    dZ[:, 1] = Cprev * f * (1.0 - f)
-    dZ[:, 2] = tc * o * (1.0 - o)
-    dZ[:, 3] = i * (1.0 - g * g)
+    # gate derivatives, written over the gate values; the loop scales the o
+    # block by dh and the rest by dc, and reads the forget gates kept here
+    f_gate = f.copy()
     dc_dh = o * (1.0 - tc * tc)
+    di = g * i * (1.0 - i)
+    g[...] = i * (1.0 - g * g)
+    i[...] = di
+    f[...] = Cprev * f_gate * (1.0 - f_gate)
+    o[...] = tc * o * (1.0 - o)
+    dZ = G.reshape(N, 4, d)  # splitting the gate axis is a view, never a copy
     # gradients carried to the first rows of the next step visited
     dh_rec = dc_rec = np.zeros((0, d))
     for t in (range(len(sizes)) if reverse else range(len(sizes) - 1, -1, -1)):
@@ -143,23 +153,5 @@ def _gate_gradients(H, C, G, dH, WhT, reverse, packing):
         dz[:, 3] *= dc
         _, kp = _predecessor(t, reverse, sizes, starts)
         dh_rec = dz[:kp].reshape(kp, 4 * d) @ WhT
-        dc_rec = dc[:kp] * f[lo:lo + kp]
-    return dZ.reshape(N, 4 * d), Hprev
-
-
-def lstm_layer_backward(X, packing, W, H, C, G, dH, reverse, dX):
-    """Reverse-mode pass matching ``lstm_layer_forward``.
-
-    dH holds the loss gradient w.r.t. every packed hidden state; it is read,
-    not written.  The input gradient is added into dX (N, Din), which may
-    be a view of a larger buffer.  Returns (dW, db), accumulated over all
-    tokens.  The gate gradients of every token are buffered, so dW, db and
-    the dX update are each one product or sum over the whole batch.
-    """
-    Din = X.shape[1]
-    dZ, Hprev = _gate_gradients(H, C, G, dH, np.ascontiguousarray(W[Din:].T), reverse, packing)
-    dW = np.empty_like(W)
-    dW[:Din] = X.T @ dZ
-    dW[Din:] = Hprev.T @ dZ
-    dX += dZ @ W[:Din].T
-    return dW, dZ.sum(axis=0)
+        dc_rec = dc[:kp] * f_gate[lo:lo + kp]
+    return Hprev.T @ G

@@ -17,6 +17,7 @@ embeddings and the pooled vector.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,59 @@ def param_shapes(cfg):
                     ("softmax.b", (1, cfg.num_classes))]
 
 
+class _Layer(NamedTuple):
+    """Where one Bi-LSTM layer of the stack lives.
+
+    Its two directions, fwd then bwd, own the 8d columns ``cols`` of the
+    model's weight and bias storage; a direction's weight is the first
+    w + d rows of its 4d columns.  In the packed state buffer of a forward
+    pass (every layer's [fwd | bwd] hidden states in stack order) the layer
+    writes the columns ``out`` and reads the columns ``rest``, on which its
+    weight rows ``rest_rows`` act; when ``embedded`` it also reads the
+    embeddings, through its first m weight rows.
+    """
+
+    name: str
+    d: int
+    w: int
+    cols: slice
+    out: slice
+    rest: slice
+    rest_rows: slice
+    embedded: bool
+
+
+def _stack_layout(cfg):
+    """The ``_Layer`` of every Bi-LSTM layer in stack order, the top layer last.
+
+    Dense layers read the embeddings and every earlier layer's states;
+    stacked layers after the first read only the previous layer's states.
+    """
+    layers, col, out = [], 0, 0
+    fwd_weights = [(name, shape) for name, shape in param_shapes(cfg) if name.endswith(".fwd.W")]
+    for k, (name, (rows, cols)) in enumerate(fwd_weights):
+        d, embedded = cols // 4, cfg.arch == ARCH_DENSE or k == 0
+        w = rows - d
+        n_rest = w - cfg.m if embedded else w
+        layers.append(_Layer(name.removesuffix(".fwd.W"), d, w, slice(col, col + 8 * d),
+                            slice(out, out + 2 * d), slice(out - n_rest, out),
+                            slice(w - n_rest, w), embedded))
+        col, out = col + 8 * d, out + 2 * d
+    return layers
+
+
 class Model:
-    """Parameter set of one classifier; construction enforces ``param_shapes``."""
+    """Parameter set of one classifier; construction enforces ``param_shapes``.
+
+    The LSTM weights live in one array ``lstm_W`` of shape (max(w + d), sum
+    of 8d) and the LSTM biases in one ``lstm_b`` of shape (1, sum of 8d),
+    laid out by ``_stack_layout``: a direction's W is the top rows of a 4d
+    column block, its b the same columns of ``lstm_b``, blocks in table
+    order.  Every LSTM entry of ``params`` is a view of that storage, so the
+    forward pass can apply the embedding rows of every layer in one product.
+    The softmax head keeps arrays of its own.  Construction copies the
+    given arrays; it never aliases them.
+    """
 
     def __init__(self, config, params):
         config.validate()
@@ -114,7 +166,14 @@ class Model:
         for name, shape in shapes.items():
             if params[name].shape != shape:
                 raise ConfigError(f"{name} shape {params[name].shape}, expected {shape}")
-        self.params = {name: params[name] for name in shapes}
+        self.layers = _stack_layout(config)
+        self.embedded_cols = slice(0, max(L.cols.stop for L in self.layers if L.embedded))
+        self.lstm_W = np.zeros((max(L.w + L.d for L in self.layers), self.layers[-1].cols.stop))
+        self.lstm_b = np.zeros((1, self.lstm_W.shape[1]))
+        self.params = self.lstm_views(self.lstm_W, self.lstm_b)
+        self.params.update((name, np.empty(shapes[name])) for name in ("softmax.W", "softmax.b"))
+        for name, arr in self.params.items():
+            arr[...] = params[name]
 
     @classmethod
     def build(cls, config, rng):
@@ -142,6 +201,17 @@ class Model:
     def softmax_b(self):
         return self.params["softmax.b"]
 
+    def lstm_views(self, W, b):
+        """{name: view} of every LSTM weight and bias, in table order, for
+        arrays W and b laid out like ``lstm_W`` and ``lstm_b``."""
+        views = {}
+        for L in self.layers:
+            for k, tag in enumerate(("fwd", "bwd")):
+                cols = slice(L.cols.start + 4 * L.d * k, L.cols.start + 4 * L.d * (k + 1))
+                views[f"{L.name}.{tag}.W"] = W[:L.w + L.d, cols]
+                views[f"{L.name}.{tag}.b"] = b[:, cols]
+        return views
+
     def named_params(self):
         """(name, array) pairs in a stable order used by Adam, gradcheck and checkpoints."""
         return list(self.params.items())
@@ -158,8 +228,14 @@ def count_params(m, dl, dh, th):
     """Trainable values in the recurrent layers of a dense model.
 
     Counts weights and biases of both directions of every dense layer plus
-    the top layer; the embedding table and softmax head are excluded.
+    the top layer; the embedding table and softmax head are excluded.  A
+    dense stack of width dh = 0 counts zero, as the sweep tables need; a
+    negative depth or width, or m or th below 1, raises ``ConfigError``.
     """
+    if dl < 0 or dh < 0:
+        raise ConfigError(f"dl and dh must be >= 0, got dl={dl}, dh={dh}")
+    if m < 1 or th < 1:
+        raise ConfigError(f"m and th must be >= 1, got m={m}, th={th}")
     cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=2)
     return sum(math.prod(shape) for name, shape in param_shapes(cfg)
                if not name.startswith("softmax."))
@@ -179,81 +255,69 @@ def format_param_count(n):
 #
 # A batch is packed once (``kernels.pack``) and stays packed, ``(N, ·)`` with
 # one row per real token, from the embedding gather through pooling.  The
-# layer stack lives in a few packed buffers: for the dense architecture one
-# concatenation buffer ``M`` of width m + 2*dh*dl (embeddings first, then
-# each layer's [fwd | bwd] states), so layer l reads the prefix view
-# ``M[:, :w_in]`` without a copy (Pleiss et al. 2017, arXiv 1707.06990);
-# for the stacked one a buffer per layer.  The top layer writes its states
-# into a last buffer of width 2*th.  The backward pass accumulates into
-# zero-filled buffers of the same shapes.
+# layers' hidden states share one packed buffer, each layer's [fwd | bwd]
+# states in stack order, so a dense layer reads the earlier layers' states
+# as one prefix without a copy (Pleiss et al. 2017, arXiv 1707.06990).  The
+# gate values of every layer live in one buffer laid out like the weight
+# storage, so the embedding rows of all layers that read the embeddings are
+# applied with one wide product (Appleyard et al. 2016, arXiv 1604.01946,
+# §3); the backward pass overwrites that buffer with the gate gradients and
+# forms every layer's embedding-row weight gradient, and the embedding
+# gradient, with one product each.
 
 
-def _stack_buffers(cfg, N):
-    """Packed buffers of the layer stack; the embeddings are bufs[0][:, :m]."""
-    if cfg.arch == ARCH_DENSE:
-        widths = [cfg.top_input_dim()]
-    else:
-        widths = [cfg.m] + [2 * cfg.dh] * cfg.dl
-    return [np.empty((N, w)) for w in widths + [2 * cfg.th]]
+def arch_forward_batch(model, emb, packing):
+    """Run the layer stack over the packed (N, m) embeddings.
 
-
-def _layer_views(cfg, bufs):
-    """(input, output) views of every layer of the stack, the top layer last."""
-    if cfg.arch == ARCH_DENSE:
-        M, Htop = bufs
-        views = []
-        for l in range(1, cfg.dl + 1):
-            w_in = cfg.layer_input_dim(l)
-            views.append((M[:, :w_in], M[:, w_in:w_in + 2 * cfg.dh]))
-        return views + [(M, Htop)]
-    return list(zip(bufs[:-1], bufs[1:]))
-
-
-def _layer_names(model):
-    """Names of the Bi-LSTM layers in stack order, the top layer last."""
-    return [name.removesuffix(".fwd.W") for name in model.params if name.endswith(".fwd.W")]
-
-
-def arch_forward_batch(model, bufs, packing):
-    """Run the layer stack over packed buffers whose embeddings are filled.
-
-    Each layer's two directions write their hidden states into its output
-    view.  Returns the per-layer (Cf, Gf, Cb, Gb) the backward pass needs.
+    Each layer adds one product over the states it reads, shared by its two
+    directions, before its kernels run the recurrences.  Returns (states,
+    gates, cells): every layer's hidden states, the gate values of every
+    layer in weight-column order, and the per-layer (Cf, Cb) cell states.
     """
-    P = model.params
-    states = []
-    for name, (X, Y) in zip(_layer_names(model), _layer_views(model.config, bufs)):
-        d = Y.shape[1] // 2
-        Y[:, :d], Cf, Gf = kernels.lstm_layer_forward(
-            X, packing, P[f"{name}.fwd.W"], P[f"{name}.fwd.b"][0], False)
-        Y[:, d:], Cb, Gb = kernels.lstm_layer_forward(
-            X, packing, P[f"{name}.bwd.W"], P[f"{name}.bwd.b"][0], True)
-        states.append((Cf, Gf, Cb, Gb))
-    return states
+    m, P, W = model.config.m, model.params, model.lstm_W
+    E = model.embedded_cols
+    states = np.empty((len(emb), model.layers[-1].out.stop))
+    gates = np.empty((len(emb), W.shape[1]))
+    np.matmul(emb, W[:m, E], out=gates[:, E])
+    gates[:, E.stop:] = 0.0
+    gates += model.lstm_b
+    cells = []
+    for L in model.layers:
+        Z, Y, d = gates[:, L.cols], states[:, L.out], L.d
+        if L.rest.start < L.rest.stop:
+            Z += states[:, L.rest] @ W[L.rest_rows, L.cols]
+        Wf, Wb = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"]
+        Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], packing, Wf, False)
+        Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], packing, Wb, True)
+        cells.append((Cf, Cb))
+    return states, gates, cells
 
 
-def arch_backward_batch(model, trace, dHtop):
-    """Backprop through the layer stack.
+def arch_backward_batch(model, trace, dstates, embedding_grad=True):
+    """Backprop through the layer stack, overwriting ``trace.gates`` with dZ.
 
-    dHtop is the packed gradient on the top layer's [fwd | bwd] states.
-    Returns (grads by parameter name, packed gradient on the embeddings).
+    dstates is laid out like ``trace.states``: zero but for the top layer's
+    columns, which hold the packed gradient on its states.  Each layer's
+    gradient on the states it reads is added into it.  Returns (grads by
+    parameter name, packed gradient on the embeddings, or None when
+    ``embedding_grad`` is false).
     """
-    cfg = model.config
-    dbufs = [np.zeros_like(buf) for buf in trace.bufs[:-1]] + [dHtop]
-    layers = zip(_layer_names(model), _layer_views(cfg, trace.bufs),
-                 _layer_views(cfg, dbufs), trace.states)
-    grads = {}
-    for name, (X, Y), (dX, dY), (Cf, Gf, Cb, Gb) in reversed(list(layers)):
-        d = Y.shape[1] // 2
-        for tag, cols, C, G, reverse in (("fwd", slice(None, d), Cf, Gf, False),
-                                         ("bwd", slice(d, None), Cb, Gb, True)):
-            dW, db = kernels.lstm_layer_backward(
-                X, trace.packing, model.params[f"{name}.{tag}.W"], Y[:, cols], C, G,
-                dY[:, cols], reverse, dX
-            )
-            grads[f"{name}.{tag}.W"] = dW
-            grads[f"{name}.{tag}.b"] = db.reshape(1, -1)
-    return grads, dbufs[0][:, :cfg.m]
+    m, P, W = model.config.m, model.params, model.lstm_W
+    states, dZ_all, E = trace.states, trace.gates, model.embedded_cols
+    dW = np.empty_like(W)  # every row a weight view covers is written below
+    for L, (Cf, Cb) in zip(reversed(model.layers), reversed(trace.cells)):
+        Y, dY, dZ, d = states[:, L.out], dstates[:, L.out], dZ_all[:, L.cols], L.d
+        Wf, Wb, dWh = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"], dW[L.w:L.w + d, L.cols]
+        dWh[:, :4 * d] = kernels.lstm_layer_backward(
+            trace.packing, Wf, Y[:, :d], Cf, dZ[:, :4 * d], dY[:, :d], False)
+        dWh[:, 4 * d:] = kernels.lstm_layer_backward(
+            trace.packing, Wb, Y[:, d:], Cb, dZ[:, 4 * d:], dY[:, d:], True)
+        if L.rest.start < L.rest.stop:
+            np.matmul(states[:, L.rest].T, dZ, out=dW[L.rest_rows, L.cols])
+            dstates[:, L.rest] += dZ @ W[L.rest_rows, L.cols].T
+    np.matmul(trace.emb.T, dZ_all[:, E], out=dW[:m, E])
+    grads = model.lstm_views(dW, dZ_all.sum(axis=0, keepdims=True))
+    return grads, (dZ_all[:, E] @ W[:m, E].T if embedding_grad else None)
 
 
 def average_pool_batch(H, lengths, packing):
@@ -314,11 +378,14 @@ class ModelTrace:
     lengths: np.ndarray
     packing: kernels.Packing
     mask_embed: np.ndarray | None  # (N, m)
-    bufs: list  # packed stack buffers, the top layer's states last
-    states: list  # (Cf, Gf, Cb, Gb) of every layer, the top layer last
+    emb: np.ndarray  # (N, m) embeddings after dropout
+    states: np.ndarray  # (N, sum of 2d) every layer's [fwd | bwd] hidden states
+    gates: np.ndarray  # (N, sum of 8d) gate values; their gradients after backward
+    cells: list  # (Cf, Cb) of every layer, the top layer last
     mask_pool: np.ndarray | None
     pooled_dropped: np.ndarray
     probs: np.ndarray
+    consumed: bool = False  # set by model_backward, which overwrites gates
 
 
 def model_forward(model, emb_matrix, batch, rng=None, training=False):
@@ -330,17 +397,15 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         raise ConfigError(f"embedding width {emb_matrix.shape[1]} != configured m {cfg.m}")
     packing = kernels.pack(batch.lengths)
     tokens = batch.indices[packing.rows, packing.ts]
-    bufs = _stack_buffers(cfg, len(tokens))
-    emb = bufs[0][:, :cfg.m]
-    emb[...] = emb_matrix[tokens]
+    emb = emb_matrix[tokens]
     mask_e = None
     if training and cfg.dropout_embed > 0:
         # drawn over the padded batch, so seeded runs keep their random stream
         draws = rng.random(batch.indices.shape + (cfg.m,))
         mask_e = _dropout_mask(draws[packing.rows, packing.ts], cfg.dropout_embed)
         emb *= mask_e
-    states = arch_forward_batch(model, bufs, packing)
-    pooled = average_pool_batch(bufs[-1], batch.lengths, packing)
+    states, gates, cells = arch_forward_batch(model, emb, packing)
+    pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
     pooled_d, mask_p = dropout(pooled, cfg.dropout_pool, rng, training)
     probs = classify_batch(pooled_d, model.softmax_W, model.softmax_b)
     trace = ModelTrace(
@@ -348,8 +413,10 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         lengths=batch.lengths,
         packing=packing,
         mask_embed=mask_e,
-        bufs=bufs,
+        emb=emb,
         states=states,
+        gates=gates,
+        cells=cells,
         mask_pool=mask_p,
         pooled_dropped=pooled_d,
         probs=probs,
@@ -357,13 +424,20 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     return probs, trace
 
 
-def model_backward(model, trace, dlogits):
+def model_backward(model, trace, dlogits, embedding_grad=True):
     """Gradients of every model parameter plus the packed embedding gradient.
 
     dlogits is the loss gradient at the softmax pre-activations (for mean
     cross-entropy over a batch: (probs - onehot) / B).  The embedding
-    gradient has one row per token of ``trace.tokens``.
+    gradient has one row per token of ``trace.tokens``; with
+    ``embedding_grad`` false it is not formed and None stands in its place,
+    the parameter gradients being the same.  The pass overwrites the
+    trace's gate values, so a trace takes one backward pass; a second one
+    raises ``ConfigError``.
     """
+    if trace.consumed:
+        raise ConfigError("trace already used by a backward pass; run model_forward again")
+    trace.consumed = True
     grads = {
         "softmax.W": trace.pooled_dropped.T @ dlogits,
         "softmax.b": dlogits.sum(axis=0, keepdims=True),
@@ -371,11 +445,12 @@ def model_backward(model, trace, dlogits):
     dpool = dlogits @ model.softmax_W.T
     if trace.mask_pool is not None:
         dpool = dpool * trace.mask_pool
-    dHtop = pool_backward_batch(dpool, trace.lengths, trace.packing)
-    layer_grads, dEmb = arch_backward_batch(model, trace, dHtop)
+    dstates = np.zeros_like(trace.states)
+    dstates[:, model.layers[-1].out] = pool_backward_batch(dpool, trace.lengths, trace.packing)
+    layer_grads, dEmb = arch_backward_batch(model, trace, dstates, embedding_grad)
     grads.update(layer_grads)
-    if trace.mask_embed is not None:
-        dEmb = dEmb * trace.mask_embed
+    if dEmb is not None and trace.mask_embed is not None:
+        dEmb *= trace.mask_embed
     return grads, dEmb
 
 

@@ -257,7 +257,8 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} batch {b_idx} (seed {cfg.seed})"
                 )
-            grads, dEmb = model_backward(model, trace, dlogits)
+            grads, dEmb = model_backward(model, trace, dlogits,
+                                         embedding_grad=cfg.train_embeddings)
             if cfg.softmax_l2 > 0:
                 grads["softmax.W"] = grads["softmax.W"] + cfg.softmax_l2 * model.softmax_W
             for name, arr in model.named_params():

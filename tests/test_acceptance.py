@@ -111,9 +111,12 @@ def test_04_reversal_duality_is_bitwise():
         p = CellParams.init(din, d, rng)
         X = rng.standard_normal((1, T, din))
         P = kernels.pack(np.array([T], dtype=np.int64))
-        # one sentence packs in position order: packed row t is position t
-        bwd, _, _ = kernels.lstm_layer_forward(X[P.rows, P.ts], P, p.W, p.b[0], True)
-        fwd_rev, _, _ = kernels.lstm_layer_forward(X[:, ::-1][P.rows, P.ts], P, p.W, p.b[0], False)
+        # one sentence packs in position order: packed row t is position t;
+        # the kernels take the input pre-activations, as the model hands them over
+        Z = X[P.rows, P.ts] @ p.W[:din] + p.b
+        Z_rev = X[:, ::-1][P.rows, P.ts] @ p.W[:din] + p.b
+        bwd, _ = kernels.lstm_layer_forward(Z, P, p.W, True)
+        fwd_rev, _ = kernels.lstm_layer_forward(Z_rev, P, p.W, False)
         for t in range(T):
             assert bwd[t].tobytes() == fwd_rev[T - 1 - t].tobytes(), (
                 f"seed {seed}, position {t}"

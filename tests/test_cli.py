@@ -16,6 +16,20 @@ def test_count_params_output(capsys):
     assert capsys.readouterr().out == "1406560 (1.40M)\n"
 
 
+def test_count_params_rejects_impossible_sizes(capsys):
+    for flags in (["--dl", "-2", "--dh", "10", "--th", "100"],
+                  ["--dl", "2", "--dh", "-3", "--th", "100"],
+                  ["--dl", "0", "--dh", "10", "--th", "-5"],
+                  ["--dl", "0", "--dh", "10", "--th", "0"],
+                  ["--dl", "1", "--dh", "10", "--th", "100", "--m", "0"]):
+        assert main(["count-params", *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), flags
+    # a zero-width dense stack still counts, as the sweep's t5 row needs
+    assert main(["count-params", "--dl", "10", "--dh", "0", "--th", "100"]) == 0
+    assert capsys.readouterr().out == "320800 (0.32M)\n"
+
+
 def test_gradcheck_exit_codes(capsys):
     assert main(["gradcheck", "--dl", "0", "--seed", "0"]) == 0
     assert "PASS" in capsys.readouterr().out

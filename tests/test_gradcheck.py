@@ -47,6 +47,23 @@ def test_finite_diff_restores_parameters():
     assert np.array_equal(x, snapshot)
 
 
+def test_finite_diff_certifies_a_column_slice_view():
+    """A model parameter is a column block of a wider array; nudging it must
+    reach the array the loss reads, not a flattened copy."""
+    rng = make_rng(3)
+    wide = rng.standard_normal((3, 7))
+    view = wide[:, 2:5]
+    weights = rng.standard_normal((3, 7))
+
+    def loss():
+        return float((weights * wide ** 2).sum())
+
+    snapshot = wide.copy()
+    numeric = finite_diff(loss, {"view": view}, eps=1e-5)["view"]
+    assert np.abs(numeric - 2.0 * weights[:, 2:5] * wide[:, 2:5]).max() < 1e-8
+    assert np.array_equal(wide, snapshot)
+
+
 def test_finite_diff_aborts_on_non_finite_loss():
     x = np.array([[0.5]])
 

@@ -125,22 +125,32 @@ def test_step_backward_rejects_bad_grad_shape():
         lstm_step_backward(p, cache, np.zeros((1, 2)), np.zeros((1, 3)))
 
 
+def project(X, W, b):
+    """The input pre-activations the model hands the forward kernel."""
+    return X @ W[:X.shape[1]] + b
+
+
 def forward_padded(X, lengths, W, b, reverse):
     """The forward kernel on a padded (B, T, Din) batch, packed with the
-    package's own packing; outputs come back padded with zeros."""
+    package's own packing; returns padded (H, C, G), zero at padding."""
     P = kernels.pack(lengths)
-    return tuple(unpack(a, P, X.shape[:2])
-                 for a in kernels.lstm_layer_forward(X[P.rows, P.ts], P, W, b, reverse))
+    G = project(X[P.rows, P.ts], W, b)
+    H, C = kernels.lstm_layer_forward(G, P, W, reverse)
+    return tuple(unpack(a, P, X.shape[:2]) for a in (H, C, G))
 
 
 def backward_padded(X, lengths, W, H, C, G, dH, reverse):
-    """The backward kernel on padded arrays; returns (dW, db, padded dX)."""
+    """The backward kernel on padded arrays, completed with the input-side
+    products the model forms from its dZ; returns (dW, db, padded dX)."""
     P = kernels.pack(lengths)
-    dX = np.zeros((len(P.rows), X.shape[2]))
-    dW, db = kernels.lstm_layer_backward(X[P.rows, P.ts], P, W, H[P.rows, P.ts],
-                                         C[P.rows, P.ts], G[P.rows, P.ts],
-                                         dH[P.rows, P.ts], reverse, dX)
-    return dW, db, unpack(dX, P, X.shape[:2])
+    Xp = X[P.rows, P.ts]
+    Din = Xp.shape[1]
+    dZ = G[P.rows, P.ts]
+    dW = np.empty_like(W)
+    dW[Din:] = kernels.lstm_layer_backward(P, W, H[P.rows, P.ts], C[P.rows, P.ts], dZ,
+                                           dH[P.rows, P.ts], reverse)
+    dW[:Din] = Xp.T @ dZ
+    return dW, dZ.sum(axis=0), unpack(dZ @ W[:Din].T, P, X.shape[:2])
 
 
 def unpack(a, P, shape):
@@ -249,9 +259,13 @@ def test_kernel_rows_do_not_interact():
         assert np.abs(db - db_sum).max() < 1e-12
 
 
-def test_backward_adds_into_a_strided_input_view():
-    """The backward kernel reads its inputs and dH from views of wider
-    buffers, leaves dH untouched and adds its input gradient to dX."""
+def test_kernels_work_in_place_on_strided_views():
+    """Both kernels run on column views of wider buffers, as the model
+    calls them: the forward kernel turns a view of pre-activations into
+    gate values in place, the backward kernel overwrites that view with dZ
+    and reads H and dH from views, leaving dH untouched.  Columns beside
+    the views are never written, and every result equals the one computed
+    on contiguous copies, bit for bit."""
     rng = make_rng(32)
     lengths = np.array([4, 1, 6, 3], dtype=np.int64)
     P = kernels.pack(lengths)
@@ -259,16 +273,28 @@ def test_backward_adds_into_a_strided_input_view():
     M = rng.standard_normal((N, Din + 7))
     W = 0.4 * rng.standard_normal((Din + d, 4 * d))
     b = 0.1 * rng.standard_normal(4 * d)
+    gate_cols = slice(2, 2 + 4 * d)
     for reverse in (False, True):
-        H, C, G = kernels.lstm_layer_forward(M[:, :Din], P, W, b, reverse)
-        assert np.array_equal(H, kernels.lstm_layer_forward(M[:, :Din].copy(), P, W, b, reverse)[0])
+        wide = rng.standard_normal((N, 4 * d + 5))
+        wide[:, gate_cols] = project(M[:, :Din], W, b)
+        before = wide.copy()
+        G = project(M[:, :Din].copy(), W, b)
+        H, C = kernels.lstm_layer_forward(wide[:, gate_cols], P, W, reverse)
+        H2, C2 = kernels.lstm_layer_forward(G, P, W, reverse)
+        assert np.array_equal(H, H2) and np.array_equal(C, C2)
+        assert np.array_equal(wide[:, gate_cols], G)
+        outside = np.ones(wide.shape[1], dtype=bool)
+        outside[gate_cols] = False
+        assert np.array_equal(wide[:, outside], before[:, outside])
+
+        Hwide = rng.standard_normal((N, d + 2))
+        Hwide[:, 1:1 + d] = H
         dM = rng.standard_normal((N, Din + 2 * d))
-        before = dM.copy()
-        dW, db = kernels.lstm_layer_backward(M[:, :Din], P, W, H, C, G, dM[:, Din:Din + d],
-                                             reverse, dM[:, :Din])
-        fresh = np.zeros((N, Din))
-        dW2, db2 = kernels.lstm_layer_backward(M[:, :Din].copy(), P, W, H, C, G,
-                                               dM[:, Din:Din + d].copy(), reverse, fresh)
-        assert np.array_equal(dM[:, Din:], before[:, Din:])
-        assert np.array_equal(dM[:, :Din], before[:, :Din] + fresh)
-        assert np.array_equal(dW, dW2) and np.array_equal(db, db2)
+        before_dM = dM.copy()
+        dWh = kernels.lstm_layer_backward(P, W, Hwide[:, 1:1 + d], C, wide[:, gate_cols],
+                                          dM[:, Din:Din + d], reverse)
+        dWh2 = kernels.lstm_layer_backward(P, W, H, C, G, dM[:, Din:Din + d].copy(), reverse)
+        assert np.array_equal(dM, before_dM)
+        assert np.array_equal(wide[:, gate_cols], G)
+        assert np.array_equal(wide[:, outside], before[:, outside])
+        assert np.array_equal(dWh, dWh2)

@@ -24,10 +24,12 @@ from dcbilstm.model import (
     load_checkpoint,
     model_backward,
     model_forward,
+    param_shapes,
     save_checkpoint,
     softmax_rows,
 )
 from dcbilstm.tensor import glorot_uniform, make_rng
+from dcbilstm.train import AdamState, adam_update
 from lstm_oracle import CellParams, lstm_step
 
 
@@ -93,7 +95,7 @@ def test_forward_matches_naive_reimplementation(arch, dl):
     batch = Batch(indices=np.arange(T).reshape(1, T), lengths=lengths,
                   labels=np.zeros(1, dtype=np.int64))
     _, trace = model_forward(model, np.concatenate(emb_rows, axis=0), batch)
-    Htop = trace.bufs[-1]  # packed; one sentence packs in position order
+    Htop = trace.states[:, -2 * cfg.th:]  # packed; one sentence packs in position order
     for t in range(T):
         assert np.abs(Htop[t] - ref_top[t][0]).max() < 1e-12
     pooled = average_pool_batch(Htop, lengths, trace.packing)
@@ -117,7 +119,7 @@ def test_degenerate_dl0_architectures_identical_bitwise():
                       labels=np.zeros(1, dtype=np.int64))
         _, ta = model_forward(model, X, batch)
         _, tb = model_forward(twin, X, batch)
-        assert np.array_equal(ta.bufs[-1], tb.bufs[-1])
+        assert np.array_equal(ta.states, tb.states)
 
 
 def test_growth_law_fail_fast():
@@ -191,6 +193,13 @@ def test_count_params_published_cells():
 
 def test_count_params_zero_width_dense_stack():
     assert count_params(300, 10, 0, 100) == count_params(300, 0, 0, 100) == 320_800
+
+
+def test_count_params_rejects_impossible_sizes():
+    for m, dl, dh, th in [(300, -2, 10, 100), (300, 2, -3, 100), (300, 0, 10, -5),
+                          (300, 0, 10, 0), (0, 1, 10, 100), (0, 0, 0, -5)]:
+        with pytest.raises(ConfigError):
+            count_params(m, dl, dh, th)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +332,115 @@ def test_model_backward_returns_every_parameter():
     for name, arr in model.named_params():
         assert grads[name].shape == arr.shape, name
     assert dEmb.shape == (3, cfg.m) and len(trace.tokens) == 3
+
+
+def _training_step_inputs(arch, seed):
+    cfg = small_config(arch=arch, dl=2)
+    cfg.dropout_embed, cfg.dropout_pool, cfg.forget_bias = 0.3, 0.2, 1.0
+    model = Model.build(cfg, make_rng(seed))
+    rng = make_rng(seed + 1)
+    emb = rng.standard_normal((12, cfg.m))
+    lengths = np.array([3, 6, 1, 4], dtype=np.int64)
+    idx = rng.integers(2, 12, size=(4, 6))
+    idx[np.arange(6) >= lengths[:, None]] = 0
+    batch = Batch(indices=idx, lengths=lengths, labels=np.array([0, 2, 1, 1], dtype=np.int64))
+    return model, emb, batch
+
+
+def _backward(model, emb, batch, **kwargs):
+    probs, trace = model_forward(model, emb, batch, make_rng(77), training=True)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
+    return model_backward(model, trace, dlogits / len(batch.labels), **kwargs)
+
+
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+def test_skipping_the_embedding_gradient_keeps_every_parameter_gradient(arch):
+    model, emb, batch = _training_step_inputs(arch, 40)
+    full, dEmb = _backward(model, emb, batch)
+    skipped, none = _backward(model, emb, batch, embedding_grad=False)
+    assert dEmb.shape == (int(batch.lengths.sum()), model.config.m) and none is None
+    assert list(full) == list(skipped)
+    for name in full:
+        assert full[name].tobytes() == skipped[name].tobytes(), name
+
+
+def test_a_trace_takes_one_backward_pass():
+    model, emb, batch = _training_step_inputs("dense", 41)
+    probs, trace = model_forward(model, emb, batch, make_rng(77), training=True)
+    dlogits = probs - 0.5
+    model_backward(model, trace, dlogits)
+    with pytest.raises(ConfigError):
+        model_backward(model, trace, dlogits)
+
+
+# ---------------------------------------------------------------------------
+# parameter storage
+
+
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+def test_every_lstm_parameter_is_a_view_of_the_model_storage(arch):
+    model = Model.build(small_config(arch=arch, dl=3), make_rng(42))
+    assert [name for name, _ in model.named_params()] == [
+        name for name, _ in param_shapes(model.config)]
+    col = 0
+    for name, arr in model.named_params():
+        if name.startswith("softmax."):
+            assert arr.base is None and not np.shares_memory(arr, model.lstm_W), name
+            continue
+        store = model.lstm_W if name.endswith(".W") else model.lstm_b
+        assert arr.base is store, name
+        # column blocks in table order, each layer's fwd and bwd side by side
+        rows, cols = arr.shape
+        assert np.shares_memory(arr, store[:rows, col:col + cols]), name
+        assert arr.__array_interface__["data"][0] == store[:, col:].__array_interface__["data"][0]
+        if name.endswith(".b"):
+            col += cols
+    assert col == model.lstm_W.shape[1] == model.lstm_b.shape[1]
+
+
+def test_model_storage_keeps_the_parameter_contracts(tmp_path):
+    model = Model.build(small_config(dl=2), make_rng(43))
+    # an Adam step on the views equals one on plain arrays, and reaches the storage
+    plain = model.copy_params()
+    rng = make_rng(44)
+    grads = {name: rng.standard_normal(arr.shape) for name, arr in plain.items()}
+    for name, arr in model.named_params():
+        adam_update(arr, grads[name], AdamState.like(arr), 0.01)
+        adam_update(plain[name], grads[name], AdamState.like(plain[name]), 0.01)
+    for name, arr in model.named_params():
+        assert arr.tobytes() == plain[name].tobytes(), name
+    W = model.params["dense1.bwd.W"]
+    assert np.shares_memory(W, model.lstm_W) and W.base is model.lstm_W
+
+    # copy_params is a snapshot; load_params writes it back through the views
+    snap = model.copy_params()
+    for name, arr in model.named_params():
+        arr += 1.0
+        assert not np.array_equal(arr, snap[name]), name
+    model.load_params(snap)
+    for name, arr in model.named_params():
+        assert np.array_equal(arr, snap[name]), name
+        if not name.startswith("softmax."):
+            assert arr.base is model.lstm_W or arr.base is model.lstm_b, name
+
+    # a checkpoint round trip rebuilds the same storage, padding rows zero
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, seed=5)
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.lstm_W, model.lstm_W)
+    assert np.array_equal(loaded.lstm_b, model.lstm_b)
+    assert loaded.params["top.fwd.W"].base is loaded.lstm_W
+    rows = model.params["dense0.fwd.W"].shape[0]
+    assert rows < model.lstm_W.shape[0] and not model.lstm_W[rows:, :4 * model.config.dh].any()
+
+    # Model(cfg, params) copies: the two models share no memory
+    twin = Model(model.config, model.params)
+    for (name, a), (_, b) in zip(model.named_params(), twin.named_params()):
+        assert np.array_equal(a, b) and not np.shares_memory(a, b), name
+    model.lstm_W[...] = 0.0
+    model.params["softmax.W"][...] = 0.0
+    assert twin.lstm_W.any() and twin.params["softmax.W"].any()
 
 
 @pytest.mark.parametrize("arch", ["dense", "stacked"])
