@@ -183,6 +183,10 @@ def _cmd_eval(args):
     if meta["vocab"] is None:
         raise ConfigError(f"{args.checkpoint} has no vocab section; cannot embed text")
     examples = D.load_dataset(args.data, args.format, binary=args.binary)
+    top, k = max((ex.label for ex in examples), default=-1), model.config.num_classes
+    if top >= k:
+        raise ParseError(f"{args.data}: label {top} is outside the checkpoint's "
+                         f"{k} classes (0..{k - 1})")
     indexed = D.vectorize(examples, meta["vocab"], drop_unknown=True)
     acc = evaluate(model, meta["emb_matrix"], indexed, args.batch_size)
     print(f"accuracy {acc:.4f}")

@@ -47,20 +47,34 @@ class EmbeddingTable:
         return self.vectors.get(word.lower())
 
 
+def _vec_header_dim(line):
+    """dim of a word2vec / fastText ``count dim`` header line, else None."""
+    fields = line.split()
+    if len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
+        return int(fields[1])
+    return None
+
+
 def load_embeddings(path, dim=None, keep=None):
     """Parse space-separated "word v1 v2 ... vd" lines.
 
-    The first data line fixes the dimension unless dim is given.  The last
-    d fields of a line are the vector and the rest is the word, so a word
-    may contain spaces (glove.840B.300d has a few).  Repeated words keep
-    the first occurrence (GloVe files list cased variants; we lowercase
-    keys, so "The" after "the" is dropped).  Every line is parsed and
-    checked, but when keep is given only its (lowercase) words are stored,
-    so a corpus needs memory for its own vocabulary, not the whole file.
+    A first line of exactly two integer fields is the "count dim" header of
+    word2vec text and fastText .vec files; it is skipped, and the vectors
+    must have its dim.  Otherwise the first data line fixes the dimension
+    unless dim is given.  The last d fields of a line are the vector and the
+    rest is the word, so a word may contain spaces (glove.840B.300d has a
+    few).  Repeated words keep the first occurrence (GloVe files list cased
+    variants; we lowercase keys, so "The" after "the" is dropped).  Every
+    line is parsed and checked, but when keep is given only its (lowercase)
+    words are stored, so a corpus needs memory for its own vocabulary, not
+    the whole file.
     """
     vectors = {}
+    header_dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
+                continue
             # split at most d times from the right; every space while d is unknown
             parts = line.rstrip("\n").rsplit(" ", dim or -1)
             if len(parts) < 2:
@@ -70,6 +84,8 @@ def load_embeddings(path, dim=None, keep=None):
             word = parts[0].lower()
             if dim is None:
                 dim = len(parts) - 1
+            if header_dim not in (None, dim):
+                raise ParseError(f"header gives dim {header_dim}, not {dim}", line_no)
             if len(parts) - 1 != dim:
                 raise ParseError(
                     f"expected {dim} vector components, got {len(parts) - 1}", line_no

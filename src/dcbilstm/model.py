@@ -261,26 +261,43 @@ def format_param_count(n):
 # gate values of every layer live in one buffer laid out like the weight
 # storage, so the embedding rows of all layers that read the embeddings are
 # applied with one wide product (Appleyard et al. 2016, arXiv 1604.01946,
-# §3); the backward pass overwrites that buffer with the gate gradients and
+# §3).  Without an embedding-dropout mask that product depends only on the
+# token id, so it is formed once per distinct token of the batch and its
+# rows are gathered: a batch of SST-like sentences repeats about half of its
+# tokens.  The table is built per batch, not per pass, since a pass-wide one
+# over a large split would hold every distinct token's gate row at once.
+# The backward pass overwrites the gate buffer with the gate gradients and
 # forms every layer's embedding-row weight gradient, and the embedding
 # gradient, with one product each.
 
 
-def arch_forward_batch(model, emb, packing):
-    """Run the layer stack over the packed (N, m) embeddings.
+def _embedding_gates(model, x):
+    """The embedding part of every layer's gate pre-activations, biases added.
 
-    Each layer adds one product over the states it reads, shared by its two
-    directions, before its kernels run the recurrences.  Returns (states,
-    gates, cells): every layer's hidden states, the gate values of every
-    layer in weight-column order, and the per-layer (Cf, Cb) cell states.
+    x holds rows of embeddings, (n, m); the result is (n, sum of 8d) in
+    weight-column order, ``x @ lstm_W[:m, E] + lstm_b`` on the columns E of
+    the layers that read the embeddings and the bias alone on the rest.
     """
-    m, P, W = model.config.m, model.params, model.lstm_W
-    E = model.embedded_cols
-    states = np.empty((len(emb), model.layers[-1].out.stop))
-    gates = np.empty((len(emb), W.shape[1]))
-    np.matmul(emb, W[:m, E], out=gates[:, E])
+    m, W, E = model.config.m, model.lstm_W, model.embedded_cols
+    gates = np.empty((len(x), W.shape[1]))
+    np.matmul(x, W[:m, E], out=gates[:, E])
     gates[:, E.stop:] = 0.0
     gates += model.lstm_b
+    return gates
+
+
+def arch_forward_batch(model, gates, packing):
+    """Run the layer stack over a packed batch.
+
+    gates is (N, sum of 8d), each token's ``_embedding_gates`` row.  Each
+    layer adds in place one product over the states it reads past the
+    embeddings, shared by its two directions, before its kernels run the
+    recurrences; gates ends holding the gate values of every layer.
+    Returns (states, cells): every layer's hidden states and the per-layer
+    (Cf, Cb) cell states.
+    """
+    P, W = model.params, model.lstm_W
+    states = np.empty((len(gates), model.layers[-1].out.stop))
     cells = []
     for L in model.layers:
         Z, Y, d = gates[:, L.cols], states[:, L.out], L.d
@@ -290,7 +307,7 @@ def arch_forward_batch(model, emb, packing):
         Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], packing, Wf, False)
         Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], packing, Wb, True)
         cells.append((Cf, Cb))
-    return states, gates, cells
+    return states, cells
 
 
 def arch_backward_batch(model, trace, dstates, embedding_grad=True):
@@ -388,8 +405,41 @@ class ModelTrace:
     consumed: bool = False  # set by model_backward, which overwrites gates
 
 
+def _embedding_draws(rng, lengths, T, packing, m):
+    """The uniform draws ``rng.random((B, T, m))`` at the batch's real tokens,
+    in packed order, without drawing the padding.
+
+    In that padded draw sentence b's real values are the first L_b * m of
+    its T * m block.  They are drawn in place and the rest of the block is
+    skipped: a PCG64-family generator, which spends one 64-bit output per
+    double, jumps over it with ``advance``; any other generator, or one
+    holding a buffered 32-bit value that ``advance`` would drop, draws and
+    discards it.  Either way the values and the generator's next draw are
+    those of the padded draw, bit for bit.
+    """
+    bg = rng.bit_generator
+    jump = isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)) and not bg.state["has_uint32"]
+    starts = np.cumsum(lengths) - lengths
+    draws = np.empty((int(lengths.sum()), m))
+    for lo, L in zip(starts.tolist(), lengths.tolist()):
+        rng.random(out=draws[lo:lo + L])
+        if L < T and jump:
+            bg.advance((T - L) * m)
+        elif L < T:
+            rng.random((T - L) * m)
+    return draws.take(starts[packing.rows] + packing.ts, axis=0)
+
+
 def model_forward(model, emb_matrix, batch, rng=None, training=False):
-    """Embed -> dropout -> layer stack -> mean pool -> dropout -> softmax."""
+    """Embed -> dropout -> layer stack -> mean pool -> dropout -> softmax.
+
+    With an embedding-dropout mask (training with dropout_embed > 0) the
+    embedding part of the gates is one product over the masked tokens.
+    Without one it depends only on the token id, so it is formed once per
+    distinct token and gathered; the probabilities then agree with the
+    per-token product to rounding, not necessarily bit for bit, since a
+    row of a matrix product may depend on the other rows of its batch.
+    """
     cfg = model.config
     if training and (cfg.dropout_embed > 0 or cfg.dropout_pool > 0) and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
@@ -400,11 +450,15 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     emb = emb_matrix[tokens]
     mask_e = None
     if training and cfg.dropout_embed > 0:
-        # drawn over the padded batch, so seeded runs keep their random stream
-        draws = rng.random(batch.indices.shape + (cfg.m,))
-        mask_e = _dropout_mask(draws[packing.rows, packing.ts], cfg.dropout_embed)
+        # the padded batch's draws, so seeded runs keep their random stream
+        draws = _embedding_draws(rng, batch.lengths, batch.indices.shape[1], packing, cfg.m)
+        mask_e = _dropout_mask(draws, cfg.dropout_embed)
         emb *= mask_e
-    states, gates, cells = arch_forward_batch(model, emb, packing)
+        gates = _embedding_gates(model, emb)
+    else:
+        uniq, inv = np.unique(tokens, return_inverse=True)
+        gates = _embedding_gates(model, emb_matrix[uniq]).take(inv, axis=0, mode="clip")
+    states, cells = arch_forward_batch(model, gates, packing)
     pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
     pooled_d, mask_p = dropout(pooled, cfg.dropout_pool, rng, training)
     probs = classify_batch(pooled_d, model.softmax_W, model.softmax_b)

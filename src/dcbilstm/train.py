@@ -164,11 +164,16 @@ def max_norm_constrain(W, s):
 
 
 def evaluate(model, emb_matrix, indexed, batch_size=200):
-    """Accuracy in eval mode (dropout off); argmax ties go to the lowest class."""
+    """Accuracy in eval mode (dropout off); argmax ties go to the lowest class.
+
+    The examples are batched in order of length (a stable sort), so each
+    batch runs only as many steps as its own longest sentence; accuracy
+    does not depend on the order.
+    """
     if not indexed:
         raise ConfigError("cannot evaluate on an empty example list")
     correct = 0
-    for batch in D.make_batches(indexed, batch_size):
+    for batch in D.make_batches(sorted(indexed, key=lambda ex: len(ex[0])), batch_size):
         probs, _ = model_forward(model, emb_matrix, batch, training=False)
         correct += int((probs.argmax(axis=1) == batch.labels).sum())
     return correct / len(indexed)
@@ -216,6 +221,15 @@ def _infer_classes(example_sets):
         if examples:
             top = max(top, max(ex.label for ex in examples))
     return top + 1
+
+
+def _check_labels(named_splits, num_classes):
+    """ConfigError naming the first split with a label the model cannot output."""
+    for name, examples in named_splits:
+        top = max((ex.label for ex in examples), default=-1)
+        if top >= num_classes:
+            raise ConfigError(f"{name} split has label {top}, outside the model's "
+                              f"{num_classes} classes (0..{num_classes - 1})")
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +363,14 @@ def train(cfg):
     # malformed corpus leaves no half-written artifacts behind
     if cfg.cv_folds:
         pool = _load_split(cfg, cfg.train_path, phrases=cfg.phrases)
-        splits = [pool]
+        named = [("train", pool)]
     else:
         train_ex, dev_ex, test_ex = _prepare_single(cfg, rng_split)
-        splits = [train_ex, dev_ex or [], test_ex or []]
-    vocab, emb_matrix, m = _build_tables(cfg, splits, rng_emb)
+        named = [("train", train_ex), ("dev", dev_ex or []), ("test", test_ex or [])]
+    splits = [examples for _, examples in named]
     num_classes = cfg.num_classes or _infer_classes(splits)
+    _check_labels(named, num_classes)
+    vocab, emb_matrix, m = _build_tables(cfg, splits, rng_emb)
     model_cfg = _model_config(cfg, m, num_classes)
 
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -1,6 +1,7 @@
 """Exit codes, output formats, config-file handling of the command line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +137,48 @@ def test_eval_cli_round_trip(toy_tsv, tmp_path, capsys):
                  "--expect-min", str(acc + 0.01)]) == 1
     assert main(["eval", "--checkpoint", ckpt, "--data", toy_tsv,
                  "--expect-min", str(max(acc - 0.01, 0.0))]) == 0
+
+
+def _train_toy(toy_tsv, out_dir, *flags):
+    return main(["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "4", "--th", "8",
+                 "--embedding-dim", "12", "--epochs", "1", "--batch-size", "8",
+                 "--out-dir", str(out_dir), "--seed", "0", *flags])
+
+
+def test_eval_cli_rejects_labels_outside_the_models_classes(toy_tsv, tmp_path, capsys):
+    assert _train_toy(toy_tsv, tmp_path / "run") == 0
+    capsys.readouterr()
+    three = tmp_path / "three.tsv"
+    three.write_text("0\tthe movie\n2\ta great film\n1\tit was fun\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"),
+                 "--data", str(three)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label 2" in captured.err and str(three) in captured.err
+
+
+def test_train_cli_rejects_labels_outside_the_models_classes(toy_tsv, tmp_path, capsys):
+    three = tmp_path / "three.tsv"
+    three.write_text("0\tthe movie\n2\ta great film\n", encoding="utf-8")
+    for split in ("dev", "test"):
+        out_dir = tmp_path / split
+        assert _train_toy(toy_tsv, out_dir, "--num-classes", "2", f"--{split}-path",
+                          str(three)) == 2, split
+        err = capsys.readouterr().err
+        assert f"{split} split has label 2" in err, err
+        assert not out_dir.exists(), split
+
+
+def test_train_cli_reads_an_embeddings_file_with_a_count_dim_header(toy_tsv, tmp_path):
+    words = sorted({w for line in Path(toy_tsv).read_text(encoding="utf-8").splitlines()
+                    for w in line.split("\t")[1].split()})
+    vec = tmp_path / "emb.vec"
+    rows = [f"{w} " + " ".join(f"{0.01 * (k + j):.2f}" for j in range(5))
+            for k, w in enumerate(words)]
+    vec.write_text(f"{len(rows)} 5\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert _train_toy(toy_tsv, tmp_path / "run", "--embeddings-path", str(vec)) == 0
+    config = json.loads((tmp_path / "run" / "run.log").read_text(encoding="utf-8").splitlines()[0])
+    assert config["event"] == "config" and config["m"] == 5
 
 
 def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):

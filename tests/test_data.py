@@ -121,6 +121,24 @@ def test_load_embeddings_checks_lines_it_does_not_keep(tmp_path):
         assert f"line {line}" in str(info.value)
 
 
+def test_load_embeddings_skips_a_count_dim_header(tmp_path):
+    p = tmp_path / "emb.vec"
+    p.write_text("2 3\nthe 0.1 0.2 0.3\n7 1.0 2.0 3.0\n", encoding="utf-8")
+    for dim in (None, 3):
+        table = load_embeddings(p, dim=dim)
+        assert table.dim == 3 and set(table.vectors) == {"the", "7"}
+        assert np.array_equal(table.get("7"), np.array([1.0, 2.0, 3.0]))
+    # the header's dim must be the vectors' width
+    for text in ("2 4\nthe 0.1 0.2 0.3\n", "2 2\nthe 0.1 0.2 0.3\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_embeddings(p)
+        assert "line 2" in str(info.value) and "header" in str(info.value)
+    # only the first line can be a header; later ones are 1-d vectors
+    p.write_text("the 0.1\n2 3\n", encoding="utf-8")
+    assert load_embeddings(p).dim == 1 and len(load_embeddings(p)) == 2
+
+
 def test_load_embeddings_first_occurrence_wins(tmp_path):
     p = tmp_path / "dup.txt"
     p.write_text("the 1.0 1.0\nThe 2.0 2.0\n", encoding="utf-8")

@@ -16,6 +16,9 @@ from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, Sh
 from dcbilstm.model import (
     Model,
     ModelConfig,
+    ModelTrace,
+    _embedding_gates,
+    arch_forward_batch,
     average_pool_batch,
     classify_batch,
     count_params,
@@ -372,6 +375,105 @@ def test_a_trace_takes_one_backward_pass():
     model_backward(model, trace, dlogits)
     with pytest.raises(ConfigError):
         model_backward(model, trace, dlogits)
+
+
+# ---------------------------------------------------------------------------
+# eval forward: one gate row per distinct token
+
+
+def _per_token_forward(model, emb_matrix, batch):
+    """Eval forward with the embedding product taken over every token."""
+    packing = kernels.pack(batch.lengths)
+    tokens = batch.indices[packing.rows, packing.ts]
+    emb = emb_matrix[tokens]
+    gates = _embedding_gates(model, emb)
+    states, cells = arch_forward_batch(model, gates, packing)
+    pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
+    probs = classify_batch(pooled, model.softmax_W, model.softmax_b)
+    return probs, ModelTrace(tokens=tokens, lengths=batch.lengths, packing=packing,
+                             mask_embed=None, emb=emb, states=states, gates=gates, cells=cells,
+                             mask_pool=None, pooled_dropped=pooled, probs=probs)
+
+
+def _repeated_token_batch(seed, B=7, T=9, vocab=6):
+    """A batch drawn from a few token ids, so most tokens repeat."""
+    rng = make_rng(seed)
+    lengths = rng.integers(1, T + 1, size=B)
+    lengths[0] = T
+    idx = rng.integers(2, vocab, size=(B, T))
+    idx[np.arange(T) >= lengths[:, None]] = 0
+    return Batch(indices=idx, lengths=lengths, labels=rng.integers(0, 3, size=B))
+
+
+def _near(a, b, tol=1e-12):
+    return np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+@pytest.mark.parametrize("dl", [0, 3])
+def test_eval_forward_over_distinct_tokens_matches_the_per_token_product(arch, dl):
+    """Stacked models also cover the gate columns past the embedded layer,
+    which receive only the bias."""
+    cfg = small_config(arch=arch, dl=dl)
+    cfg.forget_bias = 1.0
+    model = Model.build(cfg, make_rng(50 + dl))
+    emb_matrix = make_rng(51).standard_normal((6, cfg.m))
+    batch = _repeated_token_batch(52 + dl)
+    n_tokens = int(batch.lengths.sum())
+    assert len(np.unique(batch.indices[batch.indices > 0])) < n_tokens
+    probs, trace = model_forward(model, emb_matrix, batch, training=False)
+    want, ref = _per_token_forward(model, emb_matrix, batch)
+    assert _near(probs, want) and _near(trace.gates, ref.gates)
+    assert np.array_equal(trace.emb, ref.emb) and np.array_equal(trace.tokens, ref.tokens)
+
+    # a backward pass on the eval trace gives the per-token gradients
+    dlogits = probs.copy()
+    dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
+    grads, dEmb = model_backward(model, trace, dlogits)
+    want_grads, want_dEmb = model_backward(model, ref, dlogits)
+    assert list(grads) == list(want_grads)
+    for name in grads:
+        assert _near(grads[name], want_grads[name]), name
+    assert _near(dEmb, want_dEmb)
+
+
+def test_eval_forward_reruns_are_byte_identical():
+    model = Model.build(small_config(dl=3), make_rng(53))
+    emb_matrix = make_rng(54).standard_normal((6, model.config.m))
+    batch = _repeated_token_batch(55)
+    first, _ = model_forward(model, emb_matrix, batch, training=False)
+    again, _ = model_forward(model, emb_matrix, batch, training=False)
+    assert first.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "buffered"])
+def test_embedding_dropout_draws_the_padded_stream(bit_generator):
+    """The mask of every real token is the one a padded (B, T, m) draw
+    gives, and the generator's next draw after the batches is the same."""
+    cfg = small_config(dl=1)
+    cfg.dropout_embed, cfg.dropout_pool = 0.4, 0.0  # the pool site draws nothing
+    model = Model.build(cfg, make_rng(56))
+    emb_matrix = make_rng(57).standard_normal((6, cfg.m))
+
+    def generator():
+        if bit_generator == "buffered":
+            # a 32-bit draw leaves half of a 64-bit output buffered
+            rng = np.random.Generator(np.random.PCG64(58))
+            rng.integers(0, 7, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"]
+            return rng
+        return np.random.Generator(getattr(np.random, bit_generator)(58))
+
+    rng, padded = generator(), generator()
+    for k in range(3):
+        batch = _repeated_token_batch(59 + k)
+        _, trace = model_forward(model, emb_matrix, batch, rng, training=True)
+        draws = padded.random(batch.indices.shape + (cfg.m,))
+        kept = draws[trace.packing.rows, trace.packing.ts] >= cfg.dropout_embed
+        assert trace.mask_embed.tobytes() == (kept / (1.0 - cfg.dropout_embed)).tobytes()
+    assert rng.random(9).tobytes() == padded.random(9).tobytes()
+    assert rng.integers(0, 7, size=5, dtype=np.uint32).tolist() == \
+        padded.integers(0, 7, size=5, dtype=np.uint32).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,28 @@ def test_evaluate_matches_confusion_matrix_recount():
     assert acc == np.trace(confusion) / 30
 
 
+def test_evaluate_does_not_depend_on_the_order_of_its_examples():
+    cfg = small_config(arch="dense", dl=2, num_classes=3)
+    model = Model.build(cfg, make_rng(6))
+    emb = make_rng(7).standard_normal((8, cfg.m))
+    indexed = [(idxs, label % 3) for idxs, label in _indexed_toy(40, seed=8)]
+    shuffled = [indexed[i] for i in make_rng(9).permutation(len(indexed))]
+    acc = evaluate(model, emb, indexed, batch_size=6)
+    assert 0.0 < acc < 1.0
+    assert evaluate(model, emb, shuffled, batch_size=6) == acc
+    assert evaluate(model, emb, indexed, batch_size=6) == acc
+
+
+def test_train_rejects_labels_outside_the_configured_classes(toy_tsv, tmp_path):
+    test_tsv = tmp_path / "test.tsv"
+    test_tsv.write_text("1\tthe movie\n3\ta great film\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="test split has label 3"):
+        train(_quick_cfg(toy_tsv, tmp_path, num_classes=3, test_path=str(test_tsv)))
+    assert not (tmp_path / "run").exists()
+    # an inferred class count covers every label, so the same split trains
+    assert train(_quick_cfg(toy_tsv, tmp_path, epochs=1, test_path=str(test_tsv))).test_acc >= 0
+
+
 def test_evaluate_empty_is_an_error():
     model = Model.build(small_config(), make_rng(0))
     with pytest.raises(ConfigError):
