@@ -14,8 +14,7 @@ flags; the effective configuration is echoed into the run log.
 import argparse
 import dataclasses
 import sys
-
-import numpy as np
+import typing
 
 from . import data as D
 from .errors import CheckpointError, ConfigError, ParseError, TrainingDiverged
@@ -30,36 +29,28 @@ SWEEP_TABLES = {
     "t5": [(10, 0, 100), (10, 5, 100), (10, 10, 100), (10, 15, 100), (10, 20, 100)],
 }
 
-_BOOL_FIELDS = {"binary", "phrases", "train_embeddings"}
-_INT_FIELDS = {"dl", "dh", "th", "num_classes", "batch_size", "epochs", "patience",
-               "cv_folds", "embedding_dim", "seed"}
-_FLOAT_FIELDS = {"dropout_embed", "dropout_pool", "forget_bias", "lr", "beta1",
-                 "beta2", "eps", "dev_fraction", "softmax_l2"}
-_OPT_FLOAT_FIELDS = {"max_norm_s", "stop_at_train_acc"}
-_OPT_STR_FIELDS = {"dev_path", "test_path", "embeddings_path"}
-_STR_FIELDS = {"arch", "data_format", "train_path", "out_dir"}
-_ALL_FIELDS = (_BOOL_FIELDS | _INT_FIELDS | _FLOAT_FIELDS | _OPT_FLOAT_FIELDS
-               | _OPT_STR_FIELDS | _STR_FIELDS)
+# the type each setting parses to, read from TrainConfig's annotations
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+
+def _parse_bool(value):
+    low = value.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 def _coerce(key, value, line_no=None):
+    """Text -> the annotated type of `key`; `none` gives None for an `X | None` field."""
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _BOOL_FIELDS:
-            low = value.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-        if key in _OPT_FLOAT_FIELDS:
-            return None if value.lower() == "none" else float(value)
-        if key in _OPT_STR_FIELDS:
-            return None if value.lower() == "none" else value
-        return value
+        if typing.get_args(kind):  # X | None
+            if value.lower() == "none":
+                return None
+            kind = typing.get_args(kind)[0]
+        return _parse_bool(value) if kind is bool else kind(value)
     except ValueError as exc:
         raise ParseError(f"bad value for {key}: {exc}", line_no)
 
@@ -76,7 +67,7 @@ def parse_config_file(path):
             if not sep:
                 raise ParseError("expected 'key = value'", line_no)
             key, value = key.strip(), value.strip()
-            if key not in _ALL_FIELDS:
+            if key not in _FIELD_TYPES:
                 raise ParseError(f"unknown config key {key!r}", line_no)
             values[key] = _coerce(key, value, line_no)
     return values
@@ -95,7 +86,7 @@ def build_train_config(config_path=None, overrides=None):
 def _add_train_flags(p):
     for f in dataclasses.fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
+        if f.type is bool:
             p.add_argument(flag, default=None, action=argparse.BooleanOptionalAction)
         else:
             p.add_argument(flag, default=None, type=lambda v, k=f.name: _coerce(k, v))

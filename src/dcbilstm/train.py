@@ -10,6 +10,7 @@ identical bytes; wall-clock timing goes to stderr only.
 """
 
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -187,17 +188,41 @@ def _load_split(cfg, path, phrases=False):
     return D.load_dataset(path, cfg.data_format, binary=cfg.binary, phrases=phrases)
 
 
-def _prepare_single(cfg, rng_split):
+def _carve_dev(items, fraction, rng):
+    """Shuffle items and hold out a fraction of them as dev: (train, dev).
+
+    With fraction > 0 at least one item is held out, but never the last
+    one: a fold always keeps an example to train on.
+    """
+    n = len(items)
+    order = np.arange(n)
+    rng.shuffle(order)
+    n_dev = min(max(1, int(n * fraction)), n - 1) if fraction > 0 and n > 1 else 0
+    return [items[i] for i in order[n_dev:]], [items[i] for i in order[:n_dev]]
+
+
+def _folds(cfg, rng_split):
+    """The run's example splits and its folds of (train, dev, test) lists.
+
+    A plain run is one fold; cross-validation holds out each of
+    cfg.cv_folds parts of the training file in turn and carves dev from
+    the rest.
+    """
+    if cfg.cv_folds:
+        pool = _load_split(cfg, cfg.train_path, phrases=cfg.phrases)
+        folds = []
+        for held_out in D.make_folds(len(pool), cfg.cv_folds, seed=cfg.seed):
+            held = set(held_out)
+            rest = [ex for j, ex in enumerate(pool) if j not in held]
+            folds.append((*_carve_dev(rest, cfg.dev_fraction, rng_split),
+                          [pool[j] for j in held_out]))
+        return [("train", pool)], folds
     train = _load_split(cfg, cfg.train_path, phrases=cfg.phrases)
-    dev = _load_split(cfg, cfg.dev_path) if cfg.dev_path else None
-    test = _load_split(cfg, cfg.test_path) if cfg.test_path else None
-    if dev is None and cfg.dev_fraction > 0 and len(train) > 1:
-        order = np.arange(len(train))
-        rng_split.shuffle(order)
-        n_dev = max(1, int(len(train) * cfg.dev_fraction))
-        dev = [train[i] for i in order[:n_dev]]
-        train = [train[i] for i in order[n_dev:]]
-    return train, dev, test
+    dev = _load_split(cfg, cfg.dev_path) if cfg.dev_path else []
+    test = _load_split(cfg, cfg.test_path) if cfg.test_path else []
+    if not cfg.dev_path and cfg.dev_fraction > 0:
+        train, dev = _carve_dev(train, cfg.dev_fraction, rng_split)
+    return [("train", train), ("dev", dev), ("test", test)], [(train, dev, test)]
 
 
 def _build_tables(cfg, example_sets, rng_emb):
@@ -254,9 +279,7 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
     states = {name: AdamState.like(arr) for name, arr in model.named_params()}
     emb_state = AdamState.like(emb) if cfg.train_embeddings else None
 
-    best_dev = -1.0
-    best_snapshot = model.copy_params()
-    best_emb = emb.copy() if cfg.train_embeddings else None
+    best = None  # (epoch record, parameters, embeddings) of the best-dev epoch
     epochs_since_best = 0
     history = []
     t_start = time.monotonic()
@@ -312,37 +335,23 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             file=sys.stderr,
         )
 
-        if dev_idx:
-            if dev_acc > best_dev:
-                best_dev = dev_acc
-                best_snapshot = model.copy_params()
-                if cfg.train_embeddings:
-                    best_emb = emb.copy()
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if epochs_since_best >= cfg.patience:
-                    break
+        if best is None or not dev_idx or dev_acc > best[0]["dev_acc"]:
+            best = (record, model.copy_params(), emb.copy() if cfg.train_embeddings else None)
+            epochs_since_best = 0
         else:
-            best_snapshot = model.copy_params()
-            if cfg.train_embeddings:
-                best_emb = emb.copy()
+            epochs_since_best += 1
+            if epochs_since_best >= cfg.patience:
+                break
         if cfg.stop_at_train_acc is not None and train_acc >= cfg.stop_at_train_acc:
             break
 
-    model.load_params(best_snapshot)
+    record, params, best_emb = best
+    model.load_params(params)
     if cfg.train_embeddings:
         emb = best_emb
-    final_train_acc = evaluate(model, emb, train_idx, cfg.batch_size)
-    final_dev = evaluate(model, emb, dev_idx, cfg.batch_size) if dev_idx else None
-    final_test = evaluate(model, emb, test_idx, cfg.batch_size) if test_idx else None
-    return model, emb, {
-        "best_dev_acc": final_dev,
-        "test_acc": final_test,
-        "final_train_acc": final_train_acc,
-        "epochs_run": epoch,
-        "history": history,
-    }
+    result = {"best_dev_acc": record["dev_acc"], "test_acc": record["test_acc"],
+              "final_train_acc": record["train_acc"], "epochs_run": epoch}
+    return model, emb, result, history
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +361,6 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
 def train(cfg):
     """Run the configured training job; returns a TrainReport."""
     cfg.validate()
-    import os
 
     root = np.random.SeedSequence(cfg.seed)
     split_ss, emb_ss, *_ = root.spawn(2)
@@ -361,12 +369,7 @@ def train(cfg):
 
     # load everything before touching the filesystem so a bad path or a
     # malformed corpus leaves no half-written artifacts behind
-    if cfg.cv_folds:
-        pool = _load_split(cfg, cfg.train_path, phrases=cfg.phrases)
-        named = [("train", pool)]
-    else:
-        train_ex, dev_ex, test_ex = _prepare_single(cfg, rng_split)
-        named = [("train", train_ex), ("dev", dev_ex or []), ("test", test_ex or [])]
+    named, folds = _folds(cfg, rng_split)
     splits = [examples for _, examples in named]
     num_classes = cfg.num_classes or _infer_classes(splits)
     _check_labels(named, num_classes)
@@ -378,62 +381,34 @@ def train(cfg):
 
     with open(log_path, "w", encoding="utf-8") as log_fh:
         _write_config(log_fh, cfg, m, num_classes)
+        results = []
+        for i, (fold, seq) in enumerate(zip(folds, root.spawn(len(folds)))):
+            tag = f"fold{i}" if cfg.cv_folds else "train"
+            # unknown tokens are dropped, as in `dcbilstm eval`; a random-
+            # embedding vocabulary covers every split, so none are met here
+            train_idx, dev_idx, test_idx = (
+                D.vectorize(examples, vocab, drop_unknown=True) if examples else None
+                for examples in fold)
+            model, emb, result, history = _fit(
+                cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx,
+                seq.spawn(3), log_fh, tag,
+            )
+            ckpt_path = os.path.join(cfg.out_dir, f"{tag}.ckpt" if cfg.cv_folds else "model.ckpt")
+            save_checkpoint(ckpt_path, model, cfg.seed, vocab=vocab, emb_matrix=emb)
+            log_fh.write(json.dumps({"event": "result", "tag": tag, "seed": cfg.seed, **result},
+                                    sort_keys=True) + "\n")
+            results.append(result)
+        fold_accs = mean_acc = None
         if cfg.cv_folds:
-            indexed = D.vectorize(pool, vocab, drop_unknown=bool(cfg.embeddings_path))
-            folds = D.make_folds(len(indexed), cfg.cv_folds, seed=cfg.seed)
-            fold_accs = []
-            ckpt_path = ""
-            fold_seqs = root.spawn(cfg.cv_folds)
-            for i, held_out in enumerate(folds):
-                held = set(held_out)
-                test_idx = [indexed[j] for j in held_out]
-                rest = [indexed[j] for j in range(len(indexed)) if j not in held]
-                order = np.arange(len(rest))
-                rng_split.shuffle(order)
-                n_dev = max(1, int(len(rest) * cfg.dev_fraction)) if cfg.dev_fraction > 0 else 0
-                dev_idx = [rest[j] for j in order[:n_dev]]
-                train_idx = [rest[j] for j in order[n_dev:]]
-                model, emb, stats = _fit(
-                    cfg, model_cfg, emb_matrix, train_idx, dev_idx or None, test_idx,
-                    fold_seqs[i].spawn(3), log_fh, f"fold{i}",
-                )
-                ckpt_path = os.path.join(cfg.out_dir, f"fold{i}.ckpt")
-                save_checkpoint(ckpt_path, model, cfg.seed, vocab=vocab, emb_matrix=emb)
-                fold_accs.append(stats["test_acc"])
-                log_fh.write(json.dumps(
-                    {"event": "result", "tag": f"fold{i}", "seed": cfg.seed, **{
-                        k: stats[k] for k in ("best_dev_acc", "test_acc", "final_train_acc", "epochs_run")
-                    }}, sort_keys=True) + "\n")
+            fold_accs = [r["test_acc"] for r in results]
             mean_acc = float(np.mean(fold_accs))
             log_fh.write(json.dumps(
                 {"event": "cv_summary", "fold_accs": fold_accs, "mean_acc": mean_acc,
                  "seed": cfg.seed}, sort_keys=True) + "\n")
-            return TrainReport(
-                best_dev_acc=None, test_acc=None, final_train_acc=float("nan"),
-                epochs_run=0, checkpoint_path=ckpt_path, log_path=log_path,
-                history=[], fold_accs=fold_accs, mean_acc=mean_acc, seed=cfg.seed,
-            )
-
-        drop = bool(cfg.embeddings_path)
-        train_idx = D.vectorize(train_ex, vocab, drop_unknown=drop)
-        dev_idx = D.vectorize(dev_ex, vocab, drop_unknown=drop) if dev_ex else None
-        test_idx = D.vectorize(test_ex, vocab, drop_unknown=drop) if test_ex else None
-        model, emb, stats = _fit(
-            cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx,
-            root.spawn(1)[0].spawn(3), log_fh, "train",
-        )
-        ckpt_path = os.path.join(cfg.out_dir, "model.ckpt")
-        save_checkpoint(ckpt_path, model, cfg.seed, vocab=vocab, emb_matrix=emb)
-        log_fh.write(json.dumps(
-            {"event": "result", "tag": "train", "seed": cfg.seed, **{
-                k: stats[k] for k in ("best_dev_acc", "test_acc", "final_train_acc", "epochs_run")
-            }}, sort_keys=True) + "\n")
-        return TrainReport(
-            best_dev_acc=stats["best_dev_acc"], test_acc=stats["test_acc"],
-            final_train_acc=stats["final_train_acc"], epochs_run=stats["epochs_run"],
-            checkpoint_path=ckpt_path, log_path=log_path, history=stats["history"],
-            seed=cfg.seed,
-        )
+            result, history = {"best_dev_acc": None, "test_acc": None,
+                               "final_train_acc": float("nan"), "epochs_run": 0}, []
+    return TrainReport(**result, checkpoint_path=ckpt_path, log_path=log_path, history=history,
+                       fold_accs=fold_accs, mean_acc=mean_acc, seed=cfg.seed)
 
 
 def _model_config(cfg, m, num_classes):

@@ -8,6 +8,8 @@ import pytest
 from dcbilstm.cli import SWEEP_TABLES, build_train_config, main, parse_config_file
 from dcbilstm.errors import ParseError
 from dcbilstm.model import count_params
+from dcbilstm.train import TrainConfig
+from tests.conftest import _toy_corpus_lines
 
 
 def test_count_params_output(capsys):
@@ -179,6 +181,41 @@ def test_train_cli_reads_an_embeddings_file_with_a_count_dim_header(toy_tsv, tmp
     assert _train_toy(toy_tsv, tmp_path / "run", "--embeddings-path", str(vec)) == 0
     config = json.loads((tmp_path / "run" / "run.log").read_text(encoding="utf-8").splitlines()[0])
     assert config["event"] == "config" and config["m"] == 5
+
+
+@pytest.mark.parametrize("pretrained", [False, True])
+def test_eval_cli_reproduces_the_runs_test_accuracy(toy_tsv, tmp_path, capsys, pretrained):
+    # every third test sentence carries words the training file never uses
+    test = tmp_path / "test.tsv"
+    test.write_text("".join(line + (" zany quixotic zany" if k % 3 == 0 else "") + "\n"
+                            for k, line in enumerate(_toy_corpus_lines(n=40, seed=11))),
+                    encoding="utf-8")
+    flags = ["--test-path", str(test), "--epochs", "3", "--dev-fraction", "0.2", "--seed", "3"]
+    if pretrained:
+        # the table also lacks two training words
+        words = sorted({w for line in Path(toy_tsv).read_text(encoding="utf-8").splitlines()
+                        for w in line.split("\t")[1].split()} - {"film", "cold"})
+        vec = tmp_path / "emb.txt"
+        vec.write_text("".join(f"{w} " + " ".join(f"{0.1 * ((k * 7 + j) % 5 - 2):.1f}"
+                                                  for j in range(6)) + "\n"
+                               for k, w in enumerate(words)), encoding="utf-8")
+        flags += ["--embeddings-path", str(vec)]
+    out_dir = tmp_path / "run"
+    assert _train_toy(toy_tsv, out_dir, *flags) == 0
+    capsys.readouterr()
+    result = json.loads((out_dir / "run.log").read_text(encoding="utf-8").splitlines()[-1])
+    assert result["event"] == "result"
+    assert main(["eval", "--checkpoint", str(out_dir / "model.ckpt"), "--data", str(test)]) == 0
+    assert capsys.readouterr().out == f"accuracy {result['test_acc']:.4f}\n"
+
+
+def test_shipped_configs_parse_into_a_valid_train_config():
+    confs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.conf"))
+    assert [p.name for p in confs] == ["sst2_glove.conf", "toy.conf"]
+    for path in confs:
+        values = parse_config_file(path)
+        assert values["train_path"], path
+        TrainConfig(**values).validate()
 
 
 def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):

@@ -7,7 +7,8 @@ import types
 import numpy as np
 import pytest
 
-from dcbilstm.data import PAD_IDX, Batch, make_batches
+from dcbilstm.cli import main
+from dcbilstm.data import PAD_IDX, Batch, load_dataset, make_batches, vectorize
 from dcbilstm.errors import ConfigError, TrainingDiverged
 from dcbilstm.model import (
     Model,
@@ -314,6 +315,42 @@ def test_train_cv_mode(toy_tsv, tmp_path):
     assert lines[-1]["event"] == "cv_summary"
     tags = {l["tag"] for l in lines if l["event"] == "epoch"}
     assert tags == {f"fold{i}" for i in range(4)}
+
+
+def test_train_cv_fold_with_one_remaining_example_trains_on_it(tmp_path, capsys):
+    # each fold's remainder is a single example; dev must not take it
+    two = tmp_path / "two.tsv"
+    two.write_text("0\tawful film\n1\tgreat film\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", str(two), "--cv-folds", "2", "--dl", "1",
+                 "--dh", "2", "--th", "3", "--embedding-dim", "4", "--epochs", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    assert "mean accuracy" in capsys.readouterr().out
+    assert (out_dir / "fold0.ckpt").is_file() and (out_dir / "fold1.ckpt").is_file()
+    results = [json.loads(l) for l in open(out_dir / "run.log", encoding="utf-8")
+               if '"result"' in l]
+    assert [r["best_dev_acc"] for r in results] == [None, None]
+
+
+@pytest.mark.parametrize("dev_fraction", [0.25, 0.0])
+def test_train_result_is_the_best_dev_epochs_record(toy_tsv, tmp_path, dev_fraction):
+    report = train(_quick_cfg(toy_tsv, tmp_path, epochs=6, patience=2, lr=0.05,
+                              dev_fraction=dev_fraction, test_path=toy_tsv))
+    lines = [json.loads(l) for l in open(report.log_path, encoding="utf-8")]
+    epochs = [l for l in lines if l["event"] == "epoch"]
+    if dev_fraction:
+        # the first epoch with the highest dev accuracy
+        best = max(epochs, key=lambda rec: (rec["dev_acc"], -rec["epoch"]))
+        assert best is not epochs[-1]  # patience ran out after the best epoch
+    else:
+        best = epochs[-1]
+    assert lines[-1] == {"event": "result", "tag": "train", "seed": 0,
+                         "best_dev_acc": best["dev_acc"], "test_acc": best["test_acc"],
+                         "final_train_acc": best["train_acc"], "epochs_run": len(epochs)}
+    # the checkpoint holds that epoch's parameters
+    model, meta = load_checkpoint(report.checkpoint_path)
+    indexed = vectorize(load_dataset(toy_tsv, "tsv"), meta["vocab"], drop_unknown=True)
+    assert evaluate(model, meta["emb_matrix"], indexed) == best["test_acc"]
 
 
 def test_train_softmax_l2_mode_changes_trajectory(toy_tsv, tmp_path):
