@@ -14,12 +14,11 @@ flags; the effective configuration is echoed into the run log.
 import argparse
 import dataclasses
 import sys
-import typing
 
 from . import data as D
 from .errors import CheckpointError, ConfigError, ParseError, TrainingDiverged
 from .gradcheck import check_model
-from .model import count_params, format_param_count, load_checkpoint
+from .model import count_params, format_param_count, load_checkpoint, parse_setting
 from .train import TrainConfig, evaluate, train
 
 # rows are (dl, dh, th); all tables assume 300-dim pretrained vectors
@@ -33,24 +32,10 @@ SWEEP_TABLES = {
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
-def _parse_bool(value):
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
 def _coerce(key, value, line_no=None):
-    """Text -> the annotated type of `key`; `none` gives None for an `X | None` field."""
-    kind = _FIELD_TYPES[key]
+    """Text -> the annotated type of `key`, by ``parse_setting``'s rules."""
     try:
-        if typing.get_args(kind):  # X | None
-            if value.lower() == "none":
-                return None
-            kind = typing.get_args(kind)[0]
-        return _parse_bool(value) if kind is bool else kind(value)
+        return parse_setting(_FIELD_TYPES[key], value)
     except ValueError as exc:
         raise ParseError(f"bad value for {key}: {exc}", line_no)
 
@@ -78,22 +63,22 @@ def build_train_config(config_path=None, overrides=None):
     values = {}
     if config_path:
         values.update(parse_config_file(config_path))
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update(overrides or {})
     return TrainConfig(**values)
 
 
 def _add_train_flags(p):
+    # a flag left out sets no attribute, so `--max-norm-s none` can override a file
     for f in dataclasses.fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
         if f.type is bool:
-            p.add_argument(flag, default=None, action=argparse.BooleanOptionalAction)
+            p.add_argument(flag, default=argparse.SUPPRESS, action=argparse.BooleanOptionalAction)
         else:
-            p.add_argument(flag, default=None, type=lambda v, k=f.name: _coerce(k, v))
+            p.add_argument(flag, default=argparse.SUPPRESS, type=lambda v, k=f.name: _coerce(k, v))
 
 
 def _collect_overrides(args):
-    return {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
+    return {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
 
 
 def _build_parser():

@@ -16,7 +16,8 @@ embeddings and the pooled vector.
 """
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -43,29 +44,28 @@ class ModelConfig:
     arch: str = ARCH_DENSE
     dropout_embed: float = 0.5
     dropout_pool: float = 0.5
-    max_norm_s: float | None = 3.0
     forget_bias: float = 0.0
+    max_norm_s: float | None = 3.0
     train_embeddings: bool = False
 
     def validate(self):
         if self.arch not in (ARCH_DENSE, ARCH_STACKED):
             raise ConfigError(f"arch must be {ARCH_DENSE!r} or {ARCH_STACKED!r}, got {self.arch!r}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.dl < 0:
-            raise ConfigError(f"dl must be >= 0, got {self.dl}")
+        for name, low in (("m", 1), ("dl", 0), ("th", 1), ("num_classes", 2)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.dl > 0 and self.dh < 1:
             raise ConfigError(f"dh must be >= 1 when dl > 0, got {self.dh}")
-        if self.th < 1:
-            raise ConfigError(f"th must be >= 1, got {self.th}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        # every range is written so that NaN falls outside it
         for name in ("dropout_embed", "dropout_pool"):
             r = getattr(self, name)
             if not 0.0 <= r < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {r}")
-        if self.max_norm_s is not None and self.max_norm_s <= 0:
-            raise ConfigError(f"max_norm_s must be positive or none, got {self.max_norm_s}")
+        if self.max_norm_s is not None and not 0.0 < self.max_norm_s < math.inf:
+            raise ConfigError(f"max_norm_s must be positive and finite or none, "
+                              f"got {self.max_norm_s}")
+        if not math.isfinite(self.forget_bias):
+            raise ConfigError(f"forget_bias must be finite, got {self.forget_bias}")
         return self
 
     def layer_input_dim(self, l):
@@ -80,6 +80,32 @@ class ModelConfig:
         if self.arch == ARCH_DENSE:
             return self.m + 2 * self.dh * self.dl
         return 2 * self.dh
+
+
+def parse_setting(kind, text):
+    """Text -> a value of the annotated type ``kind``; raises ValueError.
+
+    An ``X | None`` type reads ``none`` (any case) as None; a bool is
+    spelt true/false, yes/no or 1/0.  Config files, flags and checkpoint
+    manifests all read settings this way.
+    """
+    if typing.get_args(kind):  # X | None
+        if text.lower() == "none":
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is not bool:
+        return kind(text)
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def format_setting(value):
+    """The text ``parse_setting`` reads back as ``value``."""
+    return "none" if value is None else str(int(value) if isinstance(value, bool) else value)
 
 
 def param_shapes(cfg):
@@ -401,7 +427,6 @@ class ModelTrace:
     cells: list  # (Cf, Cb) of every layer, the top layer last
     mask_pool: np.ndarray | None
     pooled_dropped: np.ndarray
-    probs: np.ndarray
     consumed: bool = False  # set by model_backward, which overwrites gates
 
 
@@ -473,7 +498,6 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         cells=cells,
         mask_pool=mask_p,
         pooled_dropped=pooled_d,
-        probs=probs,
     )
     return probs, trace
 
@@ -519,26 +543,19 @@ def embedding_gradient(trace, dEmb, vocab_size):
 # checkpoint format
 #
 # Line 1 is the magic "DCBILSTM v1".  A flat text manifest follows (one
-# "key value" pair per line, utf-8), optionally a vocab section, then
-# "tensors <k>" and k blocks of "name rows cols" followed by rows*cols
-# little-endian float64 values.  Round-trips are bitwise stable.
-
-_MANIFEST_INT = ("m", "dl", "dh", "th", "num_classes")
-_MANIFEST_FLOAT = ("dropout_embed", "dropout_pool", "forget_bias")
+# "key value" pair per line, utf-8): every ModelConfig field, arch first and
+# the rest in declaration order, written by ``format_setting`` and read by
+# ``parse_setting``, then the gate order, concat order and seed.  An
+# optional vocab section follows, then "tensors <k>" and k blocks of
+# "name rows cols" followed by rows*cols little-endian float64 values.
+# Round-trips are bitwise stable.
 
 
 def save_checkpoint(path, model, seed, vocab=None, emb_matrix=None):
     cfg = model.config
-    lines = [CHECKPOINT_MAGIC, f"arch {cfg.arch}"]
-    for key in _MANIFEST_INT:
-        lines.append(f"{key} {getattr(cfg, key)}")
-    for key in _MANIFEST_FLOAT:
-        lines.append(f"{key} {getattr(cfg, key)!r}")
-    lines.append(f"max_norm_s {'none' if cfg.max_norm_s is None else repr(cfg.max_norm_s)}")
-    lines.append(f"train_embeddings {int(cfg.train_embeddings)}")
-    lines.append(f"gate_order {GATE_ORDER}")
-    lines.append(f"concat_order {CONCAT_ORDER}")
-    lines.append(f"seed {int(seed)}")
+    keys = ["arch"] + [f.name for f in fields(ModelConfig) if f.name != "arch"]
+    lines = [CHECKPOINT_MAGIC, *(f"{key} {format_setting(getattr(cfg, key))}" for key in keys),
+             f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {int(seed)}"]
 
     tensors = list(model.named_params())
     if vocab is not None:
@@ -577,84 +594,78 @@ def _read_count(text, what):
 
 
 def load_checkpoint(path):
-    """Returns (model, meta) with meta carrying seed, vocab and embeddings."""
-    with open(path, "rb") as fh:
-        if _read_line(fh, "magic") != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-        manifest = {}
-        vocab_tokens = None
-        n_tensors = None
-        while n_tensors is None:
-            line = _read_line(fh, "manifest")
-            key, _, value = line.partition(" ")
-            if key == "vocab":
-                n_vocab = _read_count(value, "vocab size")
-                vocab_tokens = [_read_line(fh, "vocab token") for _ in range(n_vocab)]
-            elif key == "tensors":
-                n_tensors = _read_count(value, "tensor count")
-            else:
-                manifest[key] = value
+    """Returns (model, meta) with meta carrying seed, vocab and embeddings.
 
-        required = {"arch", "seed", "gate_order", "concat_order", "train_embeddings",
-                    "max_norm_s", *_MANIFEST_INT, *_MANIFEST_FLOAT}
-        missing = required - set(manifest)
-        if missing:
-            raise CheckpointError(f"{path}: manifest missing keys {sorted(missing)}")
-        unknown = set(manifest) - required
-        if unknown:
-            raise CheckpointError(f"{path}: unknown manifest keys {sorted(unknown)}")
-        if manifest["gate_order"] != GATE_ORDER or manifest["concat_order"] != CONCAT_ORDER:
-            raise CheckpointError(f"{path}: incompatible gate/concat order")
-
-        tensors = {}
-        for _ in range(n_tensors):
-            header = _read_line(fh, "tensor header").split(" ")
-            if len(header) != 3:
-                raise CheckpointError(f"{path}: malformed tensor header {header!r}")
-            name = header[0]
-            rows = _read_count(header[1], f"{path}: tensor {name} rows")
-            cols = _read_count(header[2], f"{path}: tensor {name} cols")
-            nbytes = rows * cols * 8
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
-            arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-            tensors[name] = arr
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after last tensor")
-
+    Any defect of the file, a bad setting or a tensor that does not fit the
+    settings included, raises ``CheckpointError`` naming the file.
+    """
     try:
-        cfg = ModelConfig(
-            m=int(manifest["m"]),
-            dl=int(manifest["dl"]),
-            dh=int(manifest["dh"]),
-            th=int(manifest["th"]),
-            num_classes=int(manifest["num_classes"]),
-            arch=manifest["arch"],
-            dropout_embed=float(manifest["dropout_embed"]),
-            dropout_pool=float(manifest["dropout_pool"]),
-            max_norm_s=None if manifest["max_norm_s"] == "none" else float(manifest["max_norm_s"]),
-            forget_bias=float(manifest["forget_bias"]),
-            train_embeddings=bool(int(manifest["train_embeddings"])),
-        )
-        seed = int(manifest["seed"])
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: malformed manifest value ({exc})")
+        raise CheckpointError(f"{path}: {exc}") from exc
 
-    def grab(name):
+
+def _read_checkpoint(fh):
+    if _read_line(fh, "magic") != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"not a {CHECKPOINT_MAGIC} checkpoint")
+    manifest = {}
+    vocab_tokens = None
+    n_tensors = None
+    while n_tensors is None:
+        line = _read_line(fh, "manifest")
+        key, _, value = line.partition(" ")
+        if key == "vocab":
+            n_vocab = _read_count(value, "vocab size")
+            vocab_tokens = [_read_line(fh, "vocab token") for _ in range(n_vocab)]
+        elif key == "tensors":
+            n_tensors = _read_count(value, "tensor count")
+        else:
+            manifest[key] = value
+
+    required = {f.name for f in fields(ModelConfig)} | {"seed", "gate_order", "concat_order"}
+    missing = required - set(manifest)
+    if missing:
+        raise CheckpointError(f"manifest missing keys {sorted(missing)}")
+    unknown = set(manifest) - required
+    if unknown:
+        raise CheckpointError(f"unknown manifest keys {sorted(unknown)}")
+    if manifest["gate_order"] != GATE_ORDER or manifest["concat_order"] != CONCAT_ORDER:
+        raise CheckpointError("incompatible gate/concat order")
+
+    tensors = {}
+    for _ in range(n_tensors):
+        header = _read_line(fh, "tensor header").split(" ")
+        if len(header) != 3:
+            raise CheckpointError(f"malformed tensor header {header!r}")
+        name = header[0]
+        rows = _read_count(header[1], f"tensor {name} rows")
+        cols = _read_count(header[2], f"tensor {name} cols")
+        nbytes = rows * cols * 8
+        buf = fh.read(nbytes)
+        if len(buf) != nbytes:
+            raise CheckpointError(f"truncated tensor {name}")
+        arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} holds non-finite values")
+        tensors[name] = arr
+    if fh.read(1):
+        raise CheckpointError("trailing bytes after last tensor")
+
+    settings = {}
+    for f in fields(ModelConfig):
         try:
-            return tensors.pop(name)
-        except KeyError:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-
-    model = Model(cfg, {name: grab(name) for name, _ in param_shapes(cfg)})
-
-    meta = {"seed": seed, "vocab": None, "emb_matrix": None}
+            settings[f.name] = parse_setting(f.type, manifest[f.name])
+        except ValueError as exc:
+            raise CheckpointError(f"bad value for {f.name}: {exc}")
+    cfg = ModelConfig(**settings).validate()
+    model = Model(cfg, {name: tensors.pop(name) for name, _ in param_shapes(cfg) if name in tensors})
+    meta = {"seed": int(manifest["seed"]), "vocab": None, "emb_matrix": None}
     if vocab_tokens is not None:
+        if "embeddings" not in tensors:
+            raise CheckpointError("missing tensor embeddings")
         meta["vocab"] = {tok: idx + 2 for idx, tok in enumerate(vocab_tokens)}
-        meta["emb_matrix"] = grab("embeddings")
+        meta["emb_matrix"] = tensors.pop("embeddings")
     if tensors:
-        raise CheckpointError(f"{path}: unexpected tensors {sorted(tensors)}")
+        raise CheckpointError(f"unexpected tensors {sorted(tensors)}")
     return model, meta

@@ -10,10 +10,11 @@ identical bytes; wall-clock timing goes to stderr only.
 """
 
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,16 +82,22 @@ class TrainConfig:
             raise ConfigError(f"cv_folds must be 0 or >= 2, got {self.cv_folds}")
         if self.cv_folds and (self.dev_path or self.test_path):
             raise ConfigError("cross-validation uses a single input file; drop dev/test paths")
-        if not 0.0 <= self.dev_fraction < 1.0:
-            raise ConfigError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.softmax_l2 < 0:
-            raise ConfigError(f"softmax_l2 must be >= 0, got {self.softmax_l2}")
+        for name in ("batch_size", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # every range is written so that NaN falls outside it
+        for name in ("dev_fraction", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not 0.0 <= self.softmax_l2 < math.inf:
+            raise ConfigError(f"softmax_l2 must be >= 0 and finite, got {self.softmax_l2}")
+        if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
+            raise ConfigError(f"stop_at_train_acc must be in [0, 1] or none, "
+                              f"got {self.stop_at_train_acc}")
         return self
 
 
@@ -414,12 +421,8 @@ def train(cfg):
 def _model_config(cfg, m, num_classes):
     if num_classes < 2:
         raise ConfigError("could not infer at least two classes from the data")
-    return ModelConfig(
-        m=m, dl=cfg.dl, dh=cfg.dh, th=cfg.th, num_classes=num_classes,
-        arch=cfg.arch, dropout_embed=cfg.dropout_embed, dropout_pool=cfg.dropout_pool,
-        max_norm_s=cfg.max_norm_s, forget_bias=cfg.forget_bias,
-        train_embeddings=cfg.train_embeddings,
-    ).validate()
+    shared = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig) if hasattr(cfg, f.name)}
+    return ModelConfig(**{**shared, "m": m, "num_classes": num_classes}).validate()
 
 
 def _write_config(log_fh, cfg, m, num_classes):

@@ -122,6 +122,32 @@ def test_train_cli_missing_data_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--batch-size", "0"), ("--max-norm-s", "nan"), ("--softmax-l2", "nan"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--beta1", "1.0"), ("--beta2", "nan"),
+    ("--eps", "0"), ("--forget-bias", "nan"), ("--stop-at-train-acc", "nan"),
+])
+def test_train_cli_bad_setting_exits_2_before_writing(toy_tsv, tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "2", "--th", "3",
+                 "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir),
+                 flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+def test_train_cli_none_flag_overrides_the_config_file(toy_tsv, tmp_path):
+    conf = tmp_path / "t.conf"
+    conf.write_text(f"train_path = {toy_tsv}\nmax_norm_s = 2.0\nstop_at_train_acc = 0.5\n",
+                    encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(conf), "--dl", "1", "--dh", "2", "--th", "3",
+                 "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir),
+                 "--max-norm-s", "none", "--stop-at-train-acc", "none"]) == 0
+    logged = json.loads(open(out_dir / "run.log", encoding="utf-8").readline())
+    assert logged["max_norm_s"] is None and logged["stop_at_train_acc"] is None
+
+
 def test_eval_cli_round_trip(toy_tsv, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "4",

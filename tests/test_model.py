@@ -392,7 +392,7 @@ def _per_token_forward(model, emb_matrix, batch):
     probs = classify_batch(pooled, model.softmax_W, model.softmax_b)
     return probs, ModelTrace(tokens=tokens, lengths=batch.lengths, packing=packing,
                              mask_embed=None, emb=emb, states=states, gates=gates, cells=cells,
-                             mask_pool=None, pooled_dropped=pooled, probs=probs)
+                             mask_pool=None, pooled_dropped=pooled)
 
 
 def _repeated_token_batch(seed, B=7, T=9, vocab=6):
@@ -588,11 +588,19 @@ def test_training_forward_requires_rng():
 # checkpoints
 
 
-def test_checkpoint_round_trip_bitwise(tmp_path):
+@pytest.mark.parametrize("settings", [
+    {},
+    {"max_norm_s": None},
+    {"train_embeddings": False},
+    {"forget_bias": 2},
+], ids=["all-set", "no-max-norm", "frozen-embeddings", "int-forget-bias"])
+def test_checkpoint_round_trip_bitwise(tmp_path, settings):
     rng = make_rng(8)
     cfg = ModelConfig(m=6, dl=2, dh=3, th=4, num_classes=3, arch="dense",
                       dropout_embed=0.4, dropout_pool=0.3, max_norm_s=2.5,
                       forget_bias=1.0, train_embeddings=True)
+    for name, value in settings.items():
+        setattr(cfg, name, value)
     model = Model.build(cfg, rng)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, seed=99)
@@ -602,10 +610,11 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     for (na, a), (nb, b) in zip(model.named_params(), loaded.named_params()):
         assert na == nb
         assert np.array_equal(a, b), na
-    # a second save of the loaded model reproduces the file byte for byte
+    # a second save of the loaded model reproduces the file byte for byte,
+    # except that an int given for a float setting comes back as a float
     path2 = tmp_path / "again.ckpt"
     save_checkpoint(path2, loaded, seed=99)
-    assert path.read_bytes() == path2.read_bytes()
+    assert path2.read_bytes() == path.read_bytes().replace(b"forget_bias 2\n", b"forget_bias 2.0\n")
 
 
 def test_checkpoint_from_before_the_parameter_table_round_trips(tmp_path):
@@ -686,8 +695,14 @@ def _nan_entry(blob):
     lambda blob: _corrupt(blob, b"\nm 6\n", b"\nm six\n"),
     _nan_entry,
     lambda blob: blob[:blob.index(b"\n")],
+    lambda blob: _corrupt(blob, b"\ndh 3\n", b"\ndh 2\n"),
+    lambda blob: _corrupt(blob, b"\ndropout_pool 0.0\n", b"\ndropout_pool 1.5\n"),
+    lambda blob: _corrupt(blob, b"\narch dense\n", b"\narch wide\n"),
+    lambda blob: _corrupt(blob, b"\nmax_norm_s none\n", b"\nmax_norm_s nan\n"),
+    lambda blob: _corrupt(blob, b"\ntrain_embeddings 0\n", b"\ntrain_embeddings 7\n"),
 ], ids=["vocab-word", "vocab-negative", "tensor-count", "header-float", "header-negative",
-        "manifest-int", "nan-tensor", "no-newline"])
+        "manifest-int", "nan-tensor", "no-newline", "dh-vs-tensors", "dropout-range",
+        "arch-unknown", "max-norm-nan", "bool-seven"])
 def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
     rng = make_rng(12)
     model = Model.build(small_config(dl=1), rng)
@@ -696,5 +711,5 @@ def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
                     emb_matrix=rng.standard_normal((5, 6)))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(mangle(good.read_bytes()))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="bad.ckpt"):
         load_checkpoint(bad)
