@@ -155,6 +155,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    if args.expect_min is not None and not 0.0 <= args.expect_min <= 1.0:
+        raise ConfigError(f"--expect-min must be in [0, 1], got {args.expect_min}")
     model, meta = load_checkpoint(args.checkpoint)
     if meta["vocab"] is None:
         raise ConfigError(f"{args.checkpoint} has no vocab section; cannot embed text")

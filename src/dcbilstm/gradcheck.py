@@ -98,8 +98,7 @@ def _compare(name, analytic, numeric, tol_rel, tol_abs):
 
 
 def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
-                seq_len=5, tol_rel=1e-4, tol_abs=1e-7, eps=1e-5,
-                check_input=True, inject_fault=False):
+                seq_len=5, tol_rel=1e-4, tol_abs=1e-7, eps=1e-5, inject_fault=False):
     """Build a small random model and verify all its gradients.
 
     inject_fault deliberately corrupts one analytic softmax weight gradient
@@ -131,10 +130,8 @@ def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
         analytic["softmax.W"] = analytic["softmax.W"].copy()
         analytic["softmax.W"][0, 0] += 1e-2
 
-    arrays = dict(model.named_params())
-    if check_input:
-        arrays["input"] = emb_matrix
-        analytic["input"] = embedding_gradient(trace, dEmb, seq_len)
+    arrays = dict(model.named_params(), input=emb_matrix)
+    analytic["input"] = embedding_gradient(trace, dEmb, seq_len)
 
     numeric = finite_diff(loss_fn, arrays, eps)
     groups = [

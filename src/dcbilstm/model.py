@@ -68,19 +68,6 @@ class ModelConfig:
             raise ConfigError(f"forget_bias must be finite, got {self.forget_bias}")
         return self
 
-    def layer_input_dim(self, l):
-        """Input width of dense-module layer l (1-based)."""
-        if self.arch == ARCH_DENSE:
-            return self.m + 2 * self.dh * (l - 1)
-        return self.m if l == 1 else 2 * self.dh
-
-    def top_input_dim(self):
-        if self.dl == 0:
-            return self.m
-        if self.arch == ARCH_DENSE:
-            return self.m + 2 * self.dh * self.dl
-        return 2 * self.dh
-
 
 def parse_setting(kind, text):
     """Text -> a value of the annotated type ``kind``; raises ValueError.
@@ -108,25 +95,6 @@ def format_setting(value):
     return "none" if value is None else str(int(value) if isinstance(value, bool) else value)
 
 
-def param_shapes(cfg):
-    """(name, shape) of every trained tensor, in the fixed order of ``named_params``.
-
-    The one place parameter names and shapes are written down.  Each
-    direction of a Bi-LSTM layer of width d that reads w columns has a
-    weight W (w + d, 4d), acting on ``[x; h_prev]`` with its columns the
-    gates in the order ``[i | f | o | g]``, and a bias b (1, 4d).  Dense
-    layers come first, then the top layer, then the softmax head.
-    """
-    layers = [(f"dense{l - 1}", cfg.layer_input_dim(l), cfg.dh) for l in range(1, cfg.dl + 1)]
-    layers.append(("top", cfg.top_input_dim(), cfg.th))
-    table = []
-    for layer, w, d in layers:
-        for tag in ("fwd", "bwd"):
-            table += [(f"{layer}.{tag}.W", (w + d, 4 * d)), (f"{layer}.{tag}.b", (1, 4 * d))]
-    return table + [("softmax.W", (2 * cfg.th, cfg.num_classes)),
-                    ("softmax.b", (1, cfg.num_classes))]
-
-
 class _Layer(NamedTuple):
     """Where one Bi-LSTM layer of the stack lives.
 
@@ -152,20 +120,40 @@ class _Layer(NamedTuple):
 def _stack_layout(cfg):
     """The ``_Layer`` of every Bi-LSTM layer in stack order, the top layer last.
 
-    Dense layers read the embeddings and every earlier layer's states;
-    stacked layers after the first read only the previous layer's states.
+    The layers are dense0 .. dense{dl-1}, each dh wide, then the top layer,
+    th wide.  Dense layers read the embeddings and every earlier layer's
+    states; a stacked layer reads the embeddings when it is first, and
+    otherwise only the previous layer's states.
     """
+    dense = cfg.arch == ARCH_DENSE
     layers, col, out = [], 0, 0
-    fwd_weights = [(name, shape) for name, shape in param_shapes(cfg) if name.endswith(".fwd.W")]
-    for k, (name, (rows, cols)) in enumerate(fwd_weights):
-        d, embedded = cols // 4, cfg.arch == ARCH_DENSE or k == 0
-        w = rows - d
-        n_rest = w - cfg.m if embedded else w
-        layers.append(_Layer(name.removesuffix(".fwd.W"), d, w, slice(col, col + 8 * d),
-                            slice(out, out + 2 * d), slice(out - n_rest, out),
-                            slice(w - n_rest, w), embedded))
+    for name, d in [(f"dense{l}", cfg.dh) for l in range(cfg.dl)] + [("top", cfg.th)]:
+        embedded = dense or not layers
+        n_rest = out if dense or not layers else 2 * layers[-1].d
+        w = (cfg.m if embedded else 0) + n_rest
+        layers.append(_Layer(name, d, w, slice(col, col + 8 * d), slice(out, out + 2 * d),
+                             slice(out - n_rest, out), slice(w - n_rest, w), embedded))
         col, out = col + 8 * d, out + 2 * d
     return layers
+
+
+def param_shapes(cfg):
+    """(name, shape) of every trained tensor, in the fixed order of ``named_params``.
+
+    The one place parameter names and shapes are written down.  Each
+    direction of a Bi-LSTM layer of width d that reads w columns has a
+    weight W (w + d, 4d), acting on ``[x; h_prev]`` with its columns the
+    gates in the order ``[i | f | o | g]``, and a bias b (1, 4d).  Layers
+    come in ``_stack_layout`` order, then the softmax head; every weight
+    comes right before its bias.
+    """
+    table = []
+    for L in _stack_layout(cfg):
+        for tag in ("fwd", "bwd"):
+            table += [(f"{L.name}.{tag}.W", (L.w + L.d, 4 * L.d)),
+                      (f"{L.name}.{tag}.b", (1, 4 * L.d))]
+    return table + [("softmax.W", (2 * cfg.th, cfg.num_classes)),
+                    ("softmax.b", (1, cfg.num_classes))]
 
 
 class Model:
@@ -208,16 +196,14 @@ class Model:
         Weights are drawn in table order, so a seed fixes the whole model.
         """
         config.validate()
-        params = {}
-        for name, shape in param_shapes(config):
-            if name.endswith(".W"):
-                params[name] = glorot_uniform(*shape, rng)
-                continue
-            params[name] = np.zeros(shape)
-            if config.forget_bias and name != "softmax.b":
-                d = shape[1] // 4
-                params[name][0, d:2 * d] = config.forget_bias
-        return cls(config, params)
+        table = param_shapes(config)
+        params = {name: np.zeros(shape) for name, shape in table}
+        for name, shape in table[::2]:  # the weights
+            params[name] = glorot_uniform(*shape, rng)
+        model = cls(config, params)
+        for L in model.layers:  # gate blocks [i | f | o | g] of fwd, then of bwd
+            model.lstm_b[0, L.cols].reshape(2, 4, L.d)[:, 1] = config.forget_bias
+        return model
 
     @property
     def softmax_W(self):
@@ -263,8 +249,7 @@ def count_params(m, dl, dh, th):
     if m < 1 or th < 1:
         raise ConfigError(f"m and th must be >= 1, got m={m}, th={th}")
     cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=2)
-    return sum(math.prod(shape) for name, shape in param_shapes(cfg)
-               if not name.startswith("softmax."))
+    return sum(8 * L.d * (L.w + L.d + 1) for L in _stack_layout(cfg))
 
 
 def format_param_count(n):

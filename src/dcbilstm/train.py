@@ -82,7 +82,7 @@ class TrainConfig:
             raise ConfigError(f"cv_folds must be 0 or >= 2, got {self.cv_folds}")
         if self.cv_folds and (self.dev_path or self.test_path):
             raise ConfigError("cross-validation uses a single input file; drop dev/test paths")
-        for name in ("batch_size", "epochs", "patience"):
+        for name in ("batch_size", "epochs", "patience", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # every range is written so that NaN falls outside it
@@ -98,6 +98,10 @@ class TrainConfig:
         if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
             raise ConfigError(f"stop_at_train_acc must be in [0, 1] or none, "
                               f"got {self.stop_at_train_acc}")
+        if self.num_classes < 0 or self.num_classes == 1:
+            raise ConfigError(f"num_classes must be 0 or >= 2, got {self.num_classes}")
+        # the model settings too, before any input file is read
+        _model_config(self, self.embedding_dim, self.num_classes or 2)
         return self
 
 

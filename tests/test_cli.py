@@ -126,14 +126,27 @@ def test_train_cli_missing_data_file_exits_2(tmp_path, capsys):
     ("--batch-size", "0"), ("--max-norm-s", "nan"), ("--softmax-l2", "nan"),
     ("--lr", "nan"), ("--lr", "inf"), ("--beta1", "1.0"), ("--beta2", "nan"),
     ("--eps", "0"), ("--forget-bias", "nan"), ("--stop-at-train-acc", "nan"),
+    ("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5"), ("--num-classes", "1"),
+    ("--num-classes", "-3"), ("--embedding-dim", "0"), ("--embedding-dim", "-1"),
 ])
 def test_train_cli_bad_setting_exits_2_before_writing(toy_tsv, tmp_path, capsys, flag, value):
     out_dir = tmp_path / "run"
     assert main(["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "2", "--th", "3",
                  "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir),
                  flag, value]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # the error names the setting
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} ")
     assert not out_dir.exists()
+
+
+def test_train_cli_bad_setting_is_reported_before_the_data_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.tsv"
+    for flag, value in (("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5")):
+        assert main(["train", "--train-path", str(missing), "--dl", "1", "--out-dir",
+                     str(tmp_path / "run"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} "), err
+        assert "missing.tsv" not in err, err
 
 
 def test_train_cli_none_flag_overrides_the_config_file(toy_tsv, tmp_path):
@@ -242,6 +255,17 @@ def test_shipped_configs_parse_into_a_valid_train_config():
         values = parse_config_file(path)
         assert values["train_path"], path
         TrainConfig(**values).validate()
+
+
+@pytest.mark.parametrize("floor", ["nan", "-0.1", "1.5"])
+def test_eval_cli_rejects_a_floor_outside_0_1(tmp_path, capsys, floor):
+    data = tmp_path / "two.tsv"
+    data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    ckpt = Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--expect-min", floor]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --expect-min "), captured
 
 
 def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):

@@ -141,6 +141,26 @@ def test_growth_law_fail_fast():
         Model(cfg, one_layer)
 
 
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+def test_param_table_follows_the_growth_law(arch):
+    def reads(l, m, dh):
+        """Input width of layer l (1-based); the top layer reads like layer dl + 1."""
+        if arch == "dense":
+            return m + 2 * dh * (l - 1)
+        return m if l == 1 else 2 * dh
+
+    for m, dh, th in [(300, 13, 100), (7, 2, 5)]:
+        for dl in range(21):
+            layers = [(f"dense{l - 1}", reads(l, m, dh), dh) for l in range(1, dl + 1)]
+            layers.append(("top", reads(dl + 1, m, dh), th))
+            expected = [(f"{name}.{tag}.{p}", shape)
+                        for name, w, d in layers for tag in ("fwd", "bwd")
+                        for p, shape in (("W", (w + d, 4 * d)), ("b", (1, 4 * d)))]
+            expected += [("softmax.W", (2 * th, 3)), ("softmax.b", (1, 3))]
+            cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=3, arch=arch)
+            assert param_shapes(cfg) == expected, (m, dl, dh, th)
+
+
 def test_model_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(m=6, dl=1, dh=3, th=4, num_classes=3, arch="wide").validate()
