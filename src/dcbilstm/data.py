@@ -24,6 +24,7 @@ from .tensor import make_rng
 
 PAD_IDX = 0
 UNK_IDX = 1
+EMBEDDING_SCALE = 0.1  # random embeddings are uniform in [-0.1, 0.1)
 
 # splits off standard sentence punctuation while keeping contractions and
 # hyphenated words intact ("rock-solid", "don't")
@@ -55,22 +56,21 @@ def _vec_header_dim(line):
     return None
 
 
-def load_embeddings(path, dim=None, keep=None):
+def load_embeddings(path, keep=None):
     """Parse space-separated "word v1 v2 ... vd" lines.
 
     A first line of exactly two integer fields is the "count dim" header of
     word2vec text and fastText .vec files; it is skipped, and the vectors
-    must have its dim.  Otherwise the first data line fixes the dimension
-    unless dim is given.  The last d fields of a line are the vector and the
-    rest is the word, so a word may contain spaces (glove.840B.300d has a
-    few).  Repeated words keep the first occurrence (GloVe files list cased
-    variants; we lowercase keys, so "The" after "the" is dropped).  Every
-    line is parsed and checked, but when keep is given only its (lowercase)
-    words are stored, so a corpus needs memory for its own vocabulary, not
-    the whole file.
+    must have its dim.  Otherwise the first data line fixes the dimension.
+    The last d fields of a line are the vector and the rest is the word, so
+    a word may contain spaces (glove.840B.300d has a few).  Repeated words
+    keep the first occurrence (GloVe files list cased variants; we lowercase
+    keys, so "The" after "the" is dropped).  Every line is parsed and
+    checked, but when keep is given only its (lowercase) words are stored,
+    so a corpus needs memory for its own vocabulary, not the whole file.
     """
     vectors = {}
-    header_dim = None
+    dim = header_dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
@@ -137,115 +137,64 @@ def _load_tsv(path):
 
 # -- PTB sentiment trees ----------------------------------------------------
 
+# a parenthesis, or a run of text between parentheses, spaces and tabs
+_TREE_TOKEN_RE = re.compile(r"[()]|[^() \t]+")
 
-@dataclass
-class _Node:
-    label: int
-    word: str | None
-    children: list
+# five-way sentiment to binary; neutral (2) and any other label are dropped
+_BINARY_LABELS = {0: 0, 1: 0, 3: 1, 4: 1}
 
 
 def parse_tree(line, line_no=0):
-    """One parenthesized sentiment tree -> (_Node, leaf tokens in order)."""
-    pos = 0
-    n = len(line)
+    """One sentiment tree -> [(words, label)] of every node, the root last.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and line[pos] in " \t":
-            pos += 1
-
-    def node():
-        nonlocal pos
-        skip_ws()
-        if pos >= n or line[pos] != "(":
-            raise ParseError(f"expected '(' at column {pos}", line_no)
-        pos += 1
-        skip_ws()
-        start = pos
-        while pos < n and line[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError(f"expected node label at column {start}", line_no)
-        label = int(line[start:pos])
-        skip_ws()
-        children = []
-        word = None
-        if pos < n and line[pos] == "(":
-            while pos < n and line[pos] == "(":
-                children.append(node())
-                skip_ws()
+    A node is "(label word)" or "(label subtree ...)".  One walk over the
+    tokens keeps a stack of open nodes, each [label, index of its first
+    word, what it holds], and records a node when its ")" closes it, so
+    children come before their parent and any depth loads.
+    """
+    tokens = iter(_TREE_TOKEN_RE.findall(line))
+    words, spans, stack = [], [], []
+    for tok in tokens:
+        if not stack and (spans or tok != "("):
+            raise ParseError("text after the root" if spans else
+                             f"expected '(', got {tok!r}", line_no)
+        if tok == "(":
+            label = next(tokens, "")
+            if not label.isdecimal():
+                raise ParseError(f"expected a node label, got {label!r}", line_no)
+            if stack:
+                if stack[-1][2] == "word":
+                    raise ParseError("a node holds both a word and subtrees", line_no)
+                stack[-1][2] = "trees"
+            stack.append([int(label), len(words), None])
+        elif tok == ")":
+            label, start, holds = stack.pop()
+            if holds is None:
+                raise ParseError("empty node", line_no)
+            spans.append((words[start:], label))
         else:
-            start = pos
-            while pos < n and line[pos] not in "() \t":
-                pos += 1
-            word = line[start:pos]
-            if not word:
-                raise ParseError(f"expected word or subtree at column {start}", line_no)
-        skip_ws()
-        if pos >= n or line[pos] != ")":
-            raise ParseError(f"unbalanced parentheses near column {pos}", line_no)
-        pos += 1
-        return _Node(label=label, word=word, children=children)
-
-    root = node()
-    skip_ws()
-    if pos != n:
-        raise ParseError(f"trailing text after tree at column {pos}", line_no)
-
-    leaves = []
-
-    def collect(nd):
-        if nd.word is not None:
-            leaves.append(nd.word)
-        for ch in nd.children:
-            collect(ch)
-
-    collect(root)
-    return root, leaves
-
-
-def _all_phrases(nd, out):
-    if nd.word is not None:
-        out.append(([nd.word], nd.label))
-        return [nd.word]
-    toks = []
-    for ch in nd.children:
-        toks.extend(_all_phrases(ch, out))
-    out.append((toks, nd.label))
-    return toks
-
-
-def _binary_label(label):
-    """Five-way sentiment to binary; None means drop (neutral)."""
-    if label in (0, 1):
-        return 0
-    if label in (3, 4):
-        return 1
-    return None
+            if stack[-1][2] is not None:
+                raise ParseError(f"word {tok!r} follows a word or subtrees", line_no)
+            stack[-1][2] = "word"
+            words.append(tok)
+    if stack or not spans:
+        raise ParseError("unbalanced parentheses", line_no)
+    return spans
 
 
 def _load_sst(path, binary, phrases):
     examples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             if line.strip() == "":
                 continue
-            root, leaves = parse_tree(line, line_no)
-            if phrases:
-                spans = []
-                _all_phrases(root, spans)
-            else:
-                spans = [(leaves, root.label)]
-            for toks, label in spans:
-                toks = [t.lower() for t in toks]
+            spans = parse_tree(line.rstrip("\n"), line_no)
+            for words, label in spans if phrases else spans[-1:]:
                 if binary:
-                    label = _binary_label(label)
+                    label = _BINARY_LABELS.get(label)
                     if label is None:
                         continue
-                if toks:
-                    examples.append(Example(tokens=toks, label=label))
+                examples.append(Example(tokens=[w.lower() for w in words], label=label))
     return examples
 
 
@@ -302,11 +251,11 @@ def build_embedding_matrix(vocab, table):
     return mat
 
 
-def random_embedding_matrix(vocab, dim, rng, scale=0.1):
+def random_embedding_matrix(vocab, dim, rng):
     """Uniform random rows for runs without pretrained vectors."""
     mat = np.zeros((len(vocab) + 2, dim))
     for idx in vocab.values():
-        mat[idx] = rng.uniform(-scale, scale, size=dim)
+        mat[idx] = rng.uniform(-EMBEDDING_SCALE, EMBEDDING_SCALE, size=dim)
     return mat
 
 

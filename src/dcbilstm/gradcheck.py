@@ -97,8 +97,11 @@ def _compare(name, analytic, numeric, tol_rel, tol_abs):
     )
 
 
-def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
-                seq_len=5, tol_rel=1e-4, tol_abs=1e-7, eps=1e-5, inject_fault=False):
+# the certified model: m, dh, th, classes and sentence length
+M, DH, TH, NUM_CLASSES, SEQ_LEN = 8, 4, 6, 3, 5
+
+
+def check_model(arch="dense", dl=1, seed=0, tol_rel=1e-4, tol_abs=1e-7, inject_fault=False):
     """Build a small random model and verify all its gradients.
 
     inject_fault deliberately corrupts one analytic softmax weight gradient
@@ -106,17 +109,17 @@ def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
     """
     rng = make_rng(seed)
     cfg = ModelConfig(
-        m=m, dl=dl, dh=dh, th=th, num_classes=num_classes, arch=arch,
+        m=M, dl=dl, dh=DH, th=TH, num_classes=NUM_CLASSES, arch=arch,
         dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None,
     ).validate()
     model = Model.build(cfg, rng)
 
     # the fake embedding matrix IS the input sentence, one row per position
-    emb_matrix = 0.5 * rng.standard_normal((seq_len, m))
+    emb_matrix = 0.5 * rng.standard_normal((SEQ_LEN, M))
     batch = Batch(
-        indices=np.arange(seq_len, dtype=np.int64).reshape(1, seq_len),
-        lengths=np.array([seq_len], dtype=np.int64),
-        labels=np.array([int(rng.integers(num_classes))], dtype=np.int64),
+        indices=np.arange(SEQ_LEN, dtype=np.int64).reshape(1, SEQ_LEN),
+        lengths=np.array([SEQ_LEN], dtype=np.int64),
+        labels=np.array([int(rng.integers(NUM_CLASSES))], dtype=np.int64),
     )
 
     def loss_fn():
@@ -131,9 +134,9 @@ def check_model(arch="dense", dl=1, seed=0, m=8, dh=4, th=6, num_classes=3,
         analytic["softmax.W"][0, 0] += 1e-2
 
     arrays = dict(model.named_params(), input=emb_matrix)
-    analytic["input"] = embedding_gradient(trace, dEmb, seq_len)
+    analytic["input"] = embedding_gradient(trace, dEmb, SEQ_LEN)
 
-    numeric = finite_diff(loss_fn, arrays, eps)
+    numeric = finite_diff(loss_fn, arrays)
     groups = [
         _compare(name, analytic[name], numeric[name], tol_rel, tol_abs)
         for name in arrays

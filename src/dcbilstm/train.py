@@ -46,7 +46,7 @@ class TrainConfig:
     dropout_embed: float = 0.5
     dropout_pool: float = 0.5
     max_norm_s: float | None = 3.0
-    softmax_l2: float = 0.0  # weight-decay reading of the softmax constraint
+    softmax_l2: float = 0.0  # softmax weight decay, added to max-norm unless max_norm_s is None
     forget_bias: float = 0.0
     train_embeddings: bool = False
     # optimizer

@@ -73,8 +73,7 @@ def test_02_gradient_certification_both_architectures():
         for dl in (0, 1, 2, 3):
             for seed in range(5):
                 report = check_model(arch=arch, dl=dl, seed=seed,
-                                     m=8, dh=4, th=6, num_classes=3,
-                                     seq_len=5, tol_rel=1e-4, tol_abs=1e-7)
+                                     tol_rel=1e-4, tol_abs=1e-7)
                 assert report.passed, "\n" + report.format()
                 groups += len(report.groups)
     elapsed = time.perf_counter() - t0

@@ -289,6 +289,25 @@ def test_prepare_data_sst(tmp_path, capsys):
     assert "wrote 2 examples" in capsys.readouterr().out
 
 
+def test_prepare_data_sst_loads_any_depth(tmp_path, capsys):
+    trees = tmp_path / "deep.txt"
+    trees.write_text("(4 " * 5000 + "deep" + ")" * 5000 + "\n", encoding="utf-8")
+    out = tmp_path / "sst.tsv"
+    assert main(["prepare-data", "--format", "sst", "--input", str(trees),
+                 "--out", str(out), "--binary"]) == 0
+    assert out.read_text(encoding="utf-8") == "1\tdeep\n"
+
+
+def test_prepare_data_sst_glued_label_exits_2(tmp_path, capsys):
+    trees = tmp_path / "glued.txt"
+    trees.write_text("(3 (2 good)(37film))\n", encoding="utf-8")
+    out = tmp_path / "sst.tsv"
+    assert main(["prepare-data", "--format", "sst", "--input", str(trees),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+    assert not out.exists()
+
+
 def test_prepare_data_lines(tmp_path, capsys):
     pos = tmp_path / "pos.txt"
     neg = tmp_path / "neg.txt"

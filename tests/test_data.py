@@ -37,7 +37,7 @@ def emb_path(tmp_path):
 
 
 def test_load_embeddings_round_trip(emb_path):
-    table = load_embeddings(emb_path, dim=4)
+    table = load_embeddings(emb_path)
     assert len(table) == 3 and table.dim == 4
     assert np.array_equal(table.get("movie"), np.array([1.0, -1.0, 0.5, 0.25]))
 
@@ -83,11 +83,10 @@ def test_load_embeddings_words_with_spaces(tmp_path):
     p = tmp_path / "spaced.txt"
     p.write_text("the 0.1 0.2 0.3\n. . . -1.0 0.5 0.25\nAt Name@Domain.com 1.0 2.0 3.0\n",
                  encoding="utf-8")
-    for dim in (None, 3):
-        table = load_embeddings(p, dim=dim)
-        assert table.dim == 3 and len(table) == 3
-        assert np.array_equal(table.get(". . ."), np.array([-1.0, 0.5, 0.25]))
-        assert np.array_equal(table.get("at name@domain.com"), np.array([1.0, 2.0, 3.0]))
+    table = load_embeddings(p)
+    assert table.dim == 3 and len(table) == 3
+    assert np.array_equal(table.get(". . ."), np.array([-1.0, 0.5, 0.25]))
+    assert np.array_equal(table.get("at name@domain.com"), np.array([1.0, 2.0, 3.0]))
     # fewer than dim + 1 fields is still an error
     p.write_text("the 0.1 0.2 0.3\n. . 1.0\n", encoding="utf-8")
     with pytest.raises(ParseError) as info:
@@ -124,10 +123,9 @@ def test_load_embeddings_checks_lines_it_does_not_keep(tmp_path):
 def test_load_embeddings_skips_a_count_dim_header(tmp_path):
     p = tmp_path / "emb.vec"
     p.write_text("2 3\nthe 0.1 0.2 0.3\n7 1.0 2.0 3.0\n", encoding="utf-8")
-    for dim in (None, 3):
-        table = load_embeddings(p, dim=dim)
-        assert table.dim == 3 and set(table.vectors) == {"the", "7"}
-        assert np.array_equal(table.get("7"), np.array([1.0, 2.0, 3.0]))
+    table = load_embeddings(p)
+    assert table.dim == 3 and set(table.vectors) == {"the", "7"}
+    assert np.array_equal(table.get("7"), np.array([1.0, 2.0, 3.0]))
     # the header's dim must be the vectors' width
     for text in ("2 4\nthe 0.1 0.2 0.3\n", "2 2\nthe 0.1 0.2 0.3\n"):
         p.write_text(text, encoding="utf-8")
@@ -195,22 +193,32 @@ def test_load_tsv_errors(tmp_path):
 
 
 def test_parse_tree_minimal():
-    root, leaves = parse_tree("(3 (2 good) (2 movie))")
-    assert root.label == 3
-    assert leaves == ["good", "movie"]
+    # every node, children before their parent, the root last
+    assert parse_tree("(3 (2 good) (2 movie))") == \
+        [(["good"], 2), (["movie"], 2), (["good", "movie"], 3)]
 
 
 def test_parse_tree_nested_leaf_order():
     line = "(4 (2 (2 a) (3 truly)) (4 (3 moving) (2 story)))"
-    _, leaves = parse_tree(line)
-    assert leaves == ["a", "truly", "moving", "story"]
+    assert parse_tree(line)[-1] == (["a", "truly", "moving", "story"], 4)
 
 
 def test_parse_tree_errors():
     for bad in ["(3 (2 good) (2 movie)", "(3 (2 good)) extra",
-                "3 good)", "(x good)", "(3 )"]:
-        with pytest.raises(ParseError):
+                "3 good)", "(x good)", "(3 )",
+                # a label glued to its word is not a leaf
+                "(3 (2 good)(37film))"]:
+        with pytest.raises(ParseError) as info:
             parse_tree(bad, line_no=1)
+        assert "line 1" in str(info.value), bad
+
+
+def test_load_sst_any_depth(tmp_path):
+    p = tmp_path / "deep.txt"
+    p.write_text("(1 " * 5000 + "Deep" + ")" * 5000 + "\n", encoding="utf-8")
+    [root] = load_dataset(p, "sst_trees")
+    assert root.tokens == ["deep"] and root.label == 1
+    assert len(load_dataset(p, "sst_trees", phrases=True)) == 5000
 
 
 def test_load_sst_roots_and_binary(tmp_path):
