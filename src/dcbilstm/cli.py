@@ -12,6 +12,7 @@ flags; the effective configuration is echoed into the run log.
 """
 
 import argparse
+import codecs
 import dataclasses
 import sys
 
@@ -199,12 +200,21 @@ def _cmd_prepare_data(args):
     else:
         if not args.raw:
             raise ConfigError("lines format needs at least one --raw PATH:LABEL")
-        examples = []
+        try:
+            codecs.lookup(args.encoding)
+        except LookupError:
+            raise ConfigError(f"--encoding: unknown encoding {args.encoding!r}")
+        # every spec is checked before any input is read
+        specs = []
         for spec_arg in args.raw:
             path, sep, label = spec_arg.rpartition(":")
-            if not sep:
-                raise ConfigError(f"--raw wants PATH:LABEL, got {spec_arg!r}")
-            examples.extend(D.load_label_lines(path, int(label), encoding=args.encoding))
+            if not (sep and label.isascii() and label.isdigit()):
+                raise ConfigError(f"--raw wants PATH:LABEL with a non-negative integer "
+                                  f"label, got {spec_arg!r}")
+            specs.append((path, int(label)))
+        examples = []
+        for path, label in specs:
+            examples.extend(D.load_label_lines(path, label, encoding=args.encoding))
     with open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(f"{ex.label}\t{' '.join(ex.tokens)}\n")
@@ -221,7 +231,6 @@ def _cmd_sweep(args):
             print(f"  dl={dl:<3d} dh={dh:<3d} th={th:<4d} params {n} ({format_param_count(n)})")
         return 0
     overrides = _collect_overrides(args)
-    results = []
     for dl, dh, th in rows:
         row = dict(overrides)
         # a zero-width layer contributes nothing; run it as depth zero
@@ -231,7 +240,6 @@ def _cmd_sweep(args):
         report = train(cfg)
         acc = report.mean_acc if report.mean_acc is not None else (
             report.test_acc if report.test_acc is not None else report.best_dev_acc)
-        results.append((dl, dh, th, acc))
         print(f"  dl={dl:<3d} dh={dh:<3d} th={th:<4d} accuracy "
               f"{'n/a' if acc is None else f'{acc:.4f}'}")
     return 0

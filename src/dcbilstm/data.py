@@ -66,8 +66,9 @@ def load_embeddings(path, keep=None):
     a word may contain spaces (glove.840B.300d has a few).  Repeated words
     keep the first occurrence (GloVe files list cased variants; we lowercase
     keys, so "The" after "the" is dropped).  Every line is parsed and
-    checked, but when keep is given only its (lowercase) words are stored,
-    so a corpus needs memory for its own vocabulary, not the whole file.
+    checked, a non-finite component (nan, inf) being an error, but when
+    keep is given only its (lowercase) words are stored, so a corpus needs
+    memory for its own vocabulary, not the whole file.
     """
     vectors = {}
     dim = header_dim = None
@@ -94,6 +95,8 @@ def load_embeddings(path, keep=None):
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"bad vector component ({exc})", line_no)
+            if not np.isfinite(vec).all():
+                raise ParseError(f"non-finite vector component for {word!r}", line_no)
             if word not in vectors and (keep is None or word in keep):
                 vectors[word] = vec
     if dim is None:

@@ -9,6 +9,7 @@ against the numerical derivative is within tol_rel, or the absolute gap is
 under tol_abs for near-zero pairs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,12 @@ def check_model(arch="dense", dl=1, seed=0, tol_rel=1e-4, tol_abs=1e-7, inject_f
     """Build a small random model and verify all its gradients.
 
     inject_fault deliberately corrupts one analytic softmax weight gradient
-    so callers can confirm the checker notices and names the element.
+    so callers can confirm the checker notices and names the element.  A
+    tolerance must be finite and >= 0: an infinite one passes every element.
     """
+    for name, tol in (("tol_rel", tol_rel), ("tol_abs", tol_abs)):
+        if not 0.0 <= tol < math.inf:  # NaN falls outside too
+            raise ConfigError(f"{name} must be finite and >= 0, got {tol}")
     rng = make_rng(seed)
     cfg = ModelConfig(
         m=M, dl=dl, dh=DH, th=TH, num_classes=NUM_CLASSES, arch=arch,

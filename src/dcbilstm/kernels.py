@@ -7,9 +7,9 @@ length, so the sentences still running at position ``t`` are a prefix of
 that order, and the real tokens of step ``t`` sit in one contiguous block
 of ``(N, ·)`` arrays, ``N`` being the batch's token count.  The kernels
 cover the recurrence only: the caller projects the inputs of every token
-(``model.model_forward`` and ``model.arch_forward_batch`` do it for all
-layers at once) and hands over the pre-activations; each step then advances every active sentence
-with one ``(k_t, d) @ (d, 4d)`` product.  The reverse direction runs the
+(``model.model_forward`` does it for all layers at once) and hands over
+the pre-activations; each step then advances every active sentence with
+one ``(k_t, d) @ (d, 4d)`` product.  The reverse direction runs the
 same loop from the last step down: a sentence joins at ``t = L-1`` with a
 zero state, which is simply the absence of a predecessor row.
 

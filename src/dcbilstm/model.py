@@ -297,57 +297,6 @@ def _embedding_gates(model, x):
     return gates
 
 
-def arch_forward_batch(model, gates, packing):
-    """Run the layer stack over a packed batch.
-
-    gates is (N, sum of 8d), each token's ``_embedding_gates`` row.  Each
-    layer adds in place one product over the states it reads past the
-    embeddings, shared by its two directions, before its kernels run the
-    recurrences; gates ends holding the gate values of every layer.
-    Returns (states, cells): every layer's hidden states and the per-layer
-    (Cf, Cb) cell states.
-    """
-    P, W = model.params, model.lstm_W
-    states = np.empty((len(gates), model.layers[-1].out.stop))
-    cells = []
-    for L in model.layers:
-        Z, Y, d = gates[:, L.cols], states[:, L.out], L.d
-        if L.rest.start < L.rest.stop:
-            Z += states[:, L.rest] @ W[L.rest_rows, L.cols]
-        Wf, Wb = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"]
-        Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], packing, Wf, False)
-        Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], packing, Wb, True)
-        cells.append((Cf, Cb))
-    return states, cells
-
-
-def arch_backward_batch(model, trace, dstates, embedding_grad=True):
-    """Backprop through the layer stack, overwriting ``trace.gates`` with dZ.
-
-    dstates is laid out like ``trace.states``: zero but for the top layer's
-    columns, which hold the packed gradient on its states.  Each layer's
-    gradient on the states it reads is added into it.  Returns (grads by
-    parameter name, packed gradient on the embeddings, or None when
-    ``embedding_grad`` is false).
-    """
-    m, P, W = model.config.m, model.params, model.lstm_W
-    states, dZ_all, E = trace.states, trace.gates, model.embedded_cols
-    dW = np.empty_like(W)  # every row a weight view covers is written below
-    for L, (Cf, Cb) in zip(reversed(model.layers), reversed(trace.cells)):
-        Y, dY, dZ, d = states[:, L.out], dstates[:, L.out], dZ_all[:, L.cols], L.d
-        Wf, Wb, dWh = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"], dW[L.w:L.w + d, L.cols]
-        dWh[:, :4 * d] = kernels.lstm_layer_backward(
-            trace.packing, Wf, Y[:, :d], Cf, dZ[:, :4 * d], dY[:, :d], False)
-        dWh[:, 4 * d:] = kernels.lstm_layer_backward(
-            trace.packing, Wb, Y[:, d:], Cb, dZ[:, 4 * d:], dY[:, d:], True)
-        if L.rest.start < L.rest.stop:
-            np.matmul(states[:, L.rest].T, dZ, out=dW[L.rest_rows, L.cols])
-            dstates[:, L.rest] += dZ @ W[L.rest_rows, L.cols].T
-    np.matmul(trace.emb.T, dZ_all[:, E], out=dW[:m, E])
-    grads = model.lstm_views(dW, dZ_all.sum(axis=0, keepdims=True))
-    return grads, (dZ_all[:, E] @ W[:m, E].T if embedding_grad else None)
-
-
 def average_pool_batch(H, lengths, packing):
     """Mean of each sentence's packed hidden vectors: a sum over packed steps."""
     if (lengths < 1).any():
@@ -363,18 +312,10 @@ def average_pool_batch(H, lengths, packing):
     return pooled / lengths[:, None]
 
 
-def pool_backward_batch(dPool, lengths, packing):
-    return (dPool / lengths[:, None])[packing.rows]
-
-
 def softmax_rows(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def classify_batch(h, W, b):
-    return softmax_rows(h @ W + b)
 
 
 def _dropout_mask(draws, rate):
@@ -450,7 +391,7 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     per-token product to rounding, not necessarily bit for bit, since a
     row of a matrix product may depend on the other rows of its batch.
     """
-    cfg = model.config
+    cfg, P, W = model.config, model.params, model.lstm_W
     if training and (cfg.dropout_embed > 0 or cfg.dropout_pool > 0) and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
     if emb_matrix.shape[1] != cfg.m:
@@ -468,10 +409,21 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     else:
         uniq, inv = np.unique(tokens, return_inverse=True)
         gates = _embedding_gates(model, emb_matrix[uniq]).take(inv, axis=0, mode="clip")
-    states, cells = arch_forward_batch(model, gates, packing)
+    # each layer adds in place one product over the states it reads past the
+    # embeddings, shared by its two directions, before its kernels run
+    states = np.empty((len(gates), model.layers[-1].out.stop))
+    cells = []
+    for L in model.layers:
+        Z, Y, d = gates[:, L.cols], states[:, L.out], L.d
+        if L.rest.start < L.rest.stop:
+            Z += states[:, L.rest] @ W[L.rest_rows, L.cols]
+        Wf, Wb = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"]
+        Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], packing, Wf, False)
+        Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], packing, Wb, True)
+        cells.append((Cf, Cb))
     pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
     pooled_d, mask_p = dropout(pooled, cfg.dropout_pool, rng, training)
-    probs = classify_batch(pooled_d, model.softmax_W, model.softmax_b)
+    probs = softmax_rows(pooled_d @ model.softmax_W + model.softmax_b)
     trace = ModelTrace(
         tokens=tokens,
         lengths=batch.lengths,
@@ -495,12 +447,14 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     gradient has one row per token of ``trace.tokens``; with
     ``embedding_grad`` false it is not formed and None stands in its place,
     the parameter gradients being the same.  The pass overwrites the
-    trace's gate values, so a trace takes one backward pass; a second one
-    raises ``ConfigError``.
+    trace's gate values with their gradients, so a trace takes one backward
+    pass; a second one raises ``ConfigError``.
     """
     if trace.consumed:
         raise ConfigError("trace already used by a backward pass; run model_forward again")
     trace.consumed = True
+    m, P, W = model.config.m, model.params, model.lstm_W
+    states, dZ_all, E = trace.states, trace.gates, model.embedded_cols
     grads = {
         "softmax.W": trace.pooled_dropped.T @ dlogits,
         "softmax.b": dlogits.sum(axis=0, keepdims=True),
@@ -508,11 +462,27 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     dpool = dlogits @ model.softmax_W.T
     if trace.mask_pool is not None:
         dpool = dpool * trace.mask_pool
-    dstates = np.zeros_like(trace.states)
-    dstates[:, model.layers[-1].out] = pool_backward_batch(dpool, trace.lengths, trace.packing)
-    layer_grads, dEmb = arch_backward_batch(model, trace, dstates, embedding_grad)
-    grads.update(layer_grads)
-    if dEmb is not None and trace.mask_embed is not None:
+    # zero but for the top layer's columns; each layer adds its gradient on
+    # the states it reads
+    dstates = np.zeros_like(states)
+    dstates[:, model.layers[-1].out] = (dpool / trace.lengths[:, None])[trace.packing.rows]
+    dW = np.empty_like(W)  # every row a weight view covers is written below
+    for L, (Cf, Cb) in zip(reversed(model.layers), reversed(trace.cells)):
+        Y, dY, dZ, d = states[:, L.out], dstates[:, L.out], dZ_all[:, L.cols], L.d
+        Wf, Wb, dWh = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"], dW[L.w:L.w + d, L.cols]
+        dWh[:, :4 * d] = kernels.lstm_layer_backward(
+            trace.packing, Wf, Y[:, :d], Cf, dZ[:, :4 * d], dY[:, :d], False)
+        dWh[:, 4 * d:] = kernels.lstm_layer_backward(
+            trace.packing, Wb, Y[:, d:], Cb, dZ[:, 4 * d:], dY[:, d:], True)
+        if L.rest.start < L.rest.stop:
+            np.matmul(states[:, L.rest].T, dZ, out=dW[L.rest_rows, L.cols])
+            dstates[:, L.rest] += dZ @ W[L.rest_rows, L.cols].T
+    np.matmul(trace.emb.T, dZ_all[:, E], out=dW[:m, E])
+    grads.update(model.lstm_views(dW, dZ_all.sum(axis=0, keepdims=True)))
+    if not embedding_grad:
+        return grads, None
+    dEmb = dZ_all[:, E] @ W[:m, E].T
+    if trace.mask_embed is not None:
         dEmb *= trace.mask_embed
     return grads, dEmb
 

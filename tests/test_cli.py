@@ -41,6 +41,16 @@ def test_gradcheck_exit_codes(capsys):
     assert "FAIL" in out and "softmax.W" in out
 
 
+@pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_gradcheck_rejects_tolerances_that_are_not_finite_and_non_negative(capsys, flag, value):
+    # an infinite tolerance would pass even an injected fault
+    assert main(["gradcheck", "--dl", "0", "--inject-fault", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: "), captured
+    assert flag[2:].replace("-", "_") in captured.err
+
+
 def test_sweep_dry_run_tables(capsys):
     for table, rows in SWEEP_TABLES.items():
         assert main(["sweep", "--table", table, "--dry-run"]) == 0
@@ -222,6 +232,16 @@ def test_train_cli_reads_an_embeddings_file_with_a_count_dim_header(toy_tsv, tmp
     assert config["event"] == "config" and config["m"] == 5
 
 
+def test_train_cli_rejects_non_finite_embeddings(toy_tsv, tmp_path, capsys):
+    vec = tmp_path / "emb.txt"
+    vec.write_text("the 0.5 0.1\nbad nan 0.1\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert _train_toy(toy_tsv, out_dir, "--embeddings-path", str(vec)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "non-finite" in err, err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("pretrained", [False, True])
 def test_eval_cli_reproduces_the_runs_test_accuracy(toy_tsv, tmp_path, capsys, pretrained):
     # every third test sentence carries words the training file never uses
@@ -320,6 +340,22 @@ def test_prepare_data_lines(tmp_path, capsys):
     assert rows == ["1\ta charming film", "0\ta dreary slog", "0\tanother dud"]
     capsys.readouterr()
     assert main(["prepare-data", "--format", "lines", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("bad", [["--encoding", "bogus"], ["--raw", "{neg}:-1"],
+                                 ["--raw", "{neg}:x"], ["--raw", "{neg}"]])
+def test_prepare_data_lines_checks_its_flags_before_reading(tmp_path, capsys, bad):
+    pos = tmp_path / "pos.txt"
+    neg = tmp_path / "neg.txt"
+    pos.write_text("a charming film\n", encoding="utf-8")
+    neg.write_text("a dreary slog\n", encoding="utf-8")
+    out = tmp_path / "mr.tsv"
+    flags = [arg.format(neg=neg) for arg in bad]
+    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+                 "--raw", f"{pos}:1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad[0]}"), err
+    assert not out.exists()
 
 
 def test_cli_usage_errors_exit_2(capsys):

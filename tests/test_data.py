@@ -120,6 +120,16 @@ def test_load_embeddings_checks_lines_it_does_not_keep(tmp_path):
         assert f"line {line}" in str(info.value)
 
 
+def test_load_embeddings_rejects_non_finite_components(tmp_path):
+    p = tmp_path / "bad.txt"
+    for bad in ("nan", "inf", "-inf", "NaN", "1e999"):
+        for keep in (None, {"the"}):  # a line it would not store is checked too
+            p.write_text(f"the 1.0 1.0\nbad {bad} 0.1\n", encoding="utf-8")
+            with pytest.raises(ParseError) as info:
+                load_embeddings(p, keep=keep)
+            assert "line 2" in str(info.value) and "non-finite" in str(info.value), bad
+
+
 def test_load_embeddings_skips_a_count_dim_header(tmp_path):
     p = tmp_path / "emb.vec"
     p.write_text("2 3\nthe 0.1 0.2 0.3\n7 1.0 2.0 3.0\n", encoding="utf-8")

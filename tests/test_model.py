@@ -5,6 +5,7 @@ that chains single lstm_step calls and python-list concatenation, sharing
 no code with the batched kernels.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,7 @@ from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, Sh
 from dcbilstm.model import (
     Model,
     ModelConfig,
-    ModelTrace,
-    _embedding_gates,
-    arch_forward_batch,
     average_pool_batch,
-    classify_batch,
     count_params,
     dropout,
     format_param_count,
@@ -103,7 +100,7 @@ def test_forward_matches_naive_reimplementation(arch, dl):
         assert np.abs(Htop[t] - ref_top[t][0]).max() < 1e-12
     pooled = average_pool_batch(Htop, lengths, trace.packing)
     assert np.abs(pooled - ref_pooled).max() < 1e-12
-    probs = classify_batch(pooled, model.softmax_W, model.softmax_b)
+    probs = softmax_rows(pooled @ model.softmax_W + model.softmax_b)
     assert np.abs(probs - ref_probs).max() < 1e-12
 
 
@@ -272,12 +269,12 @@ def test_classify_uniform_and_shift_invariance():
     h = np.array([[0.3, -1.2, 4.0, 0.0]])
     W0 = np.zeros((4, 5))
     b0 = np.zeros((1, 5))
-    assert np.abs(classify_batch(h, W0, b0) - 0.2).max() < 1e-15
+    assert np.abs(softmax_rows(h @ W0 + b0) - 0.2).max() < 1e-15
 
     rng = make_rng(3)
     W = rng.standard_normal((4, 5))
     b = rng.standard_normal((1, 5))
-    p1 = classify_batch(h, W, b)
+    p1 = softmax_rows(h @ W + b)
     assert abs(p1.sum() - 1.0) < 1e-12
     p2 = softmax_rows((h @ W + b) + 123.456)
     assert np.abs(p1 - p2).max() < 1e-12
@@ -402,17 +399,17 @@ def test_a_trace_takes_one_backward_pass():
 
 
 def _per_token_forward(model, emb_matrix, batch):
-    """Eval forward with the embedding product taken over every token."""
-    packing = kernels.pack(batch.lengths)
-    tokens = batch.indices[packing.rows, packing.ts]
-    emb = emb_matrix[tokens]
-    gates = _embedding_gates(model, emb)
-    states, cells = arch_forward_batch(model, gates, packing)
-    pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
-    probs = classify_batch(pooled, model.softmax_W, model.softmax_b)
-    return probs, ModelTrace(tokens=tokens, lengths=batch.lengths, packing=packing,
-                             mask_embed=None, emb=emb, states=states, gates=gates, cells=cells,
-                             mask_pool=None, pooled_dropped=pooled)
+    """Eval forward with the embedding product taken over every token.
+
+    A training forward with an embedding-dropout rate of 1e-300 keeps every
+    draw and scales by 1 / (1 - 1e-300) == 1.0, so it is the eval forward
+    with the per-token product of the masked path.
+    """
+    cfg = replace(model.config, dropout_embed=1e-300, dropout_pool=0.0)
+    probs, trace = model_forward(Model(cfg, model.params), emb_matrix, batch, make_rng(0),
+                                 training=True)
+    assert (trace.mask_embed == 1).all()
+    return probs, trace
 
 
 def _repeated_token_batch(seed, B=7, T=9, vocab=6):

@@ -360,12 +360,14 @@ def test_train_softmax_l2_mode_changes_trajectory(toy_tsv, tmp_path):
 
 
 def test_train_diverges_on_corrupt_embeddings(toy_tsv, tmp_path):
+    # the loader rejects nan and inf, but not a finite vector at the edge of
+    # float64, which overflows once embedding dropout scales it by 2
     emb = tmp_path / "broken_vectors.txt"
     words = ["the", "movie", "a", "film", "it", "was", "and", "very",
              "great", "superb", "fun", "lovely", "brilliant", "warm",
              "awful", "dull", "tedious", "grim", "flat", "cold"]
     emb.write_text(
-        "\n".join(f"{w} nan 0.1 0.2" if w == "movie" else f"{w} 0.5 0.1 0.2"
+        "\n".join(f"{w} 1e308 -1e308 1e308" if w == "movie" else f"{w} 0.5 0.1 0.2"
                   for w in words) + "\n",
         encoding="utf-8",
     )
