@@ -44,7 +44,7 @@ def _coerce(key, value, line_no=None):
 def parse_config_file(path):
     """Flat `key = value` file -> dict of typed TrainConfig overrides."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with D.open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -114,12 +114,9 @@ def _build_parser():
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one analytic gradient to prove the check bites")
 
-    p = sub.add_parser("prepare-data", help="convert raw corpora to label\\ttext tsv")
-    p.add_argument("--format", required=True, choices=["sst", "lines"])
+    p = sub.add_parser("prepare-data", help="convert per-class line files to label\\ttext tsv")
+    p.add_argument("--format", required=True, choices=["lines"])
     p.add_argument("--out", required=True)
-    p.add_argument("--input", default=None, help="tree file (sst format)")
-    p.add_argument("--binary", action="store_true", help="collapse 5-way sentiment to 2")
-    p.add_argument("--phrases", action="store_true", help="emit every labeled phrase")
     p.add_argument("--raw", action="append", default=[], metavar="PATH:LABEL",
                    help="one-sentence-per-line file with a shared label (repeatable)")
     p.add_argument("--encoding", default="utf-8")
@@ -158,6 +155,8 @@ def _cmd_train(args):
 def _cmd_eval(args):
     if args.expect_min is not None and not 0.0 <= args.expect_min <= 1.0:
         raise ConfigError(f"--expect-min must be in [0, 1], got {args.expect_min}")
+    if args.binary and args.format != "sst_trees":
+        raise ConfigError("--binary needs --format sst_trees")
     model, meta = load_checkpoint(args.checkpoint)
     if meta["vocab"] is None:
         raise ConfigError(f"{args.checkpoint} has no vocab section; cannot embed text")
@@ -192,29 +191,23 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_prepare_data(args):
-    if args.format == "sst":
-        if not args.input:
-            raise ConfigError("sst format needs --input")
-        examples = D.load_dataset(args.input, "sst_trees",
-                                  binary=args.binary, phrases=args.phrases)
-    else:
-        if not args.raw:
-            raise ConfigError("lines format needs at least one --raw PATH:LABEL")
-        try:
-            codecs.lookup(args.encoding)
-        except LookupError:
-            raise ConfigError(f"--encoding: unknown encoding {args.encoding!r}")
-        # every spec is checked before any input is read
-        specs = []
-        for spec_arg in args.raw:
-            path, sep, label = spec_arg.rpartition(":")
-            if not (sep and label.isascii() and label.isdigit()):
-                raise ConfigError(f"--raw wants PATH:LABEL with a non-negative integer "
-                                  f"label, got {spec_arg!r}")
-            specs.append((path, int(label)))
-        examples = []
-        for path, label in specs:
-            examples.extend(D.load_label_lines(path, label, encoding=args.encoding))
+    if not args.raw:
+        raise ConfigError("lines format needs at least one --raw PATH:LABEL")
+    try:
+        codecs.lookup(args.encoding)
+    except LookupError:
+        raise ConfigError(f"--encoding: unknown encoding {args.encoding!r}")
+    # every spec is checked before any input is read
+    specs = []
+    for spec_arg in args.raw:
+        path, sep, label = spec_arg.rpartition(":")
+        if not (sep and label.isascii() and label.isdigit()):
+            raise ConfigError(f"--raw wants PATH:LABEL with a non-negative integer "
+                              f"label, got {spec_arg!r}")
+        specs.append((path, int(label)))
+    examples = []
+    for path, label in specs:
+        examples.extend(D.load_label_lines(path, label, encoding=args.encoding))
     with open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(f"{ex.label}\t{' '.join(ex.tokens)}\n")

@@ -15,6 +15,7 @@ embed to zero vectors.  Real tokens occupy rows 2 and up.
 """
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,19 @@ EMBEDDING_SCALE = 0.1  # random embeddings are uniform in [-0.1, 0.1)
 
 # splits off standard sentence punctuation while keeping contractions and
 # hyphenated words intact ("rock-solid", "don't")
-_PUNCT_RE = re.compile(r"([.,!?;:()\"]|\.\.\.)")
+_PUNCT_RE = re.compile(r"([.,!?;:()\"])")
+
+
+@contextmanager
+def open_text(path, encoding="utf-8"):
+    """Open `path` for reading; a parse or decoding error names the file."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            yield fh
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {encoding} text ({exc.reason})") from exc
 
 
 class EmbeddingTable:
@@ -72,7 +85,7 @@ def load_embeddings(path, keep=None):
     """
     vectors = {}
     dim = header_dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
                 continue
@@ -99,8 +112,8 @@ def load_embeddings(path, keep=None):
                 raise ParseError(f"non-finite vector component for {word!r}", line_no)
             if word not in vectors and (keep is None or word in keep):
                 vectors[word] = vec
-    if dim is None:
-        raise ParseError("embedding file is empty", 0)
+        if dim is None:
+            raise ParseError("embedding file is empty")
     return EmbeddingTable(vectors, dim)
 
 
@@ -118,7 +131,7 @@ class Example:
 
 def _load_tsv(path):
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue
@@ -187,7 +200,7 @@ def parse_tree(line, line_no=0):
 
 def _load_sst(path, binary, phrases):
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue
@@ -216,7 +229,7 @@ def load_label_lines(path, label, encoding="utf-8"):
     those.  Blank lines are skipped.
     """
     examples = []
-    with open(path, "r", encoding=encoding) as fh:
+    with open_text(path, encoding) as fh:
         for line in fh:
             tokens = tokenize(line)
             if tokens:

@@ -14,7 +14,8 @@ class EmptySequenceError(ValueError):
 
 
 class ParseError(ValueError):
-    """A data file could not be parsed; message carries the line number."""
+    """A data file could not be parsed; the message names the line, and the
+    file when it was read through ``data.open_text``."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:

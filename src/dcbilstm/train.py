@@ -63,8 +63,8 @@ class TrainConfig:
     train_path: str = ""
     dev_path: str | None = None
     test_path: str | None = None
-    binary: bool = False
-    phrases: bool = False
+    binary: bool = False  # sst_trees only: 0/1 -> 0, 3/4 -> 1, neutral dropped
+    phrases: bool = False  # sst_trees only: train on every labeled node
     cv_folds: int = 0  # 0 = plain train/dev/test split
     dev_fraction: float = 0.1
     embeddings_path: str | None = None
@@ -82,6 +82,12 @@ class TrainConfig:
             raise ConfigError(f"cv_folds must be 0 or >= 2, got {self.cv_folds}")
         if self.cv_folds and (self.dev_path or self.test_path):
             raise ConfigError("cross-validation uses a single input file; drop dev/test paths")
+        for name in ("binary", "phrases"):
+            if getattr(self, name) and self.data_format != "sst_trees":
+                raise ConfigError(f"{name} needs data_format = sst_trees")
+        if self.phrases and self.cv_folds:
+            # the held-out folds would hold phrases, not only sentences
+            raise ConfigError("phrases cannot be used with cv_folds")
         for name in ("batch_size", "epochs", "patience", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -220,7 +226,7 @@ def _folds(cfg, rng_split):
     the rest.
     """
     if cfg.cv_folds:
-        pool = _load_split(cfg, cfg.train_path, phrases=cfg.phrases)
+        pool = _load_split(cfg, cfg.train_path)
         folds = []
         for held_out in D.make_folds(len(pool), cfg.cv_folds, seed=cfg.seed):
             held = set(held_out)

@@ -23,7 +23,7 @@ import pytest
 
 from dcbilstm import kernels
 from dcbilstm.cli import main
-from dcbilstm.data import Batch
+from dcbilstm.data import Batch, load_dataset
 from dcbilstm.gradcheck import check_model
 from dcbilstm.model import (
     Model,
@@ -221,14 +221,8 @@ def test_08_dataset_fidelity(tmp_path, capsys):
 
     sizes = {}
     for split, src in sst.items():
-        five = tmp_path / f"sst1_{split}.tsv"
-        two = tmp_path / f"sst2_{split}.tsv"
-        assert main(["prepare-data", "--format", "sst", "--input", src,
-                     "--out", str(five)]) == 0
-        assert main(["prepare-data", "--format", "sst", "--input", src,
-                     "--out", str(two), "--binary"]) == 0
-        sizes[f"sst1_{split}"] = lines(five)
-        sizes[f"sst2_{split}"] = lines(two)
+        sizes[f"sst1_{split}"] = len(load_dataset(src, "sst_trees"))
+        sizes[f"sst2_{split}"] = len(load_dataset(src, "sst_trees", binary=True))
     out = tmp_path / "mr.tsv"
     assert main(["prepare-data", "--format", "lines", "--out", str(out),
                  "--raw", f"{mr[0]}:1", "--raw", f"{mr[1]}:0",

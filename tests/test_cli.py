@@ -1,6 +1,7 @@
 """Exit codes, output formats, config-file handling of the command line."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,20 @@ def test_sweep_dry_run_tables(capsys):
     # the fixed row sets themselves
     assert SWEEP_TABLES["t4"] == [(0, 10, 100), (5, 10, 100), (10, 10, 100),
                                   (15, 10, 100), (20, 10, 100)]
+
+
+def test_sweep_runs_every_row_of_a_table(toy_tsv, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--table", "t5", "--train-path", toy_tsv, "--embedding-dim", "4",
+                 "--epochs", "1", "--batch-size", "16", "--out-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert len(re.findall(r" accuracy \d\.\d{4}\n", out)) == 5, out
+    runs = sorted(p.name for p in out_dir.iterdir())
+    assert runs == sorted(f"t5_dl{dl}_dh{dh}_th{th}" for dl, dh, th in SWEEP_TABLES["t5"])
+    config = json.loads((out_dir / "t5_dl10_dh0_th100" / "run.log").read_text(
+        encoding="utf-8").splitlines()[0])
+    # a zero-width layer runs as depth zero
+    assert config["dl"] == 0 and config["dh"] == 0
 
 
 def test_parse_config_file(tmp_path):
@@ -238,7 +253,65 @@ def test_train_cli_rejects_non_finite_embeddings(toy_tsv, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert _train_toy(toy_tsv, out_dir, "--embeddings-path", str(vec)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2: ") and "non-finite" in err, err
+    assert err.startswith(f"error: {vec}: line 2: ") and "non-finite" in err, err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("broken", ["bad-line", "latin-1"])
+@pytest.mark.parametrize("flag", ["--train-path", "--dev-path", "--test-path",
+                                  "--embeddings-path", "--config"])
+def test_train_cli_input_errors_name_the_file(toy_tsv, tmp_path, capsys, flag, broken):
+    toy = Path(toy_tsv).read_text(encoding="utf-8")
+    words = sorted({w for line in toy.splitlines() for w in line.split("\t")[1].split()})
+    # lines that parse, then a line that fits the format but is latin-1 text
+    good, latin1 = {
+        "--train-path": (toy, "1\tcaf\xe9\n"),
+        "--dev-path": ("1\tgreat film\n", "1\tcaf\xe9\n"),
+        "--test-path": ("0\tdull film\n", "0\tcaf\xe9\n"),
+        "--embeddings-path": ("".join(f"{w} 0.1 0.2\n" for w in words), "caf\xe9 0.3 0.4\n"),
+        "--config": ("dl = 1\n", "# caf\xe9\n"),
+    }[flag]
+    bad = latin1.encode("latin-1") if broken == "latin-1" else b"a line that does not parse\n"
+    path = tmp_path / "input"
+    path.write_bytes(good.encode("utf-8") + bad)
+    out_dir = tmp_path / "run"
+    # a second --train-path overrides the first
+    assert main(["train", "--train-path", toy_tsv, flag, str(path), "--dl", "1", "--dh", "2",
+                 "--th", "3", "--embedding-dim", "2", "--epochs", "1",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    reason = "not utf-8 text (" if broken == "latin-1" else f"line {len(good.splitlines()) + 1}: "
+    assert err.startswith(f"error: {path}: {reason}"), err
+    assert not out_dir.exists()
+
+
+def test_prepare_data_undecodable_input_names_the_file_and_encoding(tmp_path, capsys):
+    pos = tmp_path / "rt-polarity.pos"
+    pos.write_bytes("clich\xe9 but charming\n".encode("latin-1"))
+    out = tmp_path / "mr.tsv"
+    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+                 "--raw", f"{pos}:1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pos}: not utf-8 text ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,setting", [
+    (["--binary"], "binary"), (["--phrases"], "phrases"),
+    (["--data-format", "sst_trees", "--phrases", "--cv-folds", "2"], "phrases"),
+])
+def test_train_cli_data_flags_act_on_one_format(toy_tsv, tmp_path, capsys, flags, setting):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", toy_tsv, "--out-dir", str(out_dir), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting} ")
+    assert not out_dir.exists()
+
+
+def test_train_cli_single_label_without_num_classes_exits_2(tmp_path, capsys):
+    one = tmp_path / "one.tsv"
+    one.write_text("0\tgreat film\n0\tfine film\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", str(one), "--out-dir", str(out_dir)]) == 2
+    assert "two classes" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -294,38 +367,52 @@ def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(bad)]) == 2
 
 
-def test_prepare_data_sst(tmp_path, capsys):
+def _write_trees(path, depth=5000):
+    # a positive and a negative root, a neutral one, and a tree `depth` deep
+    path.write_text("(3 (2 The) (4 (2 film) (4 great)))\n"
+                    "(2 (2 the) (2 film))\n"
+                    "(1 (2 the)\t(0 film))\n"
+                    + "(4 " * depth + "great" + ")" * depth + "\n", encoding="utf-8")
+
+
+def test_eval_cli_reads_sst_trees(tmp_path, capsys):
     trees = tmp_path / "trees.txt"
-    trees.write_text(
-        "(3 (2 It) (4 (2 's) (4 great)))\n"
-        "(2 (2 plain) (2 boring))\n"
-        "(1 (2 very) (0 bad))\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "sst.tsv"
-    assert main(["prepare-data", "--format", "sst", "--input", str(trees),
-                 "--out", str(out), "--binary"]) == 0
-    assert out.read_text(encoding="utf-8") == "1\tit 's great\n0\tvery bad\n"
-    assert "wrote 2 examples" in capsys.readouterr().out
+    _write_trees(trees)
+    # the same roots with the neutral one dropped and the labels made binary
+    tsv = tmp_path / "roots.tsv"
+    tsv.write_text("1\tthe film great\n0\tthe film\n1\tgreat\n", encoding="utf-8")
+    ckpt = str(Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt")
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(tsv)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(trees),
+                 "--format", "sst_trees", "--binary"]) == 0
+    assert capsys.readouterr().out == expected
+    # --binary acts on trees only
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(tsv), "--binary"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --binary "), captured
 
 
-def test_prepare_data_sst_loads_any_depth(tmp_path, capsys):
-    trees = tmp_path / "deep.txt"
-    trees.write_text("(4 " * 5000 + "deep" + ")" * 5000 + "\n", encoding="utf-8")
-    out = tmp_path / "sst.tsv"
-    assert main(["prepare-data", "--format", "sst", "--input", str(trees),
-                 "--out", str(out), "--binary"]) == 0
-    assert out.read_text(encoding="utf-8") == "1\tdeep\n"
+def test_train_cli_reads_sst_trees(tmp_path):
+    trees = tmp_path / "trees.txt"
+    _write_trees(trees, depth=50)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", str(trees), "--data-format", "sst_trees",
+                 "--binary", "--phrases", "--dev-fraction", "0", "--dl", "1", "--dh", "2",
+                 "--th", "3", "--embedding-dim", "4", "--epochs", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    config = json.loads((out_dir / "run.log").read_text(encoding="utf-8").splitlines()[0])
+    assert config["resolved_num_classes"] == 2
 
 
-def test_prepare_data_sst_glued_label_exits_2(tmp_path, capsys):
+def test_train_cli_glued_tree_label_exits_2(tmp_path, capsys):
     trees = tmp_path / "glued.txt"
     trees.write_text("(3 (2 good)(37film))\n", encoding="utf-8")
-    out = tmp_path / "sst.tsv"
-    assert main(["prepare-data", "--format", "sst", "--input", str(trees),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: line 1: ")
-    assert not out.exists()
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", str(trees), "--data-format", "sst_trees",
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {trees}: line 1: ")
+    assert not out_dir.exists()
 
 
 def test_prepare_data_lines(tmp_path, capsys):
@@ -365,4 +452,10 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+    # prepare-data reads no trees; train and eval read them directly
+    for flags in (["--format", "sst"], ["--format", "lines", "--input", "t.txt"],
+                  ["--format", "lines", "--binary"], ["--format", "lines", "--phrases"]):
+        with pytest.raises(SystemExit) as info:
+            main(["prepare-data", "--out", "o.tsv", "--raw", "p.txt:1", *flags])
+        assert info.value.code == 2, flags
     capsys.readouterr()

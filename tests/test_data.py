@@ -159,6 +159,8 @@ def test_tokenize_separates_punctuation():
     assert tokenize("A rock-solid (if slow) film.") == \
         ["a", "rock-solid", "(", "if", "slow", ")", "film", "."]
     assert tokenize("   ") == []
+    # an ellipsis is three full stops
+    assert tokenize("wait...") == ["wait", ".", ".", "."]
 
 
 def test_tokenize_and_filter_abandons_oov(emb_path):
@@ -198,6 +200,9 @@ def test_load_tsv_errors(tmp_path):
     p.write_text("-3\tok\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_dataset(p, "tsv")
+    p.write_text("1\tok\n0\t  \n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: no tokens"):
+        load_dataset(p, "tsv")
     with pytest.raises(ConfigError):
         load_dataset(p, "jsonl")
 
@@ -216,6 +221,8 @@ def test_parse_tree_nested_leaf_order():
 def test_parse_tree_errors():
     for bad in ["(3 (2 good) (2 movie)", "(3 (2 good)) extra",
                 "3 good)", "(x good)", "(3 )",
+                # a node holds one word or subtrees, not both and not two words
+                "(3 good (2 x))", "(3 a b)",
                 # a label glued to its word is not a leaf
                 "(3 (2 good)(37film))"]:
         with pytest.raises(ParseError) as info:

@@ -717,9 +717,16 @@ def _nan_entry(blob):
     lambda blob: _corrupt(blob, b"\narch dense\n", b"\narch wide\n"),
     lambda blob: _corrupt(blob, b"\nmax_norm_s none\n", b"\nmax_norm_s nan\n"),
     lambda blob: _corrupt(blob, b"\ntrain_embeddings 0\n", b"\ntrain_embeddings 7\n"),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed 3\nbogus 7\n"),
+    lambda blob: _corrupt(blob, b"\ngate_order ifog\n", b"\ngate_order iofg\n"),
+    lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b 1\n"),
+    lambda blob: _corrupt(blob, b"embeddings 5 6\n", b"embedding 5 6\n"),
+    lambda blob: _corrupt(blob, b"\ntensors 11\n", b"\ntensors 12\n") + b"extra 1 1\n" + bytes(8),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed \xff\n"),
 ], ids=["vocab-word", "vocab-negative", "tensor-count", "header-float", "header-negative",
         "manifest-int", "nan-tensor", "no-newline", "dh-vs-tensors", "dropout-range",
-        "arch-unknown", "max-norm-nan", "bool-seven"])
+        "arch-unknown", "max-norm-nan", "bool-seven", "unknown-key", "gate-order",
+        "header-two-fields", "no-embeddings", "extra-tensor", "manifest-not-utf8"])
 def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
     rng = make_rng(12)
     model = Model.build(small_config(dl=1), rng)
