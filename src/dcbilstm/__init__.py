@@ -17,7 +17,6 @@ from .model import (
     Model,
     ModelConfig,
     count_params,
-    dropout,
     load_checkpoint,
     model_backward,
     model_forward,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Model", "ModelConfig", "TrainConfig", "TrainReport",
-    "check_model", "count_params", "dropout", "evaluate", "finite_diff",
+    "check_model", "count_params", "evaluate", "finite_diff",
     "load_checkpoint", "model_backward", "model_forward", "save_checkpoint",
     "CheckpointError", "ConfigError", "EmptySequenceError", "ParseError",
     "ShapeError", "TrainingDiverged", "__version__",

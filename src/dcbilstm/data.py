@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .tensor import make_rng
 
 PAD_IDX = 0
 UNK_IDX = 1
@@ -270,8 +269,8 @@ def build_embedding_matrix(vocab, table):
 def random_embedding_matrix(vocab, dim, rng):
     """Uniform random rows for runs without pretrained vectors."""
     mat = np.zeros((len(vocab) + 2, dim))
-    for idx in vocab.values():
-        mat[idx] = rng.uniform(-EMBEDDING_SCALE, EMBEDDING_SCALE, size=dim)
+    mat[list(vocab.values())] = rng.uniform(-EMBEDDING_SCALE, EMBEDDING_SCALE,
+                                            size=(len(vocab), dim))
     return mat
 
 
@@ -303,7 +302,7 @@ def make_folds(n, k=10, seed=0):
     if n < k:
         raise ConfigError(f"cannot split {n} examples into {k} folds")
     order = np.arange(n)
-    make_rng(seed).shuffle(order)
+    np.random.default_rng(seed).shuffle(order)
     return [sorted(order[i::k].tolist()) for i in range(k)]
 
 

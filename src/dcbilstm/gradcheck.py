@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from .model import Model, ModelConfig, embedding_gradient, model_backward, model_forward
 from .data import Batch
-from .tensor import make_rng
 from .train import cross_entropy
 
 
@@ -112,7 +111,7 @@ def check_model(arch="dense", dl=1, seed=0, tol_rel=1e-4, tol_abs=1e-7, inject_f
     for name, tol in (("tol_rel", tol_rel), ("tol_abs", tol_abs)):
         if not 0.0 <= tol < math.inf:  # NaN falls outside too
             raise ConfigError(f"{name} must be finite and >= 0, got {tol}")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     cfg = ModelConfig(
         m=M, dl=dl, dh=DH, th=TH, num_classes=NUM_CLASSES, arch=arch,
         dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None,

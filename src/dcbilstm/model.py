@@ -24,7 +24,6 @@ import numpy as np
 
 from . import kernels
 from .errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
-from .tensor import glorot_uniform
 
 ARCH_DENSE = "dense"
 ARCH_STACKED = "stacked"
@@ -193,13 +192,16 @@ class Model:
     def build(cls, config, rng):
         """Glorot weights, zero biases (LSTM forget blocks offset by forget_bias).
 
-        Weights are drawn in table order, so a seed fixes the whole model.
+        A (rows, cols) weight is uniform on [-limit, limit), limit =
+        sqrt(6 / (rows + cols)).  Weights are drawn in table order, so a
+        seed fixes the whole model.
         """
         config.validate()
         table = param_shapes(config)
         params = {name: np.zeros(shape) for name, shape in table}
-        for name, shape in table[::2]:  # the weights
-            params[name] = glorot_uniform(*shape, rng)
+        for name, (rows, cols) in table[::2]:  # the weights
+            limit = np.sqrt(6.0 / (rows + cols))
+            params[name] = rng.uniform(-limit, limit, size=(rows, cols))
         model = cls(config, params)
         for L in model.layers:  # gate blocks [i | f | o | g] of fwd, then of bwd
             model.lstm_b[0, L.cols].reshape(2, 4, L.d)[:, 1] = config.forget_bias
@@ -323,20 +325,6 @@ def _dropout_mask(draws, rate):
     return (draws >= rate) / (1.0 - rate)
 
 
-def dropout(x, rate, rng, training):
-    """Inverted dropout; identity when rate == 0 or not training.
-
-    Returns (output, mask) where mask is None on the identity path and the
-    kept-and-scaled multiplier otherwise, so the backward pass can reuse it.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x, None
-    mask = _dropout_mask(rng.random(x.shape), rate)
-    return x * mask, mask
-
-
 # ---------------------------------------------------------------------------
 # full model forward / backward
 
@@ -422,7 +410,10 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], packing, Wb, True)
         cells.append((Cf, Cb))
     pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
-    pooled_d, mask_p = dropout(pooled, cfg.dropout_pool, rng, training)
+    pooled_d, mask_p = pooled, None
+    if training and cfg.dropout_pool > 0:
+        mask_p = _dropout_mask(rng.random(pooled.shape), cfg.dropout_pool)
+        pooled_d = pooled * mask_p
     probs = softmax_rows(pooled_d @ model.softmax_W + model.softmax_b)
     trace = ModelTrace(
         tokens=tokens,

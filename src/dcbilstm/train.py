@@ -258,11 +258,11 @@ def _build_tables(cfg, example_sets, rng_emb):
 
 
 def _infer_classes(example_sets):
-    top = -1
-    for examples in example_sets:
-        if examples:
-            top = max(top, max(ex.label for ex in examples))
-    return top + 1
+    """Largest label plus one; the labels must take at least two values."""
+    labels = {ex.label for examples in example_sets if examples for ex in examples}
+    if len(labels) < 2:
+        raise ConfigError("could not infer at least two classes from the data")
+    return max(labels) + 1
 
 
 def _check_labels(named_splits, num_classes):
@@ -287,9 +287,9 @@ def _grad_group_norms(grads):
 
 
 def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, log_fh, tag):
-    init_rng = np.random.Generator(np.random.PCG64(seed_seqs[0]))
-    batch_rng = np.random.Generator(np.random.PCG64(seed_seqs[1]))
-    drop_rng = np.random.Generator(np.random.PCG64(seed_seqs[2]))
+    init_rng = np.random.default_rng(seed_seqs[0])
+    batch_rng = np.random.default_rng(seed_seqs[1])
+    drop_rng = np.random.default_rng(seed_seqs[2])
 
     model = Model.build(model_cfg, init_rng)
     emb = emb_matrix.copy() if cfg.train_embeddings else emb_matrix
@@ -380,9 +380,9 @@ def train(cfg):
     cfg.validate()
 
     root = np.random.SeedSequence(cfg.seed)
-    split_ss, emb_ss, *_ = root.spawn(2)
-    rng_split = np.random.Generator(np.random.PCG64(split_ss))
-    rng_emb = np.random.Generator(np.random.PCG64(emb_ss))
+    split_ss, emb_ss = root.spawn(2)
+    rng_split = np.random.default_rng(split_ss)
+    rng_emb = np.random.default_rng(emb_ss)
 
     # load everything before touching the filesystem so a bad path or a
     # malformed corpus leaves no half-written artifacts behind
@@ -429,8 +429,6 @@ def train(cfg):
 
 
 def _model_config(cfg, m, num_classes):
-    if num_classes < 2:
-        raise ConfigError("could not infer at least two classes from the data")
     shared = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig) if hasattr(cfg, f.name)}
     return ModelConfig(**{**shared, "m": m, "num_classes": num_classes}).validate()
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcbilstm.errors import ShapeError
-from dcbilstm.tensor import glorot_uniform
 
 
 def sigmoid(x):
@@ -47,7 +46,9 @@ class CellParams:
     @classmethod
     def init(cls, input_dim, d, rng):
         """Glorot-uniform weights and a zero bias, drawn as ``Model.build`` does."""
-        return cls(W=glorot_uniform(input_dim + d, 4 * d, rng), b=np.zeros((1, 4 * d)))
+        rows, cols = input_dim + d, 4 * d
+        limit = np.sqrt(6.0 / (rows + cols))
+        return cls(W=rng.uniform(-limit, limit, size=(rows, cols)), b=np.zeros((1, 4 * d)))
 
 
 @dataclass

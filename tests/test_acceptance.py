@@ -32,7 +32,6 @@ from dcbilstm.model import (
     format_param_count,
     model_forward,
 )
-from dcbilstm.tensor import make_rng
 from dcbilstm.train import TrainConfig, train
 
 from conftest import _toy_corpus_lines
@@ -85,9 +84,9 @@ def test_02_gradient_certification_both_architectures():
 def test_03_degenerate_equivalence_is_bitwise():
     cfg = ModelConfig(m=12, dl=0, dh=0, th=5, num_classes=3, arch="dense",
                       dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None)
-    dense = Model.build(cfg, make_rng(314))
+    dense = Model.build(cfg, np.random.default_rng(314))
     stacked = Model(replace(cfg, arch="stacked"), dense.params)
-    rng = make_rng(2718)
+    rng = np.random.default_rng(2718)
     emb = rng.standard_normal((40, cfg.m))
     for trial in range(100):
         B = int(rng.integers(1, 5))
@@ -103,7 +102,7 @@ def test_03_degenerate_equivalence_is_bitwise():
 
 def test_04_reversal_duality_is_bitwise():
     for seed in range(100):
-        rng = make_rng(9000 + seed)
+        rng = np.random.default_rng(9000 + seed)
         d = int(rng.integers(1, 7))
         din = int(rng.integers(1, 9))
         T = int(rng.integers(1, 13))
@@ -126,8 +125,8 @@ def test_04_reversal_duality_is_bitwise():
 def test_05_padding_neutrality_mixed_lengths():
     cfg = ModelConfig(m=10, dl=2, dh=3, th=4, num_classes=4, arch="dense",
                       dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None)
-    model = Model.build(cfg, make_rng(55))
-    rng = make_rng(56)
+    model = Model.build(cfg, np.random.default_rng(55))
+    rng = np.random.default_rng(56)
     emb = rng.standard_normal((60, cfg.m))
     lengths = np.array([1, 20, 7, 3, 20, 1, 12, 5], dtype=np.int64)
     T = int(lengths.max())

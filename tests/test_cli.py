@@ -4,11 +4,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dcbilstm.cli import SWEEP_TABLES, build_train_config, main, parse_config_file
 from dcbilstm.errors import ParseError
-from dcbilstm.model import count_params
+from dcbilstm.model import Model, ModelConfig, count_params, save_checkpoint
 from dcbilstm.train import TrainConfig
 from tests.conftest import _toy_corpus_lines
 
@@ -307,12 +308,29 @@ def test_train_cli_data_flags_act_on_one_format(toy_tsv, tmp_path, capsys, flags
 
 
 def test_train_cli_single_label_without_num_classes_exits_2(tmp_path, capsys):
-    one = tmp_path / "one.tsv"
-    one.write_text("0\tgreat film\n0\tfine film\n", encoding="utf-8")
-    out_dir = tmp_path / "run"
-    assert main(["train", "--train-path", str(one), "--out-dir", str(out_dir)]) == 2
-    assert "two classes" in capsys.readouterr().err
-    assert not out_dir.exists()
+    # the largest label plus one would give 2 classes for a file of 1s
+    for label in (0, 1):
+        one = tmp_path / f"one{label}.tsv"
+        one.write_text(f"{label}\tgreat film\n{label}\tfine film\n", encoding="utf-8")
+        out_dir = tmp_path / f"run{label}"
+        assert main(["train", "--train-path", str(one), "--out-dir", str(out_dir)]) == 2
+        assert "two classes" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_train_cli_divergence_exits_1(tmp_path, capsys):
+    # finite vectors at the edge of float64 overflow once embedding dropout
+    # scales them by 2
+    data = tmp_path / "d.tsv"
+    data.write_text("1\tgood film\n0\tbad film\n1\tgood\n0\tbad\n1\ta good one\n0\tnot good\n",
+                    encoding="utf-8")
+    vec = tmp_path / "emb.txt"
+    vec.write_text("good 1e308 -1e308 1e308\n", encoding="utf-8")
+    assert main(["train", "--train-path", str(data), "--embeddings-path", str(vec),
+                 "--dl", "1", "--dh", "2", "--th", "3", "--epochs", "1",
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at epoch 1 batch 0 (seed 0)"), err
 
 
 @pytest.mark.parametrize("pretrained", [False, True])
@@ -365,6 +383,17 @@ def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint\n")
     assert main(["eval", "--checkpoint", str(bad), "--data", str(bad)]) == 2
+    # a checkpoint saved without a vocabulary cannot embed text
+    cfg = ModelConfig(m=4, dl=1, dh=2, th=3, num_classes=2)
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(bare, Model.build(cfg, np.random.default_rng(0)), seed=0)
+    data = tmp_path / "two.tsv"
+    data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bare), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bare} has no vocab section; cannot embed text\n"
 
 
 def _write_trees(path, depth=5000):

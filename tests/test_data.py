@@ -21,7 +21,6 @@ from dcbilstm.data import (
     vectorize,
 )
 from dcbilstm.errors import ConfigError, ParseError
-from dcbilstm.tensor import make_rng
 
 EMB_FIXTURE = """the 0.1 0.2 0.3 0.4
 Movie 1.0 -1.0 0.5 0.25
@@ -36,10 +35,16 @@ def emb_path(tmp_path):
     return p
 
 
-def test_load_embeddings_round_trip(emb_path):
+def test_load_embeddings_round_trip(emb_path, tmp_path):
     table = load_embeddings(emb_path)
     assert len(table) == 3 and table.dim == 4
     assert np.array_equal(table.get("movie"), np.array([1.0, -1.0, 0.5, 0.25]))
+    # a blank line is skipped
+    blank = tmp_path / "blank.txt"
+    blank.write_text(EMB_FIXTURE.replace("\n", "\n\n", 1), encoding="utf-8")
+    again = load_embeddings(blank)
+    assert again.vectors.keys() == table.vectors.keys() and again.dim == 4
+    assert all(np.array_equal(again.get(w), table.get(w)) for w in table.vectors)
 
 
 def test_load_embeddings_case_insensitive(emb_path):
@@ -186,6 +191,9 @@ def test_load_tsv(tmp_path):
     examples = load_dataset(p, "tsv")
     assert [ex.label for ex in examples] == [1, 0]
     assert examples[0].tokens == ["a", "fine", "film", "."]
+    # a blank line is skipped
+    p.write_text("1\tA fine film.\n\n0\tso dull\n", encoding="utf-8")
+    assert load_dataset(p, "tsv") == examples
 
 
 def test_load_tsv_errors(tmp_path):
@@ -253,6 +261,10 @@ def test_load_sst_roots_and_binary(tmp_path):
     binary = load_dataset(p, "sst_trees", binary=True)
     assert [ex.label for ex in binary] == [1, 0]  # the neutral root is dropped
 
+    # a blank line is skipped
+    p.write_text(p.read_text(encoding="utf-8").replace("\n", "\n\n", 1), encoding="utf-8")
+    assert load_dataset(p, "sst_trees") == five_way
+
 
 def test_load_sst_phrases_mode(tmp_path):
     p = tmp_path / "trees.txt"
@@ -300,7 +312,7 @@ def test_embedding_matrices(emb_path):
     with pytest.raises(ConfigError):
         build_embedding_matrix({"zebra": 2}, table)
 
-    rnd = random_embedding_matrix(vocab, 6, make_rng(0))
+    rnd = random_embedding_matrix(vocab, 6, np.random.default_rng(0))
     assert rnd.shape == (4, 6)
     assert np.array_equal(rnd[PAD_IDX], np.zeros(6))
     assert (rnd[2] != 0).any()
@@ -352,7 +364,7 @@ def test_make_batches_sizes_and_conservation():
     flat = [l for b in batches for l in b.labels.tolist()]
     assert flat == [ex[1] for ex in indexed]
 
-    rng = make_rng(0)
+    rng = np.random.default_rng(0)
     shuffled = make_batches(indexed, 2, rng, shuffle=True)
     assert sorted(l for b in shuffled for l in b.labels.tolist()) == sorted(flat)
     with pytest.raises(ConfigError):

@@ -5,12 +5,11 @@ import pytest
 
 from dcbilstm.errors import ConfigError
 from dcbilstm.gradcheck import check_model, finite_diff
-from dcbilstm.tensor import make_rng
 
 
 def test_finite_diff_exact_on_quadratics():
     """Central differences have zero truncation error on degree-2 terms."""
-    rng = make_rng(0)
+    rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4))
     A = 0.5 * (A + A.T)
     x = rng.standard_normal((4, 1))
@@ -50,7 +49,7 @@ def test_finite_diff_restores_parameters():
 def test_finite_diff_certifies_a_column_slice_view():
     """A model parameter is a column block of a wider array; nudging it must
     reach the array the loss reads, not a flattened copy."""
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     wide = rng.standard_normal((3, 7))
     view = wide[:, 2:5]
     weights = rng.standard_normal((3, 7))

@@ -7,7 +7,6 @@ import pytest
 from dcbilstm import kernels
 from dcbilstm.errors import ShapeError
 from dcbilstm.model import Model, ModelConfig
-from dcbilstm.tensor import make_rng
 from lstm_oracle import CellParams, lstm_step, lstm_step_backward
 
 # Scalar hand case, d = 1, input_dim = 1, every weight 0.5, bias 0, x = 1,
@@ -59,7 +58,7 @@ def test_step_shape_validation():
 
 def test_init_forget_bias_block():
     cfg = ModelConfig(m=3, dl=0, dh=0, th=4, num_classes=2, forget_bias=1.5)
-    model = Model.build(cfg, make_rng(0))
+    model = Model.build(cfg, np.random.default_rng(0))
     p = CellParams(W=model.params["top.fwd.W"], b=model.params["top.fwd.b"])
     assert np.array_equal(p.b[0, 4:8], np.full(4, 1.5))
     assert np.array_equal(p.b[0, :4], np.zeros(4))
@@ -101,7 +100,7 @@ def test_step_backward_matches_finite_differences():
     # every returned gradient within 1e-6 relative (1e-10 absolute floor for
     # elements where the central difference itself is below noise)
     for seed in range(4):
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         input_dim = int(rng.integers(1, 9))
         d = int(rng.integers(1, 9))
         p = CellParams.init(input_dim, d, rng)
@@ -119,7 +118,7 @@ def test_step_backward_matches_finite_differences():
 
 
 def test_step_backward_rejects_bad_grad_shape():
-    p = CellParams.init(2, 3, make_rng(1))
+    p = CellParams.init(2, 3, np.random.default_rng(1))
     _, _, cache = lstm_step(p, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ShapeError):
         lstm_step_backward(p, cache, np.zeros((1, 2)), np.zeros((1, 3)))
@@ -172,7 +171,7 @@ def test_run_direction_matches_composed_steps():
     product, which reorders the summation, so compare at 1e-12.
     """
     for seed in range(5):
-        rng = make_rng(100 + seed)
+        rng = np.random.default_rng(100 + seed)
         input_dim, d, T = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 9))
         p = CellParams.init(input_dim, d, rng)
         X = rng.standard_normal((T, input_dim))
@@ -195,7 +194,7 @@ def test_run_direction_matches_composed_steps():
 def test_reversal_duality_bitwise():
     # backward run == forward run on the reversed sequence, read backwards
     for seed in range(20):
-        rng = make_rng(200 + seed)
+        rng = np.random.default_rng(200 + seed)
         input_dim, d, T = int(rng.integers(1, 8)), int(rng.integers(1, 8)), int(rng.integers(1, 12))
         p = CellParams.init(input_dim, d, rng)
         X = rng.standard_normal((T, input_dim))
@@ -206,7 +205,7 @@ def test_reversal_duality_bitwise():
 
 
 def test_run_direction_padding_left_untouched():
-    rng = make_rng(9)
+    rng = np.random.default_rng(9)
     p = CellParams.init(3, 2, rng)
     X = rng.standard_normal((6, 3))
     for reverse in (False, True):
@@ -230,7 +229,7 @@ def test_run_direction_padding_left_untouched():
 def test_kernel_rows_do_not_interact():
     """The kernels reorder rows by length internally; a batch must still
     equal its sentences run one at a time, with padding exactly zero."""
-    rng = make_rng(31)
+    rng = np.random.default_rng(31)
     lengths = np.array([1, 7, 3, 7, 1, 5], dtype=np.int64)
     B, T, Din, d = len(lengths), int(lengths.max()), 5, 4
     real = (np.arange(T) < lengths[:, None])[:, :, None]
@@ -266,7 +265,7 @@ def test_kernels_work_in_place_on_strided_views():
     and reads H and dH from views, leaving dH untouched.  Columns beside
     the views are never written, and every result equals the one computed
     on contiguous copies, bit for bit."""
-    rng = make_rng(32)
+    rng = np.random.default_rng(32)
     lengths = np.array([4, 1, 6, 3], dtype=np.int64)
     P = kernels.pack(lengths)
     N, Din, d = len(P.rows), 5, 3

@@ -17,9 +17,9 @@ from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, Sh
 from dcbilstm.model import (
     Model,
     ModelConfig,
+    _dropout_mask,
     average_pool_batch,
     count_params,
-    dropout,
     format_param_count,
     load_checkpoint,
     model_backward,
@@ -28,7 +28,6 @@ from dcbilstm.model import (
     save_checkpoint,
     softmax_rows,
 )
-from dcbilstm.tensor import glorot_uniform, make_rng
 from dcbilstm.train import AdamState, adam_update
 from lstm_oracle import CellParams, lstm_step
 
@@ -82,7 +81,7 @@ def _naive_forward(model, emb_rows):
 @pytest.mark.parametrize("arch", ["dense", "stacked"])
 @pytest.mark.parametrize("dl", [0, 1, 3])
 def test_forward_matches_naive_reimplementation(arch, dl):
-    rng = make_rng(10 * dl + (arch == "dense"))
+    rng = np.random.default_rng(10 * dl + (arch == "dense"))
     cfg = small_config(arch=arch, dl=dl)
     model = Model.build(cfg, rng)
     T = 5
@@ -105,14 +104,14 @@ def test_forward_matches_naive_reimplementation(arch, dl):
 
 
 def test_degenerate_dl0_architectures_identical_bitwise():
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     dense_cfg = small_config(arch="dense", dl=0)
     model = Model.build(dense_cfg, rng)
     stacked_cfg = small_config(arch="stacked", dl=0)
     twin = Model(stacked_cfg, model.params)
 
     for trial in range(10):
-        r = make_rng(1000 + trial)
+        r = np.random.default_rng(1000 + trial)
         T = int(r.integers(1, 9))
         X = r.standard_normal((T, dense_cfg.m))
         batch = Batch(indices=np.arange(T).reshape(1, T), lengths=np.array([T], dtype=np.int64),
@@ -123,14 +122,14 @@ def test_degenerate_dl0_architectures_identical_bitwise():
 
 
 def test_growth_law_fail_fast():
-    rng = make_rng(1)
+    rng = np.random.default_rng(1)
     cfg = small_config(arch="dense", dl=2)
     good = Model.build(cfg, rng)
     # swap in a layer whose input width skips the dense growth law
     bad = dict(good.params)
     for tag in ("fwd", "bwd"):
         # input width m, where the growth law gives m + 2*dh
-        bad[f"dense1.{tag}.W"] = glorot_uniform(cfg.m + cfg.dh, 4 * cfg.dh, rng)
+        bad[f"dense1.{tag}.W"] = rng.uniform(-0.5, 0.5, size=(cfg.m + cfg.dh, 4 * cfg.dh))
     with pytest.raises(ConfigError):
         Model(cfg, bad)
     one_layer = {name: arr for name, arr in good.params.items() if not name.startswith("dense1.")}
@@ -184,7 +183,7 @@ def test_model_config_validation():
 def test_count_params_equals_constructed_model_size():
     for m, dl, dh, th in [(6, 0, 3, 4), (6, 2, 3, 4), (12, 3, 5, 7), (300, 1, 10, 100)]:
         cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=3)
-        model = Model.build(cfg, make_rng(0))
+        model = Model.build(cfg, np.random.default_rng(0))
         recurrent = sum(arr.size for name, arr in model.named_params()
                         if not name.startswith("softmax"))
         assert recurrent == count_params(m, dl, dh, th), (m, dl, dh, th)
@@ -248,7 +247,7 @@ def test_average_pool_hand_case():
 
 
 def test_average_pool_ignores_padding():
-    rng = make_rng(2)
+    rng = np.random.default_rng(2)
     H = rng.standard_normal((1, 6, 4))
     pooled = average_pool_batch(*packed(H, one_length(3)))
     assert np.abs(pooled - average_pool_batch(*packed(H[:, :3], one_length(3)))).max() < 1e-12
@@ -271,7 +270,7 @@ def test_classify_uniform_and_shift_invariance():
     b0 = np.zeros((1, 5))
     assert np.abs(softmax_rows(h @ W0 + b0) - 0.2).max() < 1e-15
 
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     W = rng.standard_normal((4, 5))
     b = rng.standard_normal((1, 5))
     p1 = softmax_rows(h @ W + b)
@@ -287,34 +286,38 @@ def test_classify_uniform_and_shift_invariance():
 
 
 def test_dropout_identity_paths():
-    rng = make_rng(0)
-    x = rng.standard_normal((3, 4))
-    out, mask = dropout(x, 0.0, rng, training=True)
-    assert out is x and mask is None
-    out, mask = dropout(x, 0.5, rng, training=False)
-    assert out is x and mask is None
-    with pytest.raises(ConfigError):
-        dropout(x, 1.0, rng, training=True)
+    # in eval mode, or training with a zero pool rate, the pooled vector
+    # reaches the softmax unmasked
+    cfg = small_config(dl=1)
+    model = Model.build(cfg, np.random.default_rng(0))
+    emb_matrix = np.random.default_rng(1).standard_normal((6, cfg.m))
+    batch = _repeated_token_batch(2)
+    for rate, training in ((0.5, False), (0.0, True)):
+        cfg.dropout_embed, cfg.dropout_pool = 0.3, rate
+        probs, trace = model_forward(model, emb_matrix, batch, np.random.default_rng(3),
+                                     training=training)
+        pooled = average_pool_batch(trace.states[:, model.layers[-1].out], batch.lengths,
+                                    trace.packing)
+        assert trace.mask_pool is None
+        assert np.array_equal(trace.pooled_dropped, pooled)
+        assert np.array_equal(probs, softmax_rows(pooled @ model.softmax_W + model.softmax_b))
 
 
 def test_dropout_scales_survivors():
-    rng = make_rng(1)
-    x = np.ones((1, 1000))
-    out, mask = dropout(x, 0.5, rng, training=True)
-    kept = out[out != 0]
-    assert np.allclose(kept, 2.0)
-    assert mask.shape == x.shape
+    rng = np.random.default_rng(1)
+    mask = _dropout_mask(rng.random((1, 1000)), 0.5)
+    assert mask.shape == (1, 1000)
+    assert set(np.unique(mask)) == {0.0, 2.0}
 
 
 def test_dropout_monte_carlo_unbiased():
     # seeded, so this is a frozen numerical fact rather than a flaky sample
-    rng = make_rng(1234)
+    rng = np.random.default_rng(1234)
     x = np.linspace(0.5, 2.0, 20).reshape(1, 20)
     acc = np.zeros_like(x)
     trials = 100_000
     for _ in range(trials):
-        out, _ = dropout(x, 0.5, rng, training=True)
-        acc += out
+        acc += x * _dropout_mask(rng.random(x.shape), 0.5)
     rel = np.abs(acc / trials - x) / x
     assert rel.max() < 0.01, rel.max()
 
@@ -324,7 +327,7 @@ def test_dropout_monte_carlo_unbiased():
 
 
 def test_model_forward_identical_rows():
-    rng = make_rng(4)
+    rng = np.random.default_rng(4)
     cfg = small_config(arch="dense", dl=1)
     model = Model.build(cfg, rng)
     emb_matrix = rng.standard_normal((9, cfg.m))
@@ -336,7 +339,7 @@ def test_model_forward_identical_rows():
 
 
 def test_model_backward_returns_every_parameter():
-    rng = make_rng(6)
+    rng = np.random.default_rng(6)
     cfg = small_config(arch="stacked", dl=2)
     model = Model.build(cfg, rng)
     emb_matrix = rng.standard_normal((8, cfg.m))
@@ -357,8 +360,8 @@ def test_model_backward_returns_every_parameter():
 def _training_step_inputs(arch, seed):
     cfg = small_config(arch=arch, dl=2)
     cfg.dropout_embed, cfg.dropout_pool, cfg.forget_bias = 0.3, 0.2, 1.0
-    model = Model.build(cfg, make_rng(seed))
-    rng = make_rng(seed + 1)
+    model = Model.build(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
     emb = rng.standard_normal((12, cfg.m))
     lengths = np.array([3, 6, 1, 4], dtype=np.int64)
     idx = rng.integers(2, 12, size=(4, 6))
@@ -368,7 +371,7 @@ def _training_step_inputs(arch, seed):
 
 
 def _backward(model, emb, batch, **kwargs):
-    probs, trace = model_forward(model, emb, batch, make_rng(77), training=True)
+    probs, trace = model_forward(model, emb, batch, np.random.default_rng(77), training=True)
     dlogits = probs.copy()
     dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
     return model_backward(model, trace, dlogits / len(batch.labels), **kwargs)
@@ -387,7 +390,7 @@ def test_skipping_the_embedding_gradient_keeps_every_parameter_gradient(arch):
 
 def test_a_trace_takes_one_backward_pass():
     model, emb, batch = _training_step_inputs("dense", 41)
-    probs, trace = model_forward(model, emb, batch, make_rng(77), training=True)
+    probs, trace = model_forward(model, emb, batch, np.random.default_rng(77), training=True)
     dlogits = probs - 0.5
     model_backward(model, trace, dlogits)
     with pytest.raises(ConfigError):
@@ -406,7 +409,7 @@ def _per_token_forward(model, emb_matrix, batch):
     with the per-token product of the masked path.
     """
     cfg = replace(model.config, dropout_embed=1e-300, dropout_pool=0.0)
-    probs, trace = model_forward(Model(cfg, model.params), emb_matrix, batch, make_rng(0),
+    probs, trace = model_forward(Model(cfg, model.params), emb_matrix, batch, np.random.default_rng(0),
                                  training=True)
     assert (trace.mask_embed == 1).all()
     return probs, trace
@@ -414,7 +417,7 @@ def _per_token_forward(model, emb_matrix, batch):
 
 def _repeated_token_batch(seed, B=7, T=9, vocab=6):
     """A batch drawn from a few token ids, so most tokens repeat."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     lengths = rng.integers(1, T + 1, size=B)
     lengths[0] = T
     idx = rng.integers(2, vocab, size=(B, T))
@@ -433,8 +436,8 @@ def test_eval_forward_over_distinct_tokens_matches_the_per_token_product(arch, d
     which receive only the bias."""
     cfg = small_config(arch=arch, dl=dl)
     cfg.forget_bias = 1.0
-    model = Model.build(cfg, make_rng(50 + dl))
-    emb_matrix = make_rng(51).standard_normal((6, cfg.m))
+    model = Model.build(cfg, np.random.default_rng(50 + dl))
+    emb_matrix = np.random.default_rng(51).standard_normal((6, cfg.m))
     batch = _repeated_token_batch(52 + dl)
     n_tokens = int(batch.lengths.sum())
     assert len(np.unique(batch.indices[batch.indices > 0])) < n_tokens
@@ -455,8 +458,8 @@ def test_eval_forward_over_distinct_tokens_matches_the_per_token_product(arch, d
 
 
 def test_eval_forward_reruns_are_byte_identical():
-    model = Model.build(small_config(dl=3), make_rng(53))
-    emb_matrix = make_rng(54).standard_normal((6, model.config.m))
+    model = Model.build(small_config(dl=3), np.random.default_rng(53))
+    emb_matrix = np.random.default_rng(54).standard_normal((6, model.config.m))
     batch = _repeated_token_batch(55)
     first, _ = model_forward(model, emb_matrix, batch, training=False)
     again, _ = model_forward(model, emb_matrix, batch, training=False)
@@ -469,13 +472,13 @@ def test_embedding_dropout_draws_the_padded_stream(bit_generator):
     gives, and the generator's next draw after the batches is the same."""
     cfg = small_config(dl=1)
     cfg.dropout_embed, cfg.dropout_pool = 0.4, 0.0  # the pool site draws nothing
-    model = Model.build(cfg, make_rng(56))
-    emb_matrix = make_rng(57).standard_normal((6, cfg.m))
+    model = Model.build(cfg, np.random.default_rng(56))
+    emb_matrix = np.random.default_rng(57).standard_normal((6, cfg.m))
 
     def generator():
         if bit_generator == "buffered":
             # a 32-bit draw leaves half of a 64-bit output buffered
-            rng = np.random.Generator(np.random.PCG64(58))
+            rng = np.random.default_rng(58)
             rng.integers(0, 7, dtype=np.uint32)
             assert rng.bit_generator.state["has_uint32"]
             return rng
@@ -499,7 +502,7 @@ def test_embedding_dropout_draws_the_padded_stream(bit_generator):
 
 @pytest.mark.parametrize("arch", ["dense", "stacked"])
 def test_every_lstm_parameter_is_a_view_of_the_model_storage(arch):
-    model = Model.build(small_config(arch=arch, dl=3), make_rng(42))
+    model = Model.build(small_config(arch=arch, dl=3), np.random.default_rng(42))
     assert [name for name, _ in model.named_params()] == [
         name for name, _ in param_shapes(model.config)]
     col = 0
@@ -519,10 +522,10 @@ def test_every_lstm_parameter_is_a_view_of_the_model_storage(arch):
 
 
 def test_model_storage_keeps_the_parameter_contracts(tmp_path):
-    model = Model.build(small_config(dl=2), make_rng(43))
+    model = Model.build(small_config(dl=2), np.random.default_rng(43))
     # an Adam step on the views equals one on plain arrays, and reaches the storage
     plain = model.copy_params()
-    rng = make_rng(44)
+    rng = np.random.default_rng(44)
     grads = {name: rng.standard_normal(arr.shape) for name, arr in plain.items()}
     for name, arr in model.named_params():
         adam_update(arr, grads[name], AdamState.like(arr), 0.01)
@@ -566,7 +569,7 @@ def test_model_storage_keeps_the_parameter_contracts(tmp_path):
 def test_padding_a_batch_further_changes_nothing_bitwise(arch):
     """Padding never enters the packed layout, so the same batch padded 3
     positions further gives byte-identical probabilities and gradients."""
-    rng = make_rng(13)
+    rng = np.random.default_rng(13)
     cfg = small_config(arch=arch, dl=2)
     model = Model.build(cfg, rng)
     emb_matrix = rng.standard_normal((12, cfg.m))
@@ -592,13 +595,21 @@ def test_padding_a_batch_further_changes_nothing_bitwise(arch):
 def test_training_forward_requires_rng():
     cfg = small_config()
     cfg.dropout_embed = 0.5
-    model = Model.build(cfg, make_rng(0))
+    model = Model.build(cfg, np.random.default_rng(0))
     emb = np.zeros((4, cfg.m))
     batch = Batch(indices=np.array([[1]], dtype=np.int64),
                   lengths=np.array([1], dtype=np.int64),
                   labels=np.array([0], dtype=np.int64))
     with pytest.raises(ConfigError):
         model_forward(model, emb, batch, rng=None, training=True)
+
+
+def test_model_forward_rejects_an_embedding_matrix_of_the_wrong_width():
+    cfg = small_config()
+    model = Model.build(cfg, np.random.default_rng(0))
+    batch = _repeated_token_batch(1)
+    with pytest.raises(ConfigError, match="embedding width"):
+        model_forward(model, np.zeros((6, cfg.m + 1)), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +623,7 @@ def test_training_forward_requires_rng():
     {"forget_bias": 2},
 ], ids=["all-set", "no-max-norm", "frozen-embeddings", "int-forget-bias"])
 def test_checkpoint_round_trip_bitwise(tmp_path, settings):
-    rng = make_rng(8)
+    rng = np.random.default_rng(8)
     cfg = ModelConfig(m=6, dl=2, dh=3, th=4, num_classes=3, arch="dense",
                       dropout_embed=0.4, dropout_pool=0.3, max_norm_s=2.5,
                       forget_bias=1.0, train_embeddings=True)
@@ -651,7 +662,7 @@ def test_checkpoint_from_before_the_parameter_table_round_trips(tmp_path):
 
 
 def test_checkpoint_vocab_round_trip(tmp_path):
-    rng = make_rng(9)
+    rng = np.random.default_rng(9)
     cfg = small_config(dl=1)
     model = Model.build(cfg, rng)
     vocab = {"film": 2, "great": 3, "the": 4}
@@ -661,10 +672,15 @@ def test_checkpoint_vocab_round_trip(tmp_path):
     _, meta = load_checkpoint(path)
     assert meta["vocab"] == vocab
     assert np.array_equal(meta["emb_matrix"], emb)
+    # a vocab is saved only with the embedding matrix its rows index
+    bare = tmp_path / "bare.ckpt"
+    with pytest.raises(CheckpointError, match="without an embedding matrix"):
+        save_checkpoint(bare, model, seed=1, vocab=vocab)
+    assert not bare.exists()
 
 
 def test_checkpoint_truncation_detected(tmp_path):
-    model = Model.build(small_config(dl=1), make_rng(0))
+    model = Model.build(small_config(dl=1), np.random.default_rng(0))
     path = tmp_path / "t.ckpt"
     save_checkpoint(path, model, seed=0)
     blob = path.read_bytes()
@@ -728,7 +744,7 @@ def _nan_entry(blob):
         "arch-unknown", "max-norm-nan", "bool-seven", "unknown-key", "gate-order",
         "header-two-fields", "no-embeddings", "extra-tensor", "manifest-not-utf8"])
 def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
-    rng = make_rng(12)
+    rng = np.random.default_rng(12)
     model = Model.build(small_config(dl=1), rng)
     good = tmp_path / "good.ckpt"
     save_checkpoint(good, model, seed=3, vocab={"a": 2, "b": 3, "c": 4},

@@ -1,12 +1,10 @@
-"""Core tensor ops, and the step oracle's activations, against frozen
-high-precision values and scipy."""
+"""Float64 numerics: the Glorot draw of ``Model.build``, and the step
+oracle's activations against frozen high-precision values and scipy."""
 
 import numpy as np
-import pytest
 from scipy.special import expit
 
-from dcbilstm.errors import ShapeError
-from dcbilstm.tensor import glorot_uniform, make_rng
+from dcbilstm.model import Model, ModelConfig
 from lstm_oracle import sigmoid, tanh
 
 # reference values computed once with mpmath at 30 significant digits
@@ -28,7 +26,7 @@ def test_sigmoid_saturates_cleanly():
 
 
 def test_sigmoid_matches_scipy_expit():
-    rng = make_rng(11)
+    rng = np.random.default_rng(11)
     x = rng.uniform(-30, 30, size=500)
     assert np.abs(sigmoid(x) - expit(x)).max() < 1e-15
 
@@ -38,19 +36,15 @@ def test_tanh_frozen_value():
 
 
 def test_glorot_uniform_bound_and_determinism():
-    limit = np.sqrt(6.0 / (40 + 24))
-    w1 = glorot_uniform(40, 24, make_rng(5))
-    w2 = glorot_uniform(40, 24, make_rng(5))
-    assert np.array_equal(w1, w2)
-    assert np.abs(w1).max() <= limit
-    # a different seed should not reproduce the draw
-    assert not np.array_equal(w1, glorot_uniform(40, 24, make_rng(6)))
-    with pytest.raises(ShapeError):
-        glorot_uniform(0, 4, make_rng(0))
-
-
-def test_make_rng_streams_are_independent_of_call_order():
-    r = make_rng(123)
-    first = r.random(4)
-    again = make_rng(123).random(4)
-    assert np.array_equal(first, again)
+    cfg = ModelConfig(m=40, dl=2, dh=6, th=8, num_classes=3)
+    w1, w2, w3 = (dict(Model.build(cfg, np.random.default_rng(seed)).named_params())
+                  for seed in (5, 5, 6))
+    weights = [name for name in w1 if name.endswith(".W")]
+    assert len(weights) == 7  # both directions of three layers, and the softmax
+    for name in weights:
+        rows, cols = w1[name].shape
+        limit = np.sqrt(6.0 / (rows + cols))
+        assert np.abs(w1[name]).max() <= limit
+        assert np.array_equal(w1[name], w2[name])
+        # a different seed should not reproduce the draw
+        assert not np.array_equal(w1[name], w3[name])

@@ -18,7 +18,6 @@ from dcbilstm.model import (
     model_forward,
     softmax_rows,
 )
-from dcbilstm.tensor import make_rng
 from dcbilstm.train import (
     AdamState,
     TrainConfig,
@@ -53,7 +52,7 @@ def test_cross_entropy_confident_prediction():
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
-    rng = make_rng(0)
+    rng = np.random.default_rng(0)
     logits = rng.standard_normal((1, 4))
     label = np.array([2])
     probs = softmax_rows(logits)
@@ -123,7 +122,7 @@ def test_adam_first_step_size_is_lr():
 
 
 def test_adam_determinism():
-    rng = make_rng(4)
+    rng = np.random.default_rng(4)
     grads = [rng.standard_normal((3, 2)) for _ in range(4)]
 
     def run():
@@ -158,7 +157,7 @@ def test_max_norm_rescales_large_columns():
 
 
 def test_max_norm_idempotent_bitwise():
-    rng = make_rng(2)
+    rng = np.random.default_rng(2)
     W = 4.0 * rng.standard_normal((10, 6))
     once = max_norm_constrain(W.copy(), 3.0)
     twice = max_norm_constrain(once.copy(), 3.0)
@@ -172,27 +171,27 @@ def test_max_norm_idempotent_bitwise():
 
 
 def _indexed_toy(n=20, seed=0):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     return [([int(rng.integers(2, 8)) for _ in range(int(rng.integers(1, 6)))], k % 2)
             for k in range(n)]
 
 
 def test_evaluate_uniform_model_ties_to_class_zero():
     cfg = small_config(arch="dense", dl=0, num_classes=2)
-    model = Model.build(cfg, make_rng(1))
+    model = Model.build(cfg, np.random.default_rng(1))
     model.softmax_W[...] = 0.0
     model.softmax_b[...] = 0.0
     # uniform probabilities predict class 0 everywhere, so accuracy on a
     # balanced set is exactly the share of zero labels
-    emb = make_rng(2).standard_normal((8, cfg.m))
+    emb = np.random.default_rng(2).standard_normal((8, cfg.m))
     acc = evaluate(model, emb, _indexed_toy(20), batch_size=7)
     assert acc == 0.5
 
 
 def test_evaluate_matches_confusion_matrix_recount():
     cfg = small_config(arch="dense", dl=1, num_classes=3)
-    model = Model.build(cfg, make_rng(3))
-    emb = make_rng(4).standard_normal((8, cfg.m))
+    model = Model.build(cfg, np.random.default_rng(3))
+    emb = np.random.default_rng(4).standard_normal((8, cfg.m))
     indexed = [(idxs, label % 3) for idxs, label in _indexed_toy(30, seed=5)]
     acc = evaluate(model, emb, indexed, batch_size=4)
 
@@ -206,10 +205,10 @@ def test_evaluate_matches_confusion_matrix_recount():
 
 def test_evaluate_does_not_depend_on_the_order_of_its_examples():
     cfg = small_config(arch="dense", dl=2, num_classes=3)
-    model = Model.build(cfg, make_rng(6))
-    emb = make_rng(7).standard_normal((8, cfg.m))
+    model = Model.build(cfg, np.random.default_rng(6))
+    emb = np.random.default_rng(7).standard_normal((8, cfg.m))
     indexed = [(idxs, label % 3) for idxs, label in _indexed_toy(40, seed=8)]
-    shuffled = [indexed[i] for i in make_rng(9).permutation(len(indexed))]
+    shuffled = [indexed[i] for i in np.random.default_rng(9).permutation(len(indexed))]
     acc = evaluate(model, emb, indexed, batch_size=6)
     assert 0.0 < acc < 1.0
     assert evaluate(model, emb, shuffled, batch_size=6) == acc
@@ -227,7 +226,7 @@ def test_train_rejects_labels_outside_the_configured_classes(toy_tsv, tmp_path):
 
 
 def test_evaluate_empty_is_an_error():
-    model = Model.build(small_config(), make_rng(0))
+    model = Model.build(small_config(), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         evaluate(model, np.zeros((4, 6)), [], batch_size=2)
 
@@ -389,8 +388,8 @@ def _embedding_grad(model, emb, indexed, scale):
 def test_embedding_gradient_is_the_sum_of_sentence_gradients():
     # mixed lengths, tokens repeated within and across sentences
     cfg = small_config(arch="dense", dl=2, num_classes=3)
-    model = Model.build(cfg, make_rng(21))
-    emb = make_rng(22).standard_normal((9, cfg.m))
+    model = Model.build(cfg, np.random.default_rng(21))
+    emb = np.random.default_rng(22).standard_normal((9, cfg.m))
     emb[PAD_IDX] = 0.0
     indexed = [([2, 3, 2, 5], 0), ([3], 1), ([5, 5, 5, 2, 8, 3], 2), ([8, 2], 1), ([4, 4, 4], 0)]
     full = _embedding_grad(model, emb, indexed, len(indexed))
