@@ -88,11 +88,11 @@ def load_embeddings(path, keep=None):
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
                 continue
+            if line.isspace():
+                continue
             # split at most d times from the right; every space while d is unknown
             parts = line.rstrip("\n").rsplit(" ", dim or -1)
             if len(parts) < 2:
-                if line.strip() == "":
-                    continue
                 raise ParseError("embedding line has no vector part", line_no)
             word = parts[0].lower()
             if dim is None:

@@ -21,8 +21,12 @@ Conventions shared with the rest of the package:
   - padding is never packed, so a sentence's outputs do not depend on how
     far its batch is padded, bit for bit.
 
-The gate-value array ``G`` stores the activated gates, and sigmoids are
-computed as ``0.5 * (tanh(z/2) + 1)``, which saturates without overflow.
+The gate-value array ``G`` stores the activated gates.  Sigmoids are
+``0.5 * (tanh(z/2) + 1)``, which saturates without overflow.  The forward
+kernel halves the i/f/o pre-activations once for all tokens before its
+loop, and the same columns of a copy of the recurrent rows, so a step runs
+one ``tanh`` over all 4d columns.  Halving is exact in binary floating point
+(barring subnormals), so ``x/2 + h @ (W/2)`` is ``(x + h @ W)/2`` bit for bit.
 """
 
 from typing import NamedTuple
@@ -35,32 +39,32 @@ class Packing(NamedTuple):
 
     Packed entry ``e`` is position ``ts[e]`` of sentence ``rows[e]``; step
     ``t`` holds ``sizes[t]`` entries beginning at ``starts[t]``, sentences
-    in decreasing length.
+    in decreasing length.  ``steps[reverse]`` is the schedule of one
+    direction: a ``(lo, hi, plo, kp)`` per step in the order its forward
+    pass visits them, the step's rows being ``lo:hi``, the first ``kp`` of
+    which are fed by the rows ``plo:plo + kp`` of the step visited before.
     """
 
     rows: np.ndarray
     ts: np.ndarray
     sizes: list
     starts: list
+    steps: tuple
 
 
 def pack(lengths):
     """The packed layout of a batch with the given (B,) true lengths."""
     order = np.argsort(-lengths, kind="stable")
-    steps = np.arange(int(lengths.max(initial=0)))
-    active = lengths[order][None, :] > steps[:, None]
+    positions = np.arange(int(lengths.max(initial=0)))
+    active = lengths[order][None, :] > positions[:, None]
     ts, slots = np.nonzero(active)
     sizes = active.sum(axis=1)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return Packing(order[slots], ts, sizes.tolist(), starts.tolist())
-
-
-def _predecessor(t, reverse, sizes, starts):
-    """Start of the step that feeds step t, and how many of its rows do."""
-    tp = t + 1 if reverse else t - 1
-    if not 0 <= tp < len(sizes):
-        return 0, 0
-    return starts[tp], min(sizes[t], sizes[tp])
+    s, k = starts.tolist() + [0], sizes.tolist() + [0]  # steps -1 and L: empty
+    fwd = [(s[t], s[t] + k[t], s[t - 1], min(k[t], k[t - 1])) for t in range(len(sizes))]
+    bwd = [(s[t], s[t] + k[t], s[t + 1], min(k[t], k[t + 1]))
+           for t in range(len(sizes) - 1, -1, -1)]
+    return Packing(order[slots], ts, k[:-1], s[:-1], (fwd, bwd))
 
 
 def lstm_layer_forward(Z, packing, W, reverse):
@@ -77,28 +81,25 @@ def lstm_layer_forward(Z, packing, W, reverse):
     Returns packed (H, C): hidden states (N, d) and cell states (N, d).
     """
     d = W.shape[1] // 4
-    Wh = W[-d:]
-    sizes, starts = packing.sizes, packing.starts
+    Wh = W[-d:].copy()
+    Wh[:, :3 * d] *= 0.5
+    Z[:, :3 * d] *= 0.5
     H = np.empty((len(Z), d))
     C = np.empty((len(Z), d))
-    for t in (range(len(sizes) - 1, -1, -1) if reverse else range(len(sizes))):
-        lo, hi = starts[t], starts[t] + sizes[t]
-        plo, kp = _predecessor(t, reverse, sizes, starts)
+    Zs, Zi, Zf, Zo, Zg = Z[:, :3 * d], Z[:, :d], Z[:, d:2 * d], Z[:, 2 * d:3 * d], Z[:, 3 * d:]
+    for lo, hi, plo, kp in packing.steps[reverse]:
         z = Z[lo:hi]
         z[:kp] += H[plo:plo + kp] @ Wh
-        s = z[:, :3 * d]
-        s *= 0.5
-        np.tanh(s, out=s)
+        np.tanh(z, out=z)
+        s = Zs[lo:hi]
         s += 1.0
         s *= 0.5
-        np.tanh(z[:, 3 * d:], out=z[:, 3 * d:])
-        i, f, o, g = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
         c = C[lo:hi]
-        np.multiply(i, g, out=c)
-        c[:kp] += f[:kp] * C[plo:plo + kp]
+        np.multiply(Zi[lo:hi], Zg[lo:hi], out=c)
+        c[:kp] += Zf[lo:lo + kp] * C[plo:plo + kp]
         h = H[lo:hi]
         np.tanh(c, out=h)
-        h *= o
+        h *= Zo[lo:hi]
     return H, C
 
 
@@ -117,7 +118,7 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
     carrying the recurrent gradients dh and dc; everything that does not
     depend on them is computed once for all tokens before the loop.
     """
-    sizes, starts = packing.sizes, packing.starts
+    steps = packing.steps[reverse]
     N, d = len(G), W.shape[1] // 4
     WhT = np.ascontiguousarray(W[-d:].T)
     i, f, o, g = G[:, :d], G[:, d:2 * d], G[:, 2 * d:3 * d], G[:, 3 * d:]
@@ -125,10 +126,9 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
     # (h, c) of each token's predecessor, zero where a sentence starts
     Hprev = np.zeros((N, d))
     Cprev = np.zeros((N, d))
-    for t in range(len(sizes)):
-        plo, kp = _predecessor(t, reverse, sizes, starts)
-        Hprev[starts[t]:starts[t] + kp] = H[plo:plo + kp]
-        Cprev[starts[t]:starts[t] + kp] = C[plo:plo + kp]
+    for lo, _, plo, kp in steps:
+        Hprev[lo:lo + kp] = H[plo:plo + kp]
+        Cprev[lo:lo + kp] = C[plo:plo + kp]
     # gate derivatives, written over the gate values; the loop scales the o
     # block by dh and the rest by dc, and reads the forget gates kept here
     f_gate = f.copy()
@@ -141,8 +141,7 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
     dZ = G.reshape(N, 4, d)  # splitting the gate axis is a view, never a copy
     # gradients carried to the first rows of the next step visited
     dh_rec = dc_rec = np.zeros((0, d))
-    for t in (range(len(sizes)) if reverse else range(len(sizes) - 1, -1, -1)):
-        lo, hi = starts[t], starts[t] + sizes[t]
+    for lo, hi, _, kp in reversed(steps):
         dh = dH[lo:hi].copy()
         dh[:len(dh_rec)] += dh_rec
         dc = dh * dc_dh[lo:hi]
@@ -151,7 +150,6 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
         dz[:, :2] *= dc[:, None, :]
         dz[:, 2] *= dh
         dz[:, 3] *= dc
-        _, kp = _predecessor(t, reverse, sizes, starts)
         dh_rec = dz[:kp].reshape(kp, 4 * d) @ WhT
         dc_rec = dc[:kp] * f_gate[lo:lo + kp]
     return Hprev.T @ G

@@ -4,7 +4,8 @@ Runs write two artifacts into the output directory: a JSONL run log
 (`run.log`) and the best-dev checkpoint (`model.ckpt`, or `fold<i>.ckpt`
 under cross-validation).  The log holds one JSON object per line: a
 "config" event echoing the effective configuration, one "epoch" record per
-epoch, and a closing "result" (plus "cv_summary" for CV runs).  Log content
+epoch, and a closing "result" (plus "cv_summary" for CV runs); a run whose
+loss stops being finite ends with a "diverged" event instead.  Log content
 is a pure function of the configuration and seed, so identical runs produce
 identical bytes; wall-clock timing goes to stderr only.
 """
@@ -155,13 +156,28 @@ class AdamState:
 
 
 def adam_update(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam step, in place on param."""
+    """One bias-corrected Adam step, in place on param, state.m and state.v.
+
+    The moments are updated through one temporary array, in the operation
+    order of ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v +
+    (1 - beta2) * g * g`` and ``param -= lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    tmp = np.multiply(grad, 1.0 - beta1)
+    m *= beta1
+    m += tmp
+    np.multiply(grad, 1.0 - beta2, out=tmp)
+    tmp *= grad
+    v *= beta2
+    v += tmp
+    np.divide(v, 1.0 - beta2 ** state.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step = m / (1.0 - beta1 ** state.t)
+    step *= lr
+    step /= tmp
+    param -= step
     return param
 
 
@@ -308,6 +324,9 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             probs, trace = model_forward(model, emb, batch, drop_rng, training=True)
             loss, dlogits = cross_entropy(probs, batch.labels)
             if not np.isfinite(loss):
+                log_fh.write(json.dumps({"event": "diverged", "tag": tag, "epoch": epoch,
+                                         "batch": b_idx, "seed": cfg.seed},
+                                        sort_keys=True) + "\n")
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} batch {b_idx} (seed {cfg.seed})"
                 )

@@ -331,6 +331,12 @@ def test_train_cli_divergence_exits_1(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at epoch 1 batch 0 (seed 0)"), err
+    # the run log says why it stops, and no checkpoint is written
+    lines = (tmp_path / "run" / "run.log").read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[-1]) == {"event": "diverged", "tag": "train", "epoch": 1,
+                                     "batch": 0, "seed": 0}
+    assert [json.loads(line)["event"] for line in lines] == ["config", "diverged"]
+    assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("pretrained", [False, True])

@@ -47,6 +47,17 @@ def test_load_embeddings_round_trip(emb_path, tmp_path):
     assert all(np.array_equal(again.get(w), table.get(w)) for w in table.vectors)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_load_embeddings_skips_whitespace_only_lines_anywhere(tmp_path, dim):
+    # before and after the width is known, as the TSV and tree readers do
+    good, bad = " ".join(["1"] * dim), " ".join(["5"] * dim)
+    p = tmp_path / "spaces.txt"
+    p.write_text(f"  \ngood {good}\n \n\t\nbad {bad}\n   \n", encoding="utf-8")
+    table = load_embeddings(p)
+    assert table.dim == dim and list(table.vectors) == ["good", "bad"]
+    assert np.array_equal(table.get("bad"), np.full(dim, 5.0))
+
+
 def test_load_embeddings_case_insensitive(emb_path):
     table = load_embeddings(emb_path)
     assert np.array_equal(table.get("The"), table.get("the"))

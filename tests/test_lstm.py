@@ -263,8 +263,9 @@ def test_kernels_work_in_place_on_strided_views():
     calls them: the forward kernel turns a view of pre-activations into
     gate values in place, the backward kernel overwrites that view with dZ
     and reads H and dH from views, leaving dH untouched.  Columns beside
-    the views are never written, and every result equals the one computed
-    on contiguous copies, bit for bit."""
+    the views are never written, the weights (a view of wider storage, as
+    the model's are) are never written at all, and every result equals the
+    one computed on contiguous copies, bit for bit."""
     rng = np.random.default_rng(32)
     lengths = np.array([4, 1, 6, 3], dtype=np.int64)
     P = kernels.pack(lengths)
@@ -273,12 +274,17 @@ def test_kernels_work_in_place_on_strided_views():
     W = 0.4 * rng.standard_normal((Din + d, 4 * d))
     b = 0.1 * rng.standard_normal(4 * d)
     gate_cols = slice(2, 2 + 4 * d)
+    storage = np.full((Din + d + 1, 4 * d + 5), 7.0)
+    storage[:Din + d, gate_cols] = W
+    storage_before = storage.copy()
     for reverse in (False, True):
         wide = rng.standard_normal((N, 4 * d + 5))
         wide[:, gate_cols] = project(M[:, :Din], W, b)
         before = wide.copy()
         G = project(M[:, :Din].copy(), W, b)
-        H, C = kernels.lstm_layer_forward(wide[:, gate_cols], P, W, reverse)
+        H, C = kernels.lstm_layer_forward(wide[:, gate_cols], P, storage[:Din + d, gate_cols],
+                                          reverse)
+        assert storage.tobytes() == storage_before.tobytes()
         H2, C2 = kernels.lstm_layer_forward(G, P, W, reverse)
         assert np.array_equal(H, H2) and np.array_equal(C, C2)
         assert np.array_equal(wide[:, gate_cols], G)
@@ -297,3 +303,35 @@ def test_kernels_work_in_place_on_strided_views():
         assert np.array_equal(wide[:, gate_cols], G)
         assert np.array_equal(wide[:, outside], before[:, outside])
         assert np.array_equal(dWh, dWh2)
+
+
+def _brute_force_schedule(P, reverse):
+    """Each step's rows and the rows that feed them, found entry by entry:
+    the predecessor of (sentence r, position t) is (r, t - 1) going
+    forward and (r, t + 1) in reverse.  A step without one reads (0, 0)."""
+    where = {(int(r), int(t)): e for e, (r, t) in enumerate(zip(P.rows, P.ts))}
+    out = []
+    for t in (range(len(P.sizes) - 1, -1, -1) if reverse else range(len(P.sizes))):
+        lo, hi = P.starts[t], P.starts[t] + P.sizes[t]
+        fed = [where.get((int(P.rows[e]), t + (1 if reverse else -1))) for e in range(lo, hi)]
+        kp = sum(e is not None for e in fed)
+        plo = fed[0] if kp else 0
+        # the fed rows are a prefix, read from consecutive rows of one step
+        assert fed == list(range(plo, plo + kp)) + [None] * (hi - lo - kp)
+        out.append((lo, hi, plo, kp))
+    return out
+
+
+def test_pack_steps_match_the_brute_force_predecessor():
+    rng = np.random.default_rng(33)
+    cases = [[5, 3, 3, 1, 5, 2, 3], [19], [1], [1, 4, 1, 4]]
+    cases += [rng.integers(1, 9, size=int(rng.integers(1, 12))) for _ in range(20)]
+    for lengths in cases:
+        P = kernels.pack(np.array(lengths, dtype=np.int64))
+        for reverse in (False, True):
+            assert P.steps[reverse] == _brute_force_schedule(P, reverse), (lengths, reverse)
+            # step t-1 feeds the first sizes[t] rows of step t; in reverse,
+            # step t+1 feeds the first sizes[t+1]; the end steps have none
+            fed = [0] + (P.sizes[:0:-1] if reverse else P.sizes[1:])
+            assert [kp for *_, kp in P.steps[reverse]] == fed
+

@@ -135,6 +135,33 @@ def test_adam_determinism():
     assert np.array_equal(run(), run())
 
 
+def test_adam_in_place_matches_the_textbook_formula_bitwise():
+    """Three steps on a model weight, a column view of ``lstm_W``: the
+    in-place update writes the same bits into the weight, m and v as the
+    expressions it is documented by, and leaves the gradient as it was."""
+    model = Model.build(small_config(), np.random.default_rng(5))
+    name = "dense1.bwd.W"
+    param = model.params[name]
+    assert np.shares_memory(param, model.lstm_W) and not param.flags.c_contiguous
+    lr, b1, b2, eps = 0.005, 0.9, 0.999, 1e-8
+    ref, m, v = param.copy(), np.zeros_like(param), np.zeros_like(param)
+    state = AdamState.like(param)
+    m_id, v_id = id(state.m), id(state.v)
+    rng = np.random.default_rng(6)
+    for t in range(1, 4):
+        grad = rng.standard_normal(param.shape)
+        before = grad.copy()
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        adam_update(param, grad, state, lr, b1, b2, eps)
+        assert np.array_equal(grad, before)
+        for got, want in ((param, ref), (state.m, m), (state.v, v)):
+            assert got.tobytes() == want.tobytes(), t
+    assert (id(state.m), id(state.v)) == (m_id, v_id)
+    assert model.params[name] is param and np.shares_memory(param, model.lstm_W)
+
+
 # ---------------------------------------------------------------------------
 # max-norm
 
