@@ -57,15 +57,27 @@ def shapes():
     return out
 
 
-def load_kernels(alias, checkout):
-    """The kernels module of a checkout's package, imported as ``alias``."""
+def load_module(alias, checkout, name):
+    """Module ``name`` of a checkout's package, the package imported as ``alias``."""
     init = checkout / "src" / "dcbilstm" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         alias, init, submodule_search_locations=[str(init.parent)])
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
-    return importlib.import_module(f"{alias}.kernels")
+    return importlib.import_module(f"{alias}.{name}")
+
+
+def parse_checkouts(ap, srcs):
+    """{label: checkout} from ``--src LABEL=CHECKOUT`` values; default this checkout."""
+    srcs = [s.split("=", 1) for s in srcs or [f"current={ROOT}"]]
+    if any(len(s) != 2 for s in srcs) or len(dict(srcs)) != len(srcs):
+        ap.error("--src takes LABEL=CHECKOUT, each LABEL once")
+    checkouts = {label: Path(path).resolve() for label, path in srcs}
+    for path in checkouts.values():
+        if not (path / "src" / "dcbilstm" / "__init__.py").is_file():
+            ap.error(f"{path} has no src/dcbilstm package")
+    return checkouts
 
 
 def _lengths(B, rng):
@@ -78,7 +90,7 @@ def _lengths(B, rng):
     return lengths
 
 
-def _interleaved_ms(calls, reps):
+def interleaved_ms(calls, reps):
     """Median ms of each (prepare, fn) pair, the pairs called in turn."""
     times = [[] for _ in calls]
     for _ in range(reps):
@@ -118,12 +130,12 @@ def time_shape(mods, B, d, reps, rng):
             fwd.append((fresh_gates, k.lstm_layer_forward))
             bwd.append((fresh_grads, k.lstm_layer_backward))
         for kind, calls in (("forward", fwd), ("backward", bwd)):
-            for label, ms in zip(mods, _interleaved_ms(calls, reps)):
+            for label, ms in zip(mods, interleaved_ms(calls, reps)):
                 out[label][f"{name}.{kind}_ms"] = ms
     return out
 
 
-def _provenance(checkout):
+def provenance(checkout):
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -148,14 +160,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be >= 1")
-    srcs = [s.split("=", 1) for s in args.src or [f"current={ROOT}"]]
-    if any(len(s) != 2 for s in srcs) or len(dict(srcs)) != len(srcs):
-        ap.error("--src takes LABEL=CHECKOUT, each LABEL once")
-    checkouts = {label: Path(path).resolve() for label, path in srcs}
-    for path in checkouts.values():
-        if not (path / "src" / "dcbilstm" / "__init__.py").is_file():
-            ap.error(f"{path} has no src/dcbilstm package")
-    mods = {label: load_kernels(f"_timed{j}", path)
+    checkouts = parse_checkouts(ap, args.src)
+    mods = {label: load_module(f"_timed{j}", path, "kernels")
             for j, (label, path) in enumerate(checkouts.items())}
     rng = np.random.default_rng(SEED)
     timings = {label: {} for label in mods}
@@ -166,7 +172,7 @@ def main(argv=None):
                 f"{k} {v:.3f}" for k, v in row.items() if k.endswith("_ms")))
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     doc = {"reps": args.reps, "peak_rss_mb": peak,
-           "runs": {label: {**_provenance(path), "shapes": timings[label]}
+           "runs": {label: {**provenance(path), "shapes": timings[label]}
                     for label, path in checkouts.items()}}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {', '.join(checkouts)} to {args.out}")

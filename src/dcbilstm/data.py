@@ -17,6 +17,7 @@ embed to zero vectors.  Real tokens occupy rows 2 and up.
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import ConfigError, ParseError
 PAD_IDX = 0
 UNK_IDX = 1
 EMBEDDING_SCALE = 0.1  # random embeddings are uniform in [-0.1, 0.1)
+_CHUNK_LINES = 512  # embedding lines per bulk parse
 
 # splits off standard sentence punctuation while keeping contractions and
 # hyphenated words intact ("rock-solid", "don't")
@@ -68,49 +70,108 @@ def _vec_header_dim(line):
     return None
 
 
+def _parse_lines(lines, line_no, dim, header_dim, keep, vectors):
+    """Parse and check `lines` one by one, the first being line `line_no`.
+
+    Stores each new kept word's vector in `vectors` and returns the
+    dimension, which the first data line fixes while `dim` is None.  Raises
+    ParseError at the first bad line.
+    """
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.rstrip()
+        if not line:
+            continue
+        # split at most d times from the right; every space while d is unknown
+        parts = line.rsplit(" ", dim or -1)
+        if len(parts) < 2:
+            raise ParseError("embedding line has no vector part", line_no)
+        word = parts[0].lower()
+        if dim is None:
+            dim = len(parts) - 1
+        if header_dim not in (None, dim):
+            raise ParseError(f"header gives dim {header_dim}, not {dim}", line_no)
+        if len(parts) - 1 != dim:
+            raise ParseError(
+                f"expected {dim} vector components, got {len(parts) - 1}", line_no
+            )
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"bad vector component ({exc})", line_no)
+        if not np.isfinite(vec).all():
+            raise ParseError(f"non-finite vector component for {word!r}", line_no)
+        if word not in vectors and (keep is None or word in keep):
+            vectors[word] = vec
+    return dim
+
+
+def _parse_chunk(lines, dim, keep, vectors):
+    """Parse `lines` with one numpy call; False, storing nothing, if it cannot.
+
+    Each line's first field is its word and the rest goes to np.loadtxt,
+    whose C parser rounds as float() does.  A chunk it rejects or mis-shapes
+    (a bad or short line, a word with spaces, a non-finite value, or a
+    component only float() reads, such as "1_0") is left to _parse_lines.
+    """
+    words, rests = [], []
+    for line in lines:
+        word, _, rest = line.rstrip().partition(" ")
+        if rest:
+            words.append(word.lower())
+            rests.append(rest)
+        elif word:
+            return False
+    if not rests:
+        return True
+    try:
+        M = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return False
+    if M.shape != (len(rests), dim) or not np.isfinite(M).all():
+        return False
+    for word, vec in zip(words, M):
+        if word not in vectors and (keep is None or word in keep):
+            # a kept row is copied, so the rest of the chunk can be freed
+            vectors[word] = vec if keep is None else vec.copy()
+    return True
+
+
 def load_embeddings(path, keep=None):
     """Parse space-separated "word v1 v2 ... vd" lines.
 
     A first line of exactly two integer fields is the "count dim" header of
     word2vec text and fastText .vec files; it is skipped, and the vectors
     must have its dim.  Otherwise the first data line fixes the dimension.
-    The last d fields of a line are the vector and the rest is the word, so
-    a word may contain spaces (glove.840B.300d has a few).  Repeated words
-    keep the first occurrence (GloVe files list cased variants; we lowercase
-    keys, so "The" after "the" is dropped).  Every line is parsed and
-    checked, a non-finite component (nan, inf) being an error, but when
-    keep is given only its (lowercase) words are stored, so a corpus needs
+    Trailing whitespace is ignored, so fastText's space after the last
+    component loads.  The last d fields of a line are the vector and the
+    rest is the word, so a word may contain spaces (glove.840B.300d has a
+    few).  Repeated words keep the first occurrence (GloVe files list cased
+    variants; we lowercase keys, so "The" after "the" is dropped).  Every
+    line is parsed and checked, a non-finite component (nan, inf) being an
+    error.
+
+    The file is streamed in chunks of _CHUNK_LINES lines, and each chunk's
+    vectors are parsed by one np.loadtxt call, about twice as fast as a
+    float() per component and bit for bit the same.  A chunk the bulk parse
+    rejects is parsed again line by line, which raises the ParseError of its
+    first bad line or accepts what float() accepts.  Without keep, a vector
+    is a row of its chunk's matrix; with keep, only the (lowercase) kept
+    words are stored, each vector copied out of its chunk, so a corpus needs
     memory for its own vocabulary, not the whole file.
     """
     vectors = {}
     dim = header_dim = None
     with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(fh, start=1):  # until a vector fixes dim
             if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
                 continue
-            if line.isspace():
-                continue
-            # split at most d times from the right; every space while d is unknown
-            parts = line.rstrip("\n").rsplit(" ", dim or -1)
-            if len(parts) < 2:
-                raise ParseError("embedding line has no vector part", line_no)
-            word = parts[0].lower()
-            if dim is None:
-                dim = len(parts) - 1
-            if header_dim not in (None, dim):
-                raise ParseError(f"header gives dim {header_dim}, not {dim}", line_no)
-            if len(parts) - 1 != dim:
-                raise ParseError(
-                    f"expected {dim} vector components, got {len(parts) - 1}", line_no
-                )
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"bad vector component ({exc})", line_no)
-            if not np.isfinite(vec).all():
-                raise ParseError(f"non-finite vector component for {word!r}", line_no)
-            if word not in vectors and (keep is None or word in keep):
-                vectors[word] = vec
+            dim = _parse_lines([line], line_no, None, header_dim, keep, vectors)
+            if dim is not None:
+                break
+        while chunk := list(islice(fh, _CHUNK_LINES)):
+            if not _parse_chunk(chunk, dim, keep, vectors):
+                _parse_lines(chunk, line_no + 1, dim, header_dim, keep, vectors)
+            line_no += len(chunk)
         if dim is None:
             raise ParseError("embedding file is empty")
     return EmbeddingTable(vectors, dim)

@@ -1,8 +1,11 @@
 """Embedding ingestion, tokenization, dataset formats, folds, batching."""
 
+import io
+
 import numpy as np
 import pytest
 
+from dcbilstm import data
 from dcbilstm.data import (
     PAD_IDX,
     UNK_IDX,
@@ -168,6 +171,183 @@ def test_load_embeddings_first_occurrence_wins(tmp_path):
     p.write_text("the 1.0 1.0\nThe 2.0 2.0\n", encoding="utf-8")
     table = load_embeddings(p)
     assert np.array_equal(table.get("the"), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("header", ["", "3 3\n"])
+def test_load_embeddings_ignores_trailing_whitespace(tmp_path, header):
+    # fastText writes a space after every component; the first line fixes
+    # dim one line at a time, the others are parsed in bulk
+    p = tmp_path / "emb.vec"
+    p.write_text(header + "the 0.1 0.2 0.3 \nmovie 1 2 3 \ngood 4 5 6\t \n", encoding="utf-8")
+    table = load_embeddings(p)
+    assert table.dim == 3 and list(table.vectors) == ["the", "movie", "good"]
+    assert np.array_equal(table.get("the"), np.array([0.1, 0.2, 0.3]))
+    assert np.array_equal(table.get("good"), np.array([4.0, 5.0, 6.0]))
+
+
+def _per_line_oracle(text, keep=None):
+    """The loader's per-line rules, one float() per component, over `text`
+    split as a text file is: (dim, {word: vector}), or its ParseError."""
+    vectors = {}
+    dim = header_dim = None
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        fields = line.split()
+        if line_no == 1 and len(fields) == 2 and all(f.isascii() and f.isdigit()
+                                                     for f in fields):
+            header_dim = int(fields[1])
+            continue
+        line = line.rstrip()
+        if not line:
+            continue
+        parts = line.rsplit(" ", dim or -1)
+        if len(parts) < 2:
+            raise ParseError("embedding line has no vector part", line_no)
+        word = parts[0].lower()
+        if dim is None:
+            dim = len(parts) - 1
+        if header_dim not in (None, dim):
+            raise ParseError(f"header gives dim {header_dim}, not {dim}", line_no)
+        if len(parts) - 1 != dim:
+            raise ParseError(f"expected {dim} vector components, got {len(parts) - 1}",
+                             line_no)
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"bad vector component ({exc})", line_no)
+        if not np.isfinite(vec).all():
+            raise ParseError(f"non-finite vector component for {word!r}", line_no)
+        if word not in vectors and (keep is None or word in keep):
+            vectors[word] = vec
+    if dim is None:
+        raise ParseError("embedding file is empty")
+    return dim, vectors
+
+
+def _assert_loads_as_oracle(path, text, keep=None):
+    try:
+        want = _per_line_oracle(text, keep)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            load_embeddings(path, keep=keep)
+        assert str(info.value) == f"{path}: {exc}", text
+        return None
+    table = load_embeddings(path, keep=keep)
+    assert table.dim == want[0], text
+    assert list(table.vectors) == list(want[1]), text
+    for word, vec in want[1].items():
+        got = table.vectors[word]
+        assert got.dtype == vec.dtype and got.tobytes() == vec.tobytes(), (text, word)
+    return table
+
+
+# a header, then line 2 fixes dim = 3; the bulk chunks of 4 lines start at
+# line 3, so the third of them is lines 11-14
+_CHUNKED_LINES = [
+    "9 3",                                          # 1: header
+    "the 0.1 0.2 0.3",                              # 2
+    "", "movie 1.5 -2.5 3e-3", "  ", ". . . 1 2 3",  # 3-6: blank lines, a spaced word
+    "MOVIE 9 9 9", "film 0.25 -0.0 7", "Film 1 1 1", "",  # 7-10: duplicates
+    "it 1_0 2 3", "was -1 -2 -3", "good 4 5 6", "THE 8 8 8",  # 11-14: 1_0
+    "end 7e1 .5 -1.",                               # 15
+]
+
+
+@pytest.fixture
+def four_line_chunks(monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_LINES", 4)
+
+
+def test_load_embeddings_across_chunk_boundaries(tmp_path, four_line_chunks):
+    p = tmp_path / "chunked.txt"
+    text = "\n".join(_CHUNKED_LINES) + "\n"
+    p.write_text(text, encoding="utf-8")
+    table = _assert_loads_as_oracle(p, text)
+    assert list(table.vectors) == ["the", "movie", ". . .", "film", "it", "was", "good", "end"]
+    # cased duplicates lose, on the first line of a chunk and later in one
+    assert np.array_equal(table.get("movie"), [1.5, -2.5, 3e-3])
+    assert np.array_equal(table.get("film"), [0.25, 0.0, 7.0])
+    assert np.array_equal(table.get("it"), [10.0, 2.0, 3.0])
+    # lines 7-10 are one bulk parse: film is a row of its chunk's matrix
+    assert table.get("film").base.shape == (3, 3)
+    # with keep, each stored vector owns its memory
+    kept = _assert_loads_as_oracle(p, text, keep={"film", "good", "the", ". . ."})
+    assert list(kept.vectors) == ["the", ". . .", "film", "good"]
+    assert all(vec.base is None for vec in kept.vectors.values())
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("was 1 2", "expected 3 vector components, got 2"),
+    ("was 1 oops 2", "bad vector component (could not convert string to float: 'oops')"),
+    ("was 1 nan 2", "non-finite vector component for 'was'"),
+    ("was 1 2 1e999", "non-finite vector component for 'was'"),
+])
+def test_load_embeddings_names_the_bad_line_of_a_late_chunk(tmp_path, four_line_chunks,
+                                                            bad, message):
+    p = tmp_path / "chunked.txt"
+    lines = list(_CHUNKED_LINES)
+    lines[11] = bad  # line 12, in the third chunk
+    text = "\n".join(lines) + "\n"
+    p.write_text(text, encoding="utf-8")
+    for keep in (None, {"the"}):
+        with pytest.raises(ParseError) as info:
+            load_embeddings(p, keep=keep)
+        assert str(info.value) == f"{p}: line 12: {message}"
+    _assert_loads_as_oracle(p, text)
+
+
+def _fuzz_file(rng):
+    """The text of a small random embeddings file: valid lines, then at most
+    one mutation."""
+    dim = int(rng.integers(1, 5))
+    words = ["the", "The", "movie", "a", "b", "ok", "x_y", "naïve", "1", "nan"]
+    values = ["0", "-0.0", "1", "2.5", "-3e-7", "1e300", "1_0", ".5", "7.", "+4", "1E2"]
+    lines = []
+    for _ in range(int(rng.integers(1, 12))):
+        vec = [str(rng.choice(values)) if rng.random() < 0.3 else repr(rng.normal())
+               for _ in range(dim)]
+        lines.append(" ".join([str(rng.choice(words)), *vec]))
+    k = int(rng.integers(len(lines)))
+    fields = lines[k].split(" ")
+    kind = int(rng.integers(11))
+    if kind == 0:
+        del fields[int(rng.integers(1, len(fields)))]
+    elif kind == 1:
+        fields.append(repr(rng.normal()))
+    elif kind == 2:
+        fields[int(rng.integers(1, len(fields)))] = str(rng.choice(["nan", "inf", "-inf",
+                                                                    "1e999", "NaN"]))
+    elif kind == 3 and len(fields) > 2:
+        j = int(rng.integers(1, len(fields) - 1))
+        fields[j:j + 2] = [f"{fields[j]}\t{fields[j + 1]}"]
+    elif kind == 4:
+        fields[-1] += str(rng.choice([" ", "  ", "\t", " \t "]))
+    elif kind == 5:
+        fields.insert(int(rng.integers(1, len(fields) + 1)), "")
+    elif kind == 6:
+        fields.insert(1, str(rng.choice(["at", ".", "x", "2.0"])))
+    elif kind == 7:
+        lines.insert(0, f"{len(lines)} {dim + int(rng.integers(-1, 2))}")
+        k += 1
+    elif kind == 8:
+        lines.insert(k, str(rng.choice(["", " ", "\t"])))
+        k += 1
+    elif kind == 9:
+        fields[int(rng.integers(1, len(fields)))] = str(rng.choice(["oops", "", "0x1p3",
+                                                                    "١٢", "1__0"]))
+    if kind not in (7, 8):
+        lines[k] = " ".join(fields)
+    return "\n".join(lines) + str(rng.choice(["\n", ""]))
+
+
+def test_load_embeddings_fuzz_matches_the_per_line_oracle(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20260415)
+    p = tmp_path / "fuzz.txt"
+    for _ in range(200):
+        monkeypatch.setattr(data, "_CHUNK_LINES", int(rng.choice([1, 2, 3, 512])))
+        text = _fuzz_file(rng)
+        p.write_text(text, encoding="utf-8")
+        keep = {"the", "a", "naïve"} if rng.random() < 0.3 else None
+        _assert_loads_as_oracle(p, text, keep)
 
 
 def test_tokenize_separates_punctuation():
