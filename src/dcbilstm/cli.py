@@ -78,6 +78,13 @@ def _add_train_flags(p):
             p.add_argument(flag, default=argparse.SUPPRESS, type=lambda v, k=f.name: _coerce(k, v))
 
 
+class _RenamedFormat(argparse.Action):
+    """``eval --format``, retired: giving it is a usage error naming its new name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error("--format is now --data-format, as in train")
+
+
 def _collect_overrides(args):
     return {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
 
@@ -93,7 +100,8 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", default="tsv", choices=["tsv", "sst_trees"])
+    p.add_argument("--data-format", default="tsv", choices=["tsv", "sst_trees"])
+    p.add_argument("--format", action=_RenamedFormat, nargs="?", help=argparse.SUPPRESS)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--batch-size", type=int, default=200)
     p.add_argument("--expect-min", type=float, default=None,
@@ -155,12 +163,12 @@ def _cmd_train(args):
 def _cmd_eval(args):
     if args.expect_min is not None and not 0.0 <= args.expect_min <= 1.0:
         raise ConfigError(f"--expect-min must be in [0, 1], got {args.expect_min}")
-    if args.binary and args.format != "sst_trees":
-        raise ConfigError("--binary needs --format sst_trees")
+    if args.binary and args.data_format != "sst_trees":
+        raise ConfigError("--binary needs --data-format sst_trees")
     model, meta = load_checkpoint(args.checkpoint)
     if meta["vocab"] is None:
         raise ConfigError(f"{args.checkpoint} has no vocab section; cannot embed text")
-    examples = D.load_dataset(args.data, args.format, binary=args.binary)
+    examples = D.load_dataset(args.data, args.data_format, binary=args.binary)
     top, k = max((ex.label for ex in examples), default=-1), model.config.num_classes
     if top >= k:
         raise ParseError(f"{args.data}: label {top} is outside the checkpoint's "

@@ -21,7 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from . import kernels
+from .errors import ConfigError, EmptySequenceError, ParseError
 
 PAD_IDX = 0
 UNK_IDX = 1
@@ -369,23 +370,36 @@ def make_folds(n, k=10, seed=0):
 
 @dataclass
 class Batch:
+    """A padded batch and its packed layout, built once by ``pad_batch``;
+    the forward and backward passes only read them."""
+
     indices: np.ndarray  # (B, T) int64, padded with PAD_IDX
-    lengths: np.ndarray  # (B,) int64
+    lengths: np.ndarray  # (B,) int64, none zero
     labels: np.ndarray  # (B,) int64
+    packing: kernels.Packing
+    tokens: np.ndarray  # (N,) int64, the packed token ids
+    uniq: np.ndarray  # distinct token ids
+    inv: np.ndarray  # (N,) uniq[inv] is tokens
 
 
 def pad_batch(group):
-    """(index list, label) pairs -> one padded Batch."""
+    """(index list, label) pairs -> one padded Batch.  The one place a batch is
+    packed; a sentence with no tokens raises ``EmptySequenceError``."""
     B = len(group)
     if B == 0:
         raise ConfigError("cannot build an empty batch")
     lengths = np.array([len(idxs) for idxs, _ in group], dtype=np.int64)
+    if (lengths < 1).any():
+        raise EmptySequenceError(f"batch sentence {int(lengths.argmin())} has no tokens")
     T = int(lengths.max())
     indices = np.full((B, T), PAD_IDX, dtype=np.int64)
     for n, (idxs, _) in enumerate(group):
         indices[n, :len(idxs)] = idxs
     labels = np.array([label for _, label in group], dtype=np.int64)
-    return Batch(indices=indices, lengths=lengths, labels=labels)
+    packing = kernels.pack(lengths)
+    tokens = indices[packing.rows, packing.ts]
+    uniq, inv = np.unique(tokens, return_inverse=True)
+    return Batch(indices, lengths, labels, packing, tokens, uniq, inv)
 
 
 def make_batches(indexed, size, rng=None, shuffle=False):

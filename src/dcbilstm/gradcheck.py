@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import Model, ModelConfig, embedding_gradient, model_backward, model_forward
-from .data import Batch
+from .data import pad_batch
 from .train import cross_entropy
 
 
@@ -120,11 +120,7 @@ def check_model(arch="dense", dl=1, seed=0, tol_rel=1e-4, tol_abs=1e-7, inject_f
 
     # the fake embedding matrix IS the input sentence, one row per position
     emb_matrix = 0.5 * rng.standard_normal((SEQ_LEN, M))
-    batch = Batch(
-        indices=np.arange(SEQ_LEN, dtype=np.int64).reshape(1, SEQ_LEN),
-        lengths=np.array([SEQ_LEN], dtype=np.int64),
-        labels=np.array([int(rng.integers(NUM_CLASSES))], dtype=np.int64),
-    )
+    batch = pad_batch([(list(range(SEQ_LEN)), int(rng.integers(NUM_CLASSES)))])
 
     def loss_fn():
         probs, _ = model_forward(model, emb_matrix, batch, training=False)

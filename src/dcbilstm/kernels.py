@@ -1,11 +1,11 @@
 """Hot sequence kernels: full forward / backward recurrences of one LSTM
 direction over a packed batch.
 
-These are the inner loops of the whole package.  A batch is packed once,
-time-major (Appleyard et al. 2016, §3): rows are ordered by decreasing
-length, so the sentences still running at position ``t`` are a prefix of
-that order, and the real tokens of step ``t`` sit in one contiguous block
-of ``(N, ·)`` arrays, ``N`` being the batch's token count.  The kernels
+These are the inner loops of the whole package.  ``data.pad_batch`` packs a
+batch once, time-major (Appleyard et al. 2016, §3): rows are ordered by
+decreasing length, so the sentences still running at position ``t`` are a
+prefix of that order, and the real tokens of step ``t`` sit in one contiguous
+block of ``(N, ·)`` arrays, ``N`` being the batch's token count.  The kernels
 cover the recurrence only: the caller projects the inputs of every token
 (``model.model_forward`` does it for all layers at once) and hands over
 the pre-activations; each step then advances every active sentence with
@@ -35,20 +35,18 @@ import numpy as np
 
 
 class Packing(NamedTuple):
-    """Packed time-major layout of a batch.
+    """Packed time-major layout of a batch, which ``data.pad_batch`` stores.
 
-    Packed entry ``e`` is position ``ts[e]`` of sentence ``rows[e]``; step
-    ``t`` holds ``sizes[t]`` entries beginning at ``starts[t]``, sentences
-    in decreasing length.  ``steps[reverse]`` is the schedule of one
-    direction: a ``(lo, hi, plo, kp)`` per step in the order its forward
-    pass visits them, the step's rows being ``lo:hi``, the first ``kp`` of
-    which are fed by the rows ``plo:plo + kp`` of the step visited before.
+    Packed entry ``e`` is position ``ts[e]`` of sentence ``rows[e]``; the
+    entries of a step are consecutive, sentences in decreasing length.
+    ``steps[reverse]`` is the schedule of one direction: a ``(lo, hi, plo,
+    kp)`` per step in the order its forward pass visits them, the step's
+    rows being ``lo:hi``, the first ``kp`` of which are fed by the rows
+    ``plo:plo + kp`` of the step visited before.
     """
 
     rows: np.ndarray
     ts: np.ndarray
-    sizes: list
-    starts: list
     steps: tuple
 
 
@@ -64,7 +62,7 @@ def pack(lengths):
     fwd = [(s[t], s[t] + k[t], s[t - 1], min(k[t], k[t - 1])) for t in range(len(sizes))]
     bwd = [(s[t], s[t] + k[t], s[t + 1], min(k[t], k[t + 1]))
            for t in range(len(sizes) - 1, -1, -1)]
-    return Packing(order[slots], ts, k[:-1], s[:-1], (fwd, bwd))
+    return Packing(order[slots], ts, (fwd, bwd))
 
 
 def lstm_layer_forward(Z, packing, W, reverse):

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
-from .errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
+from . import data, kernels
+from .errors import CheckpointError, ConfigError, ShapeError
 
 ARCH_DENSE = "dense"
 ARCH_STACKED = "stacked"
@@ -266,8 +266,8 @@ def format_param_count(n):
 # ---------------------------------------------------------------------------
 # batched forward / backward
 #
-# A batch is packed once (``kernels.pack``) and stays packed, ``(N, ·)`` with
-# one row per real token, from the embedding gather through pooling.  The
+# A batch is packed once, by ``data.pad_batch``, and stays packed, ``(N, ·)``
+# with one row per real token, from the embedding gather through pooling.  The
 # layers' hidden states share one packed buffer, each layer's [fwd | bwd]
 # states in stack order, so a dense layer reads the earlier layers' states
 # as one prefix without a copy (Pleiss et al. 2017, arXiv 1707.06990).  The
@@ -277,8 +277,8 @@ def format_param_count(n):
 # §3).  Without an embedding-dropout mask that product depends only on the
 # token id, so it is formed once per distinct token of the batch and its
 # rows are gathered: a batch of SST-like sentences repeats about half of its
-# tokens.  The table is built per batch, not per pass, since a pass-wide one
-# over a large split would hold every distinct token's gate row at once.
+# tokens.  The batch holds its distinct tokens, since a pass-wide table over
+# a large split would hold every distinct token's gate row at once.
 # The backward pass overwrites the gate buffer with the gate gradients and
 # forms every layer's embedding-row weight gradient, and the embedding
 # gradient, with one product each.
@@ -299,18 +299,17 @@ def _embedding_gates(model, x):
     return gates
 
 
-def average_pool_batch(H, lengths, packing):
+def average_pool_batch(H, batch):
     """Mean of each sentence's packed hidden vectors: a sum over packed steps."""
-    if (lengths < 1).any():
-        raise EmptySequenceError("average_pool: zero-length sentence")
-    if len(H) != len(packing.rows):
-        raise ShapeError(f"average_pool: {len(H)} packed rows for {len(packing.rows)} tokens")
+    rows, lengths = batch.packing.rows, batch.lengths
+    if len(H) != len(rows):
+        raise ShapeError(f"average_pool: {len(H)} packed rows for {len(rows)} tokens")
     # every sentence is active at step 0, so its rows list them in packed order
     total = np.zeros((len(lengths), H.shape[1]))
-    for lo, k in zip(packing.starts, packing.sizes):
-        total[:k] += H[lo:lo + k]
+    for lo, hi, _, _ in batch.packing.steps[False]:
+        total[:hi - lo] += H[lo:hi]
     pooled = np.empty_like(total)
-    pooled[packing.rows[:len(lengths)]] = total
+    pooled[rows[:len(lengths)]] = total
     return pooled / lengths[:, None]
 
 
@@ -331,9 +330,7 @@ def _dropout_mask(draws, rate):
 
 @dataclass
 class ModelTrace:
-    tokens: np.ndarray  # (N,) packed token ids
-    lengths: np.ndarray
-    packing: kernels.Packing
+    batch: data.Batch  # the batch run, whose packed layout the backward pass reads
     mask_embed: np.ndarray | None  # (N, m)
     emb: np.ndarray  # (N, m) embeddings after dropout
     states: np.ndarray  # (N, sum of 2d) every layer's [fwd | bwd] hidden states
@@ -344,7 +341,7 @@ class ModelTrace:
     consumed: bool = False  # set by model_backward, which overwrites gates
 
 
-def _embedding_draws(rng, lengths, T, packing, m):
+def _embedding_draws(rng, batch, m):
     """The uniform draws ``rng.random((B, T, m))`` at the batch's real tokens,
     in packed order, without drawing the padding.
 
@@ -356,7 +353,7 @@ def _embedding_draws(rng, lengths, T, packing, m):
     discards it.  Either way the values and the generator's next draw are
     those of the padded draw, bit for bit.
     """
-    bg = rng.bit_generator
+    bg, lengths, T = rng.bit_generator, batch.lengths, batch.indices.shape[1]
     jump = isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)) and not bg.state["has_uint32"]
     starts = np.cumsum(lengths) - lengths
     draws = np.empty((int(lengths.sum()), m))
@@ -366,7 +363,7 @@ def _embedding_draws(rng, lengths, T, packing, m):
             bg.advance((T - L) * m)
         elif L < T:
             rng.random((T - L) * m)
-    return draws.take(starts[packing.rows] + packing.ts, axis=0)
+    return draws.take(starts[batch.packing.rows] + batch.packing.ts, axis=0)
 
 
 def model_forward(model, emb_matrix, batch, rng=None, training=False):
@@ -384,19 +381,15 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         raise ConfigError("training forward with dropout needs an rng")
     if emb_matrix.shape[1] != cfg.m:
         raise ConfigError(f"embedding width {emb_matrix.shape[1]} != configured m {cfg.m}")
-    packing = kernels.pack(batch.lengths)
-    tokens = batch.indices[packing.rows, packing.ts]
-    emb = emb_matrix[tokens]
+    emb = emb_matrix[batch.tokens]
     mask_e = None
     if training and cfg.dropout_embed > 0:
         # the padded batch's draws, so seeded runs keep their random stream
-        draws = _embedding_draws(rng, batch.lengths, batch.indices.shape[1], packing, cfg.m)
-        mask_e = _dropout_mask(draws, cfg.dropout_embed)
+        mask_e = _dropout_mask(_embedding_draws(rng, batch, cfg.m), cfg.dropout_embed)
         emb *= mask_e
         gates = _embedding_gates(model, emb)
     else:
-        uniq, inv = np.unique(tokens, return_inverse=True)
-        gates = _embedding_gates(model, emb_matrix[uniq]).take(inv, axis=0, mode="clip")
+        gates = _embedding_gates(model, emb_matrix[batch.uniq]).take(batch.inv, axis=0, mode="clip")
     # each layer adds in place one product over the states it reads past the
     # embeddings, shared by its two directions, before its kernels run
     states = np.empty((len(gates), model.layers[-1].out.stop))
@@ -406,19 +399,17 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         if L.rest.start < L.rest.stop:
             Z += states[:, L.rest] @ W[L.rest_rows, L.cols]
         Wf, Wb = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"]
-        Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], packing, Wf, False)
-        Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], packing, Wb, True)
+        Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], batch.packing, Wf, False)
+        Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], batch.packing, Wb, True)
         cells.append((Cf, Cb))
-    pooled = average_pool_batch(states[:, model.layers[-1].out], batch.lengths, packing)
+    pooled = average_pool_batch(states[:, model.layers[-1].out], batch)
     pooled_d, mask_p = pooled, None
     if training and cfg.dropout_pool > 0:
         mask_p = _dropout_mask(rng.random(pooled.shape), cfg.dropout_pool)
         pooled_d = pooled * mask_p
     probs = softmax_rows(pooled_d @ model.softmax_W + model.softmax_b)
     trace = ModelTrace(
-        tokens=tokens,
-        lengths=batch.lengths,
-        packing=packing,
+        batch=batch,
         mask_embed=mask_e,
         emb=emb,
         states=states,
@@ -435,7 +426,7 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
 
     dlogits is the loss gradient at the softmax pre-activations (for mean
     cross-entropy over a batch: (probs - onehot) / B).  The embedding
-    gradient has one row per token of ``trace.tokens``; with
+    gradient has one row per token of ``trace.batch.tokens``; with
     ``embedding_grad`` false it is not formed and None stands in its place,
     the parameter gradients being the same.  The pass overwrites the
     trace's gate values with their gradients, so a trace takes one backward
@@ -446,6 +437,7 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     trace.consumed = True
     m, P, W = model.config.m, model.params, model.lstm_W
     states, dZ_all, E = trace.states, trace.gates, model.embedded_cols
+    packing, lengths = trace.batch.packing, trace.batch.lengths
     grads = {
         "softmax.W": trace.pooled_dropped.T @ dlogits,
         "softmax.b": dlogits.sum(axis=0, keepdims=True),
@@ -456,15 +448,15 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     # zero but for the top layer's columns; each layer adds its gradient on
     # the states it reads
     dstates = np.zeros_like(states)
-    dstates[:, model.layers[-1].out] = (dpool / trace.lengths[:, None])[trace.packing.rows]
+    dstates[:, model.layers[-1].out] = (dpool / lengths[:, None])[packing.rows]
     dW = np.empty_like(W)  # every row a weight view covers is written below
     for L, (Cf, Cb) in zip(reversed(model.layers), reversed(trace.cells)):
         Y, dY, dZ, d = states[:, L.out], dstates[:, L.out], dZ_all[:, L.cols], L.d
         Wf, Wb, dWh = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"], dW[L.w:L.w + d, L.cols]
         dWh[:, :4 * d] = kernels.lstm_layer_backward(
-            trace.packing, Wf, Y[:, :d], Cf, dZ[:, :4 * d], dY[:, :d], False)
+            packing, Wf, Y[:, :d], Cf, dZ[:, :4 * d], dY[:, :d], False)
         dWh[:, 4 * d:] = kernels.lstm_layer_backward(
-            trace.packing, Wb, Y[:, d:], Cb, dZ[:, 4 * d:], dY[:, d:], True)
+            packing, Wb, Y[:, d:], Cb, dZ[:, 4 * d:], dY[:, d:], True)
         if L.rest.start < L.rest.stop:
             np.matmul(states[:, L.rest].T, dZ, out=dW[L.rest_rows, L.cols])
             dstates[:, L.rest] += dZ @ W[L.rest_rows, L.cols].T
@@ -481,7 +473,7 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
 def embedding_gradient(trace, dEmb, vocab_size):
     """Scatter a packed embedding gradient onto the rows of the embedding matrix."""
     full = np.zeros((vocab_size, dEmb.shape[1]))
-    np.add.at(full, trace.tokens, dEmb)
+    np.add.at(full, trace.batch.tokens, dEmb)
     return full
 
 

@@ -23,7 +23,7 @@ import pytest
 
 from dcbilstm import kernels
 from dcbilstm.cli import main
-from dcbilstm.data import Batch, load_dataset
+from dcbilstm.data import load_dataset, pad_batch
 from dcbilstm.gradcheck import check_model
 from dcbilstm.model import (
     Model,
@@ -93,7 +93,7 @@ def test_03_degenerate_equivalence_is_bitwise():
         T = int(rng.integers(1, 9))
         lengths = rng.integers(1, T + 1, size=B).astype(np.int64)
         idx = rng.integers(0, 40, size=(B, T)).astype(np.int64)
-        batch = Batch(indices=idx, lengths=lengths, labels=np.zeros(B, dtype=np.int64))
+        batch = pad_batch([(row[:L].tolist(), 0) for row, L in zip(idx, lengths)])
         pd, _ = model_forward(dense, emb, batch)
         ps, _ = model_forward(stacked, emb, batch)
         assert pd.tobytes() == ps.tobytes(), f"trial {trial}: outputs differ"
@@ -133,14 +133,11 @@ def test_05_padding_neutrality_mixed_lengths():
     idx = rng.integers(0, 60, size=(len(lengths), T)).astype(np.int64)
     for n, L in enumerate(lengths):
         idx[n, L:] = 0
-    batch = Batch(indices=idx, lengths=lengths,
-                  labels=np.zeros(len(lengths), dtype=np.int64))
+    batch = pad_batch([(row[:L].tolist(), 0) for row, L in zip(idx, lengths)])
     batched, _ = model_forward(model, emb, batch)
     worst = 0.0
     for n, L in enumerate(lengths):
-        single = Batch(indices=idx[n:n + 1, :L], lengths=lengths[n:n + 1],
-                       labels=np.zeros(1, dtype=np.int64))
-        alone, _ = model_forward(model, emb, single)
+        alone, _ = model_forward(model, emb, pad_batch([(idx[n, :L].tolist(), 0)]))
         worst = max(worst, float(np.abs(batched[n] - alone[0]).max()))
     print(f"\nlengths {lengths.tolist()}, worst |batched - single| = {worst:.2e}")
     assert worst <= 1e-12

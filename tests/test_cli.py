@@ -420,8 +420,15 @@ def test_eval_cli_reads_sst_trees(tmp_path, capsys):
     assert main(["eval", "--checkpoint", ckpt, "--data", str(tsv)]) == 0
     expected = capsys.readouterr().out
     assert main(["eval", "--checkpoint", ckpt, "--data", str(trees),
-                 "--format", "sst_trees", "--binary"]) == 0
+                 "--data-format", "sst_trees", "--binary"]) == 0
     assert capsys.readouterr().out == expected
+    # the flag is spelt as train spells it; the old spelling names the new one
+    for old in (["--format", "sst_trees"], ["--format"], ["--format=tsv"]):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--checkpoint", ckpt, "--data", str(trees), *old, "--binary"])
+        assert info.value.code == 2, old
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format is now --data-format" in captured.err, old
     # --binary acts on trees only
     assert main(["eval", "--checkpoint", ckpt, "--data", str(tsv), "--binary"]) == 2
     captured = capsys.readouterr()

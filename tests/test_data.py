@@ -23,7 +23,7 @@ from dcbilstm.data import (
     tokenize,
     vectorize,
 )
-from dcbilstm.errors import ConfigError, ParseError
+from dcbilstm.errors import ConfigError, EmptySequenceError, ParseError
 
 EMB_FIXTURE = """the 0.1 0.2 0.3 0.4
 Movie 1.0 -1.0 0.5 0.25
@@ -545,6 +545,28 @@ def test_pad_batch_shapes_and_padding():
     assert batch.labels.tolist() == [1, 0]
     with pytest.raises(ConfigError):
         pad_batch([])
+
+
+def test_pad_batch_packs_the_batch_once():
+    group = [([2, 3, 4], 1), ([5], 0), ([3, 3, 9, 2], 1)]
+    batch = pad_batch(group)
+    P = batch.packing
+    # packed time-major: position by position, longer sentences first
+    assert P.rows.tolist() == [2, 0, 1, 2, 0, 2, 0, 2]
+    assert P.ts.tolist() == [0, 0, 0, 1, 1, 2, 2, 3]
+    assert batch.tokens.tolist() == [3, 2, 5, 3, 3, 9, 4, 2]
+    assert batch.uniq.tolist() == [2, 3, 4, 5, 9]
+    assert batch.uniq[batch.inv].tolist() == batch.tokens.tolist()
+
+
+@pytest.mark.parametrize("group", [
+    [([], 0)],
+    [([2, 3], 1), ([], 0)],
+    [([], 1), ([4], 0), ([], 0)],
+])
+def test_pad_batch_rejects_a_sentence_with_no_tokens(group):
+    with pytest.raises(EmptySequenceError):
+        pad_batch(group)
 
 
 def test_make_batches_sizes_and_conservation():

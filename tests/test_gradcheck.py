@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dcbilstm import kernels
 from dcbilstm.errors import ConfigError
 from dcbilstm.gradcheck import check_model, finite_diff
 
@@ -102,3 +103,17 @@ def test_check_model_tolerances_are_enforced():
     # proving the comparison is live
     report = check_model(arch="dense", dl=0, seed=0, tol_rel=1e-16, tol_abs=0.0)
     assert not report.passed
+
+
+def test_check_model_packs_its_sentence_once(monkeypatch):
+    """The batch is packed where it is built; the 2 loss evaluations per
+    element of finite differences re-pack nothing."""
+    calls, pack = [], kernels.pack
+
+    def counted(lengths):
+        calls.append(lengths.tolist())
+        return pack(lengths)
+
+    monkeypatch.setattr(kernels, "pack", counted)
+    assert check_model("dense", dl=1).passed
+    assert calls == [[5]]

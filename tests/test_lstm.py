@@ -305,14 +305,16 @@ def test_kernels_work_in_place_on_strided_views():
         assert np.array_equal(dWh, dWh2)
 
 
-def _brute_force_schedule(P, reverse):
+def _brute_force_schedule(P, sizes, reverse):
     """Each step's rows and the rows that feed them, found entry by entry:
     the predecessor of (sentence r, position t) is (r, t - 1) going
-    forward and (r, t + 1) in reverse.  A step without one reads (0, 0)."""
+    forward and (r, t + 1) in reverse.  A step without one reads (0, 0).
+    Step t holds sizes[t] entries, after those of the steps before it."""
     where = {(int(r), int(t)): e for e, (r, t) in enumerate(zip(P.rows, P.ts))}
+    starts = np.cumsum([0] + sizes).tolist()
     out = []
-    for t in (range(len(P.sizes) - 1, -1, -1) if reverse else range(len(P.sizes))):
-        lo, hi = P.starts[t], P.starts[t] + P.sizes[t]
+    for t in (range(len(sizes) - 1, -1, -1) if reverse else range(len(sizes))):
+        lo, hi = starts[t], starts[t + 1]
         fed = [where.get((int(P.rows[e]), t + (1 if reverse else -1))) for e in range(lo, hi)]
         kp = sum(e is not None for e in fed)
         plo = fed[0] if kp else 0
@@ -327,11 +329,14 @@ def test_pack_steps_match_the_brute_force_predecessor():
     cases = [[5, 3, 3, 1, 5, 2, 3], [19], [1], [1, 4, 1, 4]]
     cases += [rng.integers(1, 9, size=int(rng.integers(1, 12))) for _ in range(20)]
     for lengths in cases:
-        P = kernels.pack(np.array(lengths, dtype=np.int64))
+        lengths = np.array(lengths, dtype=np.int64)
+        P = kernels.pack(lengths)
+        # the sentences still running at each position
+        sizes = [int((lengths > t).sum()) for t in range(lengths.max())]
         for reverse in (False, True):
-            assert P.steps[reverse] == _brute_force_schedule(P, reverse), (lengths, reverse)
+            assert P.steps[reverse] == _brute_force_schedule(P, sizes, reverse), (lengths, reverse)
             # step t-1 feeds the first sizes[t] rows of step t; in reverse,
             # step t+1 feeds the first sizes[t+1]; the end steps have none
-            fed = [0] + (P.sizes[:0:-1] if reverse else P.sizes[1:])
+            fed = [0] + (sizes[:0:-1] if reverse else sizes[1:])
             assert [kp for *_, kp in P.steps[reverse]] == fed
 

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from dcbilstm import kernels
-from dcbilstm.data import Batch
-from dcbilstm.errors import CheckpointError, ConfigError, EmptySequenceError, ShapeError
+from dcbilstm.data import make_batches, pad_batch
+from dcbilstm.errors import CheckpointError, ConfigError, ShapeError
 from dcbilstm.model import (
     Model,
     ModelConfig,
     _dropout_mask,
     average_pool_batch,
     count_params,
+    embedding_gradient,
     format_param_count,
     load_checkpoint,
     model_backward,
@@ -35,6 +36,12 @@ from lstm_oracle import CellParams, lstm_step
 def small_config(arch="dense", dl=2, m=6, dh=3, th=4, num_classes=3):
     return ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=num_classes, arch=arch,
                        dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None)
+
+
+def padded_batch(idx, lengths, labels):
+    """The Batch ``pad_batch`` builds from the rows of a (B, T) index array,
+    each cut at its length."""
+    return pad_batch([(row[:L].tolist(), int(y)) for row, L, y in zip(idx, lengths, labels)])
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +97,12 @@ def test_forward_matches_naive_reimplementation(arch, dl):
     ref_top, ref_pooled, ref_probs = _naive_forward(model, emb_rows)
 
     # the embedding matrix is the sentence itself, one row per position
-    lengths = np.array([T], dtype=np.int64)
-    batch = Batch(indices=np.arange(T).reshape(1, T), lengths=lengths,
-                  labels=np.zeros(1, dtype=np.int64))
+    batch = pad_batch([(list(range(T)), 0)])
     _, trace = model_forward(model, np.concatenate(emb_rows, axis=0), batch)
     Htop = trace.states[:, -2 * cfg.th:]  # packed; one sentence packs in position order
     for t in range(T):
         assert np.abs(Htop[t] - ref_top[t][0]).max() < 1e-12
-    pooled = average_pool_batch(Htop, lengths, trace.packing)
+    pooled = average_pool_batch(Htop, batch)
     assert np.abs(pooled - ref_pooled).max() < 1e-12
     probs = softmax_rows(pooled @ model.softmax_W + model.softmax_b)
     assert np.abs(probs - ref_probs).max() < 1e-12
@@ -114,8 +119,7 @@ def test_degenerate_dl0_architectures_identical_bitwise():
         r = np.random.default_rng(1000 + trial)
         T = int(r.integers(1, 9))
         X = r.standard_normal((T, dense_cfg.m))
-        batch = Batch(indices=np.arange(T).reshape(1, T), lengths=np.array([T], dtype=np.int64),
-                      labels=np.zeros(1, dtype=np.int64))
+        batch = pad_batch([(list(range(T)), 0)])
         _, ta = model_forward(model, X, batch)
         _, tb = model_forward(twin, X, batch)
         assert np.array_equal(ta.states, tb.states)
@@ -230,9 +234,10 @@ def one_length(n):
 
 
 def packed(H, lengths):
-    """A padded (B, T, D) array packed with the package's own packing."""
-    P = kernels.pack(lengths)
-    return H[P.rows, P.ts], lengths, P
+    """A padded (B, T, D) array packed as ``pad_batch`` packs sentences of
+    these lengths, and that batch."""
+    batch = pad_batch([([2] * L, 0) for L in lengths.tolist()])
+    return H[batch.packing.rows, batch.packing.ts], batch
 
 
 def test_average_pool_identical_vectors():
@@ -258,10 +263,8 @@ def test_average_pool_ignores_padding():
     for n, L in enumerate(lengths):
         alone = average_pool_batch(*packed(Hb[n:n + 1, :L], lengths[n:n + 1]))
         assert np.abs(batched[n] - alone[0]).max() < 1e-12
-    with pytest.raises(EmptySequenceError):
-        average_pool_batch(H[0], one_length(0), kernels.pack(one_length(0)))
     with pytest.raises(ShapeError):
-        average_pool_batch(H[0, :2], one_length(5), kernels.pack(one_length(5)))
+        average_pool_batch(H[0, :2], packed(H, one_length(5))[1])
 
 
 def test_classify_uniform_and_shift_invariance():
@@ -296,8 +299,7 @@ def test_dropout_identity_paths():
         cfg.dropout_embed, cfg.dropout_pool = 0.3, rate
         probs, trace = model_forward(model, emb_matrix, batch, np.random.default_rng(3),
                                      training=training)
-        pooled = average_pool_batch(trace.states[:, model.layers[-1].out], batch.lengths,
-                                    trace.packing)
+        pooled = average_pool_batch(trace.states[:, model.layers[-1].out], batch)
         assert trace.mask_pool is None
         assert np.array_equal(trace.pooled_dropped, pooled)
         assert np.array_equal(probs, softmax_rows(pooled @ model.softmax_W + model.softmax_b))
@@ -331,9 +333,7 @@ def test_model_forward_identical_rows():
     cfg = small_config(arch="dense", dl=1)
     model = Model.build(cfg, rng)
     emb_matrix = rng.standard_normal((9, cfg.m))
-    idx = np.array([[2, 5, 3, 0], [2, 5, 3, 0]], dtype=np.int64)
-    batch = Batch(indices=idx, lengths=np.array([3, 3], dtype=np.int64),
-                  labels=np.array([0, 1], dtype=np.int64))
+    batch = pad_batch([([2, 5, 3], 0), ([2, 5, 3], 1)])
     probs, _ = model_forward(model, emb_matrix, batch, training=False)
     assert np.array_equal(probs[0], probs[1])
 
@@ -343,9 +343,7 @@ def test_model_backward_returns_every_parameter():
     cfg = small_config(arch="stacked", dl=2)
     model = Model.build(cfg, rng)
     emb_matrix = rng.standard_normal((8, cfg.m))
-    batch = Batch(indices=np.array([[1, 2, 3]], dtype=np.int64),
-                  lengths=np.array([3], dtype=np.int64),
-                  labels=np.array([1], dtype=np.int64))
+    batch = pad_batch([([1, 2, 3], 1)])
     probs, trace = model_forward(model, emb_matrix, batch, training=False)
     dlogits = probs.copy()
     dlogits[0, 1] -= 1.0
@@ -354,7 +352,7 @@ def test_model_backward_returns_every_parameter():
     assert set(grads) == names
     for name, arr in model.named_params():
         assert grads[name].shape == arr.shape, name
-    assert dEmb.shape == (3, cfg.m) and len(trace.tokens) == 3
+    assert dEmb.shape == (3, cfg.m) and len(trace.batch.tokens) == 3
 
 
 def _training_step_inputs(arch, seed):
@@ -366,8 +364,7 @@ def _training_step_inputs(arch, seed):
     lengths = np.array([3, 6, 1, 4], dtype=np.int64)
     idx = rng.integers(2, 12, size=(4, 6))
     idx[np.arange(6) >= lengths[:, None]] = 0
-    batch = Batch(indices=idx, lengths=lengths, labels=np.array([0, 2, 1, 1], dtype=np.int64))
-    return model, emb, batch
+    return model, emb, padded_batch(idx, lengths, [0, 2, 1, 1])
 
 
 def _backward(model, emb, batch, **kwargs):
@@ -397,6 +394,35 @@ def test_a_trace_takes_one_backward_pass():
         model_backward(model, trace, dlogits)
 
 
+def test_a_batch_is_packed_once_where_it_is_built(monkeypatch):
+    """make_batches packs a batch and lists its distinct tokens; a training
+    step with both dropouts, the embedding gradient and an eval forward
+    only read them."""
+    cfg = small_config(dl=2)
+    cfg.dropout_embed, cfg.dropout_pool = 0.3, 0.2
+    model = Model.build(cfg, np.random.default_rng(45))
+    emb = np.random.default_rng(46).standard_normal((12, cfg.m))
+    indexed = [([2, 5, 3], 0), ([7], 1), ([4, 4, 9, 11, 2], 2), ([3, 3], 1)]
+    batch = make_batches(indexed, len(indexed))[0]
+
+    def again(*args, **kwargs):
+        raise AssertionError("the batch's layout was computed again")
+
+    monkeypatch.setattr(kernels, "pack", again)
+    monkeypatch.setattr(np, "unique", again)
+    probs, trace = model_forward(model, emb, batch, np.random.default_rng(47), training=True)
+    assert trace.mask_embed is not None and trace.mask_pool is not None
+    dlogits = probs.copy()
+    dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
+    _, dEmb = model_backward(model, trace, dlogits / len(batch.labels))
+    full = embedding_gradient(trace, dEmb, len(emb))
+    eval_probs, _ = model_forward(model, emb, batch, training=False)
+    monkeypatch.undo()
+    used = sorted({tok for idxs, _ in indexed for tok in idxs})
+    assert np.unique(np.nonzero(full)[0]).tolist() == used
+    assert np.abs(eval_probs.sum(axis=1) - 1.0).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # eval forward: one gate row per distinct token
 
@@ -422,7 +448,7 @@ def _repeated_token_batch(seed, B=7, T=9, vocab=6):
     lengths[0] = T
     idx = rng.integers(2, vocab, size=(B, T))
     idx[np.arange(T) >= lengths[:, None]] = 0
-    return Batch(indices=idx, lengths=lengths, labels=rng.integers(0, 3, size=B))
+    return padded_batch(idx, lengths, rng.integers(0, 3, size=B))
 
 
 def _near(a, b, tol=1e-12):
@@ -444,7 +470,7 @@ def test_eval_forward_over_distinct_tokens_matches_the_per_token_product(arch, d
     probs, trace = model_forward(model, emb_matrix, batch, training=False)
     want, ref = _per_token_forward(model, emb_matrix, batch)
     assert _near(probs, want) and _near(trace.gates, ref.gates)
-    assert np.array_equal(trace.emb, ref.emb) and np.array_equal(trace.tokens, ref.tokens)
+    assert np.array_equal(trace.emb, ref.emb)
 
     # a backward pass on the eval trace gives the per-token gradients
     dlogits = probs.copy()
@@ -489,7 +515,7 @@ def test_embedding_dropout_draws_the_padded_stream(bit_generator):
         batch = _repeated_token_batch(59 + k)
         _, trace = model_forward(model, emb_matrix, batch, rng, training=True)
         draws = padded.random(batch.indices.shape + (cfg.m,))
-        kept = draws[trace.packing.rows, trace.packing.ts] >= cfg.dropout_embed
+        kept = draws[batch.packing.rows, batch.packing.ts] >= cfg.dropout_embed
         assert trace.mask_embed.tobytes() == (kept / (1.0 - cfg.dropout_embed)).tobytes()
     assert rng.random(9).tobytes() == padded.random(9).tobytes()
     assert rng.integers(0, 7, size=5, dtype=np.uint32).tolist() == \
@@ -577,10 +603,11 @@ def test_padding_a_batch_further_changes_nothing_bitwise(arch):
     idx = rng.integers(2, 12, size=(5, 6))
     idx[np.arange(6) >= lengths[:, None]] = 0
     labels = np.array([0, 2, 1, 1, 0], dtype=np.int64)
+    batch = padded_batch(idx, lengths, labels)
     results = []
     for extra in (0, 3):
-        batch = Batch(indices=np.pad(idx, ((0, 0), (0, extra))), lengths=lengths, labels=labels)
-        probs, trace = model_forward(model, emb_matrix, batch)
+        padded = replace(batch, indices=np.pad(batch.indices, ((0, 0), (0, extra))))
+        probs, trace = model_forward(model, emb_matrix, padded)
         dlogits = probs.copy()
         dlogits[np.arange(5), labels] -= 1.0
         grads, dEmb = model_backward(model, trace, dlogits / 5)
@@ -597,9 +624,7 @@ def test_training_forward_requires_rng():
     cfg.dropout_embed = 0.5
     model = Model.build(cfg, np.random.default_rng(0))
     emb = np.zeros((4, cfg.m))
-    batch = Batch(indices=np.array([[1]], dtype=np.int64),
-                  lengths=np.array([1], dtype=np.int64),
-                  labels=np.array([0], dtype=np.int64))
+    batch = pad_batch([([1], 0)])
     with pytest.raises(ConfigError):
         model_forward(model, emb, batch, rng=None, training=True)
 
