@@ -79,7 +79,7 @@ def _add_train_flags(p):
 
 
 class _RenamedFormat(argparse.Action):
-    """``eval --format``, retired: giving it is a usage error naming its new name."""
+    """``eval --format``, renamed ``--data-format``: giving it is a usage error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         parser.error("--format is now --data-format, as in train")
