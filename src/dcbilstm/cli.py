@@ -123,7 +123,6 @@ def _build_parser():
                    help="corrupt one analytic gradient to prove the check bites")
 
     p = sub.add_parser("prepare-data", help="convert per-class line files to label\\ttext tsv")
-    p.add_argument("--format", required=True, choices=["lines"])
     p.add_argument("--out", required=True)
     p.add_argument("--raw", action="append", default=[], metavar="PATH:LABEL",
                    help="one-sentence-per-line file with a shared label (repeatable)")
@@ -166,8 +165,6 @@ def _cmd_eval(args):
     if args.binary and args.data_format != "sst_trees":
         raise ConfigError("--binary needs --data-format sst_trees")
     model, meta = load_checkpoint(args.checkpoint)
-    if meta["vocab"] is None:
-        raise ConfigError(f"{args.checkpoint} has no vocab section; cannot embed text")
     examples = D.load_dataset(args.data, args.data_format, binary=args.binary)
     top, k = max((ex.label for ex in examples), default=-1), model.config.num_classes
     if top >= k:
@@ -200,7 +197,7 @@ def _cmd_gradcheck(args):
 
 def _cmd_prepare_data(args):
     if not args.raw:
-        raise ConfigError("lines format needs at least one --raw PATH:LABEL")
+        raise ConfigError("prepare-data needs at least one --raw PATH:LABEL")
     try:
         codecs.lookup(args.encoding)
     except LookupError:

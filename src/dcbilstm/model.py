@@ -230,13 +230,6 @@ class Model:
         """(name, array) pairs in a stable order used by Adam, gradcheck and checkpoints."""
         return list(self.params.items())
 
-    def copy_params(self):
-        return {name: arr.copy() for name, arr in self.params.items()}
-
-    def load_params(self, snapshot):
-        for name, arr in self.params.items():
-            arr[...] = snapshot[name]
-
 
 def count_params(m, dl, dh, th):
     """Trainable values in the recurrent layers of a dense model.
@@ -483,27 +476,27 @@ def embedding_gradient(trace, dEmb, vocab_size):
 # Line 1 is the magic "DCBILSTM v1".  A flat text manifest follows (one
 # "key value" pair per line, utf-8): every ModelConfig field, arch first and
 # the rest in declaration order, written by ``format_setting`` and read by
-# ``parse_setting``, then the gate order, concat order and seed.  An
-# optional vocab section follows, then "tensors <k>" and k blocks of
-# "name rows cols" followed by rows*cols little-endian float64 values.
+# ``parse_setting``, then the gate order, concat order and seed.  The vocab
+# section follows ("vocab <n>" and n tokens, one a line, in id order from 2),
+# then "tensors <k>" and k blocks of "name rows cols" followed by rows*cols
+# little-endian float64 values: the model's tensors, then "embeddings".
 # Round-trips are bitwise stable.
 
 
-def save_checkpoint(path, model, seed, vocab=None, emb_matrix=None):
+def save_checkpoint(path, model, seed, vocab, emb_matrix):
+    """Write model, seed, vocab and emb_matrix to path, in the format above.
+
+    vocab maps each token to its row of emb_matrix, ids 2 and up as
+    ``data.build_vocab`` numbers them; a model scores text only through both.
+    """
     cfg = model.config
     keys = ["arch"] + [f.name for f in fields(ModelConfig) if f.name != "arch"]
     lines = [CHECKPOINT_MAGIC, *(f"{key} {format_setting(getattr(cfg, key))}" for key in keys),
              f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {int(seed)}"]
 
-    tensors = list(model.named_params())
-    if vocab is not None:
-        tokens = [tok for tok, _ in sorted(vocab.items(), key=lambda kv: kv[1])]
-        lines.append(f"vocab {len(tokens)}")
-        lines.extend(tokens)
-        if emb_matrix is None:
-            raise CheckpointError("vocab given without an embedding matrix")
-        tensors.append(("embeddings", emb_matrix))
-    lines.append(f"tensors {len(tensors)}")
+    tokens = [tok for tok, _ in sorted(vocab.items(), key=lambda kv: kv[1])]
+    tensors = [*model.named_params(), ("embeddings", emb_matrix)]
+    lines += [f"vocab {len(tokens)}", *tokens, f"tensors {len(tensors)}"]
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -532,7 +525,7 @@ def _read_count(text, what):
 
 
 def load_checkpoint(path):
-    """Returns (model, meta) with meta carrying seed, vocab and embeddings.
+    """Returns (model, meta), meta holding "seed", "vocab" and "emb_matrix".
 
     Any defect of the file, a bad setting or a tensor that does not fit the
     settings included, raises ``CheckpointError`` naming the file.
@@ -570,6 +563,8 @@ def _read_checkpoint(fh):
         raise CheckpointError(f"unknown manifest keys {sorted(unknown)}")
     if manifest["gate_order"] != GATE_ORDER or manifest["concat_order"] != CONCAT_ORDER:
         raise CheckpointError("incompatible gate/concat order")
+    if vocab_tokens is None:
+        raise CheckpointError("no vocab section")
 
     tensors = {}
     for _ in range(n_tensors):
@@ -598,12 +593,11 @@ def _read_checkpoint(fh):
             raise CheckpointError(f"bad value for {f.name}: {exc}")
     cfg = ModelConfig(**settings).validate()
     model = Model(cfg, {name: tensors.pop(name) for name, _ in param_shapes(cfg) if name in tensors})
-    meta = {"seed": int(manifest["seed"]), "vocab": None, "emb_matrix": None}
-    if vocab_tokens is not None:
-        if "embeddings" not in tensors:
-            raise CheckpointError("missing tensor embeddings")
-        meta["vocab"] = {tok: idx + 2 for idx, tok in enumerate(vocab_tokens)}
-        meta["emb_matrix"] = tensors.pop("embeddings")
+    if "embeddings" not in tensors:
+        raise CheckpointError("missing tensor embeddings")
+    meta = {"seed": int(manifest["seed"]),
+            "vocab": {tok: idx + 2 for idx, tok in enumerate(vocab_tokens)},
+            "emb_matrix": tensors.pop("embeddings")}
     if tensors:
         raise CheckpointError(f"unexpected tensors {sorted(tensors)}")
     return model, meta

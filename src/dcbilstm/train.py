@@ -295,8 +295,11 @@ def _check_labels(named_splits, num_classes):
 
 
 def _grad_group_norms(grads):
+    """L2 norm of each layer's gradients; the embeddings' is left out."""
     groups = {}
     for name, g in grads.items():
+        if name == "embeddings":
+            continue
         key = name.split(".")[0]
         groups[key] = groups.get(key, 0.0) + float((g * g).sum())
     return {k: float(np.sqrt(v)) for k, v in sorted(groups.items())}
@@ -308,11 +311,14 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
     drop_rng = np.random.default_rng(seed_seqs[2])
 
     model = Model.build(model_cfg, init_rng)
-    emb = emb_matrix.copy() if cfg.train_embeddings else emb_matrix
-    states = {name: AdamState.like(arr) for name, arr in model.named_params()}
-    emb_state = AdamState.like(emb) if cfg.train_embeddings else None
+    # the tensors Adam updates: the model's, and a copy of the embeddings when they train
+    params = dict(model.named_params())
+    if cfg.train_embeddings:
+        params["embeddings"] = emb_matrix.copy()
+    emb = params.get("embeddings", emb_matrix)
+    states = {name: AdamState.like(arr) for name, arr in params.items()}
 
-    best = None  # (epoch record, parameters, embeddings) of the best-dev epoch
+    best = None  # (epoch record, copy of params) of the best-dev epoch
     epochs_since_best = 0
     history = []
     t_start = time.monotonic()
@@ -334,11 +340,11 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
                                          embedding_grad=cfg.train_embeddings)
             if cfg.softmax_l2 > 0:
                 grads["softmax.W"] = grads["softmax.W"] + cfg.softmax_l2 * model.softmax_W
-            for name, arr in model.named_params():
+            if cfg.train_embeddings:
+                grads["embeddings"] = embedding_gradient(trace, dEmb, len(emb))
+            for name, arr in params.items():
                 adam_update(arr, grads[name], states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
             if cfg.train_embeddings:
-                full = embedding_gradient(trace, dEmb, len(emb))
-                adam_update(emb, full, emb_state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
                 emb[D.PAD_IDX] = 0.0
             max_norm_constrain(model.softmax_W, cfg.max_norm_s)
             loss_sum += loss * len(batch.labels)
@@ -372,7 +378,7 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
         )
 
         if best is None or not dev_idx or dev_acc > best[0]["dev_acc"]:
-            best = (record, model.copy_params(), emb.copy() if cfg.train_embeddings else None)
+            best = (record, {name: arr.copy() for name, arr in params.items()})
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -381,10 +387,9 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
         if cfg.stop_at_train_acc is not None and train_acc >= cfg.stop_at_train_acc:
             break
 
-    record, params, best_emb = best
-    model.load_params(params)
-    if cfg.train_embeddings:
-        emb = best_emb
+    record, snapshot = best
+    for name, arr in params.items():
+        arr[...] = snapshot[name]
     result = {"best_dev_acc": record["dev_acc"], "test_acc": record["test_acc"],
               "final_train_acc": record["train_acc"], "epochs_run": epoch}
     return model, emb, result, history

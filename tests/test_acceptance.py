@@ -220,12 +220,12 @@ def test_08_dataset_fidelity(tmp_path, capsys):
         sizes[f"sst1_{split}"] = len(load_dataset(src, "sst_trees"))
         sizes[f"sst2_{split}"] = len(load_dataset(src, "sst_trees", binary=True))
     out = tmp_path / "mr.tsv"
-    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+    assert main(["prepare-data", "--out", str(out),
                  "--raw", f"{mr[0]}:1", "--raw", f"{mr[1]}:0",
                  "--encoding", "latin-1"]) == 0
     sizes["mr"] = lines(out)
     out = tmp_path / "subj.tsv"
-    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+    assert main(["prepare-data", "--out", str(out),
                  "--raw", f"{subj[0]}:1", "--raw", f"{subj[1]}:0",
                  "--encoding", "latin-1"]) == 0
     sizes["subj"] = lines(out)

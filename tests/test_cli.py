@@ -9,9 +9,10 @@ import pytest
 
 from dcbilstm.cli import SWEEP_TABLES, build_train_config, main, parse_config_file
 from dcbilstm.errors import ParseError
-from dcbilstm.model import Model, ModelConfig, count_params, save_checkpoint
+from dcbilstm.model import Model, ModelConfig, count_params
 from dcbilstm.train import TrainConfig
 from tests.conftest import _toy_corpus_lines
+from tests.test_model import checkpoint_without_embeddings
 
 
 def test_count_params_output(capsys):
@@ -290,7 +291,7 @@ def test_prepare_data_undecodable_input_names_the_file_and_encoding(tmp_path, ca
     pos = tmp_path / "rt-polarity.pos"
     pos.write_bytes("clich\xe9 but charming\n".encode("latin-1"))
     out = tmp_path / "mr.tsv"
-    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+    assert main(["prepare-data", "--out", str(out),
                  "--raw", f"{pos}:1"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {pos}: not utf-8 text ")
     assert not out.exists()
@@ -389,17 +390,18 @@ def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint\n")
     assert main(["eval", "--checkpoint", str(bad), "--data", str(bad)]) == 2
-    # a checkpoint saved without a vocabulary cannot embed text
+    # a checkpoint with no vocabulary cannot embed text
     cfg = ModelConfig(m=4, dl=1, dh=2, th=3, num_classes=2)
     bare = tmp_path / "bare.ckpt"
-    save_checkpoint(bare, Model.build(cfg, np.random.default_rng(0)), seed=0)
+    bare.write_bytes(checkpoint_without_embeddings(
+        tmp_path / "good.ckpt", Model.build(cfg, np.random.default_rng(0)), vocab_section=False))
     data = tmp_path / "two.tsv"
     data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(bare), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {bare} has no vocab section; cannot embed text\n"
+    assert captured.err == f"error: {bare}: no vocab section\n"
 
 
 def _write_trees(path, depth=5000):
@@ -463,12 +465,13 @@ def test_prepare_data_lines(tmp_path, capsys):
     pos.write_text("a charming film\n", encoding="utf-8")
     neg.write_text("a dreary slog\nanother dud\n", encoding="utf-8")
     out = tmp_path / "mr.tsv"
-    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+    assert main(["prepare-data", "--out", str(out),
                  "--raw", f"{pos}:1", "--raw", f"{neg}:0"]) == 0
     rows = out.read_text(encoding="utf-8").splitlines()
     assert rows == ["1\ta charming film", "0\ta dreary slog", "0\tanother dud"]
     capsys.readouterr()
-    assert main(["prepare-data", "--format", "lines", "--out", str(out)]) == 2
+    assert main(["prepare-data", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: prepare-data needs at least one --raw PATH:LABEL\n"
 
 
 @pytest.mark.parametrize("bad", [["--encoding", "bogus"], ["--raw", "{neg}:-1"],
@@ -480,7 +483,7 @@ def test_prepare_data_lines_checks_its_flags_before_reading(tmp_path, capsys, ba
     neg.write_text("a dreary slog\n", encoding="utf-8")
     out = tmp_path / "mr.tsv"
     flags = [arg.format(neg=neg) for arg in bad]
-    assert main(["prepare-data", "--format", "lines", "--out", str(out),
+    assert main(["prepare-data", "--out", str(out),
                  "--raw", f"{pos}:1", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad[0]}"), err
@@ -495,8 +498,9 @@ def test_cli_usage_errors_exit_2(capsys):
         main(["no-such-command"])
     assert info.value.code == 2
     # prepare-data reads no trees; train and eval read them directly
-    for flags in (["--format", "sst"], ["--format", "lines", "--input", "t.txt"],
-                  ["--format", "lines", "--binary"], ["--format", "lines", "--phrases"]):
+    # and it has no --format: its one input format is one sentence a line
+    for flags in (["--format", "lines"], ["--format", "sst"], ["--input", "t.txt"],
+                  ["--binary"], ["--phrases"]):
         with pytest.raises(SystemExit) as info:
             main(["prepare-data", "--out", "o.tsv", "--raw", "p.txt:1", *flags])
         assert info.value.code == 2, flags

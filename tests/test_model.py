@@ -29,13 +29,32 @@ from dcbilstm.model import (
     save_checkpoint,
     softmax_rows,
 )
-from dcbilstm.train import AdamState, adam_update
+from dcbilstm.train import AdamState, adam_update, cross_entropy
 from lstm_oracle import CellParams, lstm_step
 
 
 def small_config(arch="dense", dl=2, m=6, dh=3, th=4, num_classes=3):
     return ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=num_classes, arch=arch,
                        dropout_embed=0.0, dropout_pool=0.0, max_norm_s=None)
+
+
+def save_with_vocab(path, model, seed):
+    """``save_checkpoint`` with a three-token vocab and a random embedding
+    matrix for it, drawn from seed."""
+    emb = np.random.default_rng(seed).standard_normal((5, model.config.m))
+    save_checkpoint(path, model, seed, vocab={"a": 2, "b": 3, "c": 4}, emb_matrix=emb)
+
+
+def checkpoint_without_embeddings(path, model, vocab_section=True):
+    """The bytes of a checkpoint of model with no embeddings tensor, and with
+    no vocab section either unless vocab_section: a file as the format was
+    written when both were optional."""
+    save_with_vocab(path, model, 0)
+    blob = path.read_bytes()
+    k = len(model.named_params())
+    blob = blob[:blob.index(f"embeddings 5 {model.config.m}\n".encode())]
+    blob = blob.replace(f"\ntensors {k + 1}\n".encode(), f"\ntensors {k}\n".encode(), 1)
+    return blob if vocab_section else blob.replace(b"\nvocab 3\na\nb\nc\n", b"\n", 1)
 
 
 def padded_batch(idx, lengths, labels):
@@ -385,6 +404,31 @@ def test_skipping_the_embedding_gradient_keeps_every_parameter_gradient(arch):
         assert full[name].tobytes() == skipped[name].tobytes(), name
 
 
+@pytest.mark.parametrize("dl, dh, th", [(3, 10, 50), (15, 13, 100)],
+                         ids=["sst2-dl3", "sst2-dl15"])
+def test_a_training_step_at_the_benchmark_shapes_is_finite(dl, dh, th):
+    """One step with both dropouts at the benchmark's reference shapes (m=300,
+    B=8, SST-like lengths): loss, every parameter gradient and the embedding
+    gradient of ``model_backward``'s default are finite."""
+    rng = np.random.default_rng(1701)
+    cfg = ModelConfig(m=300, dl=dl, dh=dh, th=th, num_classes=2,
+                      dropout_embed=0.5, dropout_pool=0.5)
+    model = Model.build(cfg, rng)
+    emb = 0.4 * rng.standard_normal((64, cfg.m))
+    emb[:2] = 0.0
+    lengths = np.clip(np.rint(rng.normal(19, 9, 8)), 2, 56).astype(int)
+    batch = make_batches([(rng.integers(2, 64, L).tolist(), int(rng.integers(0, 2)))
+                          for L in lengths], 8)[0]
+    probs, trace = model_forward(model, emb, batch, rng, training=True)
+    loss, dlogits = cross_entropy(probs, batch.labels)
+    grads, dEmb = model_backward(model, trace, dlogits)
+    assert np.isfinite(loss) and loss > 0
+    assert {name for name, _ in model.named_params()} == set(grads)
+    for name, g in grads.items():
+        assert np.isfinite(g).all(), name
+    assert dEmb.shape == (int(lengths.sum()), cfg.m) and np.isfinite(dEmb).all()
+
+
 def test_a_trace_takes_one_backward_pass():
     model, emb, batch = _training_step_inputs("dense", 41)
     probs, trace = model_forward(model, emb, batch, np.random.default_rng(77), training=True)
@@ -550,7 +594,7 @@ def test_every_lstm_parameter_is_a_view_of_the_model_storage(arch):
 def test_model_storage_keeps_the_parameter_contracts(tmp_path):
     model = Model.build(small_config(dl=2), np.random.default_rng(43))
     # an Adam step on the views equals one on plain arrays, and reaches the storage
-    plain = model.copy_params()
+    plain = {name: arr.copy() for name, arr in model.named_params()}
     rng = np.random.default_rng(44)
     grads = {name: rng.standard_normal(arr.shape) for name, arr in plain.items()}
     for name, arr in model.named_params():
@@ -561,20 +605,9 @@ def test_model_storage_keeps_the_parameter_contracts(tmp_path):
     W = model.params["dense1.bwd.W"]
     assert np.shares_memory(W, model.lstm_W) and W.base is model.lstm_W
 
-    # copy_params is a snapshot; load_params writes it back through the views
-    snap = model.copy_params()
-    for name, arr in model.named_params():
-        arr += 1.0
-        assert not np.array_equal(arr, snap[name]), name
-    model.load_params(snap)
-    for name, arr in model.named_params():
-        assert np.array_equal(arr, snap[name]), name
-        if not name.startswith("softmax."):
-            assert arr.base is model.lstm_W or arr.base is model.lstm_b, name
-
     # a checkpoint round trip rebuilds the same storage, padding rows zero
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, seed=5)
+    save_with_vocab(path, model, 5)
     loaded, _ = load_checkpoint(path)
     assert np.array_equal(loaded.lstm_W, model.lstm_W)
     assert np.array_equal(loaded.lstm_b, model.lstm_b)
@@ -656,9 +689,9 @@ def test_checkpoint_round_trip_bitwise(tmp_path, settings):
         setattr(cfg, name, value)
     model = Model.build(cfg, rng)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, seed=99)
+    save_with_vocab(path, model, 99)
     loaded, meta = load_checkpoint(path)
-    assert meta["seed"] == 99 and meta["vocab"] is None
+    assert meta["seed"] == 99 and meta["vocab"] == {"a": 2, "b": 3, "c": 4}
     assert loaded.config == cfg
     for (na, a), (nb, b) in zip(model.named_params(), loaded.named_params()):
         assert na == nb
@@ -666,7 +699,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, settings):
     # a second save of the loaded model reproduces the file byte for byte,
     # except that an int given for a float setting comes back as a float
     path2 = tmp_path / "again.ckpt"
-    save_checkpoint(path2, loaded, seed=99)
+    save_checkpoint(path2, loaded, 99, vocab=meta["vocab"], emb_matrix=meta["emb_matrix"])
     assert path2.read_bytes() == path.read_bytes().replace(b"forget_bias 2\n", b"forget_bias 2.0\n")
 
 
@@ -699,15 +732,26 @@ def test_checkpoint_vocab_round_trip(tmp_path):
     assert np.array_equal(meta["emb_matrix"], emb)
     # a vocab is saved only with the embedding matrix its rows index
     bare = tmp_path / "bare.ckpt"
-    with pytest.raises(CheckpointError, match="without an embedding matrix"):
+    with pytest.raises(TypeError, match="emb_matrix"):
         save_checkpoint(bare, model, seed=1, vocab=vocab)
     assert not bare.exists()
+
+
+@pytest.mark.parametrize("vocab_section", [False, True], ids=["no-vocab", "no-embeddings"])
+def test_checkpoint_without_vocab_or_embeddings_is_rejected(tmp_path, vocab_section):
+    # a model scores text only through its vocab and the vectors it indexes
+    model = Model.build(small_config(dl=1), np.random.default_rng(10))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint_without_embeddings(tmp_path / "good.ckpt", model, vocab_section))
+    message = "missing tensor embeddings" if vocab_section else "no vocab section"
+    with pytest.raises(CheckpointError, match=f"^{bad}: {message}$"):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
     model = Model.build(small_config(dl=1), np.random.default_rng(0))
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, model, seed=0)
+    save_with_vocab(path, model, 0)
     blob = path.read_bytes()
     for cut in (10, len(blob) // 2, len(blob) - 3):
         clipped = tmp_path / f"cut{cut}.ckpt"

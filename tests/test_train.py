@@ -358,10 +358,19 @@ def test_train_cv_fold_with_one_remaining_example_trains_on_it(tmp_path, capsys)
     assert [r["best_dev_acc"] for r in results] == [None, None]
 
 
-@pytest.mark.parametrize("dev_fraction", [0.25, 0.0])
-def test_train_result_is_the_best_dev_epochs_record(toy_tsv, tmp_path, dev_fraction):
-    report = train(_quick_cfg(toy_tsv, tmp_path, epochs=6, patience=2, lr=0.05,
-                              dev_fraction=dev_fraction, test_path=toy_tsv))
+# 6 epochs, patience 2 and lr 0.05: with a dev split the best dev epoch is
+# not the last one, so the checkpoint must hold an earlier epoch's tensors
+@pytest.mark.parametrize("dev_fraction, train_embeddings", [
+    (0.25, False), (0.0, False), (0.25, True),
+], ids=["0.25", "0.0", "0.25-train-embeddings"])
+def test_train_result_is_the_best_dev_epochs_record(toy_tsv, tmp_path, dev_fraction,
+                                                    train_embeddings):
+    def run(epochs, out):
+        return train(_quick_cfg(toy_tsv, tmp_path / out, epochs=epochs, patience=2, lr=0.05,
+                                dev_fraction=dev_fraction, test_path=toy_tsv,
+                                train_embeddings=train_embeddings))
+
+    report = run(6, "full")
     lines = [json.loads(l) for l in open(report.log_path, encoding="utf-8")]
     epochs = [l for l in lines if l["event"] == "epoch"]
     if dev_fraction:
@@ -373,10 +382,13 @@ def test_train_result_is_the_best_dev_epochs_record(toy_tsv, tmp_path, dev_fract
     assert lines[-1] == {"event": "result", "tag": "train", "seed": 0,
                          "best_dev_acc": best["dev_acc"], "test_acc": best["test_acc"],
                          "final_train_acc": best["train_acc"], "epochs_run": len(epochs)}
-    # the checkpoint holds that epoch's parameters
+    # the checkpoint holds that epoch's parameters, and its embeddings
     model, meta = load_checkpoint(report.checkpoint_path)
     indexed = vectorize(load_dataset(toy_tsv, "tsv"), meta["vocab"], drop_unknown=True)
     assert evaluate(model, meta["emb_matrix"], indexed) == best["test_acc"]
+    # byte for byte: a run stopped at the best epoch ends where the full run restored to
+    cut = run(best["epoch"], "cut")
+    assert open(cut.checkpoint_path, "rb").read() == open(report.checkpoint_path, "rb").read()
 
 
 def test_train_softmax_l2_mode_changes_trajectory(toy_tsv, tmp_path):
