@@ -19,8 +19,9 @@ import sys
 from . import data as D
 from .errors import CheckpointError, ConfigError, ParseError, TrainingDiverged
 from .gradcheck import check_model
-from .model import count_params, format_param_count, load_checkpoint, parse_setting
-from .train import TrainConfig, evaluate, train
+from .model import (ARCH_DENSE, ARCH_STACKED, count_params, format_param_count,
+                    load_checkpoint, parse_setting)
+from .train import TrainConfig, check_labels, evaluate, train
 
 # rows are (dl, dh, th); all tables assume 300-dim pretrained vectors
 SWEEP_TABLES = {
@@ -78,13 +79,6 @@ def _add_train_flags(p):
             p.add_argument(flag, default=argparse.SUPPRESS, type=lambda v, k=f.name: _coerce(k, v))
 
 
-class _RenamedFormat(argparse.Action):
-    """``eval --format``, renamed ``--data-format``: giving it is a usage error."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error("--format is now --data-format, as in train")
-
-
 def _collect_overrides(args):
     return {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
 
@@ -100,8 +94,7 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--data-format", default="tsv", choices=["tsv", "sst_trees"])
-    p.add_argument("--format", action=_RenamedFormat, nargs="?", help=argparse.SUPPRESS)
+    p.add_argument("--data-format", default="tsv", choices=D.DATA_FORMATS)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--batch-size", type=int, default=200)
     p.add_argument("--expect-min", type=float, default=None,
@@ -114,7 +107,7 @@ def _build_parser():
     p.add_argument("--m", type=int, default=300)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--arch", default="dense", choices=["dense", "stacked"])
+    p.add_argument("--arch", default=ARCH_DENSE, choices=[ARCH_DENSE, ARCH_STACKED])
     p.add_argument("--dl", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-rel", type=float, default=1e-4)
@@ -162,14 +155,9 @@ def _cmd_train(args):
 def _cmd_eval(args):
     if args.expect_min is not None and not 0.0 <= args.expect_min <= 1.0:
         raise ConfigError(f"--expect-min must be in [0, 1], got {args.expect_min}")
-    if args.binary and args.data_format != "sst_trees":
-        raise ConfigError("--binary needs --data-format sst_trees")
     model, meta = load_checkpoint(args.checkpoint)
     examples = D.load_dataset(args.data, args.data_format, binary=args.binary)
-    top, k = max((ex.label for ex in examples), default=-1), model.config.num_classes
-    if top >= k:
-        raise ParseError(f"{args.data}: label {top} is outside the checkpoint's "
-                         f"{k} classes (0..{k - 1})")
+    check_labels([(args.data, examples)], model.config.num_classes)
     indexed = D.vectorize(examples, meta["vocab"], drop_unknown=True)
     acc = evaluate(model, meta["emb_matrix"], indexed, args.batch_size)
     print(f"accuracy {acc:.4f}")

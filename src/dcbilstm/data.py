@@ -26,6 +26,7 @@ from .errors import ConfigError, EmptySequenceError, ParseError
 
 PAD_IDX = 0
 UNK_IDX = 1
+DATA_FORMATS = ("tsv", "sst_trees")
 EMBEDDING_SCALE = 0.1  # random embeddings are uniform in [-0.1, 0.1)
 _CHUNK_LINES = 512  # embedding lines per bulk parse
 
@@ -55,9 +56,6 @@ class EmbeddingTable:
 
     def __contains__(self, word):
         return word.lower() in self.vectors
-
-    def __len__(self):
-        return len(self.vectors)
 
     def get(self, word):
         return self.vectors.get(word.lower())
@@ -276,11 +274,14 @@ def _load_sst(path, binary, phrases):
 
 
 def load_dataset(path, fmt, binary=False, phrases=False):
+    """The examples of `path`; a bad format or flag fails before it is opened."""
+    if fmt not in DATA_FORMATS:
+        raise ConfigError(f"data format must be one of {', '.join(DATA_FORMATS)}, got {fmt!r}")
+    if fmt != "sst_trees" and (binary or phrases):
+        raise ConfigError(f"{'binary' if binary else 'phrases'} needs data format sst_trees")
     if fmt == "tsv":
         return _load_tsv(path)
-    if fmt == "sst_trees":
-        return _load_sst(path, binary=binary, phrases=phrases)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+    return _load_sst(path, binary=binary, phrases=phrases)
 
 
 def load_label_lines(path, label, encoding="utf-8"):
@@ -314,7 +315,12 @@ def build_vocab(example_sets, table=None):
             seen.update(ex.tokens)
     if table is not None:
         seen = {tok for tok in seen if tok in table}
-    return {tok: idx for idx, tok in enumerate(sorted(seen), start=2)}
+    return index_tokens(sorted(seen))
+
+
+def index_tokens(tokens):
+    """Token -> row index, the tokens taking rows 2, 3, ... in the order given."""
+    return {tok: idx for idx, tok in enumerate(tokens, start=2)}
 
 
 def build_embedding_matrix(vocab, table):

@@ -477,10 +477,11 @@ def embedding_gradient(trace, dEmb, vocab_size):
 # "key value" pair per line, utf-8): every ModelConfig field, arch first and
 # the rest in declaration order, written by ``format_setting`` and read by
 # ``parse_setting``, then the gate order, concat order and seed.  The vocab
-# section follows ("vocab <n>" and n tokens, one a line, in id order from 2),
-# then "tensors <k>" and k blocks of "name rows cols" followed by rows*cols
-# little-endian float64 values: the model's tensors, then "embeddings".
-# Round-trips are bitwise stable.
+# section follows ("vocab <n>" and n tokens, one a line, in id order from 2,
+# as ``data.index_tokens`` numbers them), then "tensors <k>" and k blocks of
+# "name rows cols" followed by rows*cols little-endian float64 values: the
+# model's tensors, then "embeddings", n + 2 rows (padding, unknown, then
+# the tokens) of m columns.  Round-trips are bitwise stable.
 
 
 def save_checkpoint(path, model, seed, vocab, emb_matrix):
@@ -488,13 +489,18 @@ def save_checkpoint(path, model, seed, vocab, emb_matrix):
 
     vocab maps each token to its row of emb_matrix, ids 2 and up as
     ``data.build_vocab`` numbers them; a model scores text only through both.
+    Ids that are not 2..n+1, or an emb_matrix that is not (n + 2, m), raise
+    ``CheckpointError`` naming path, and nothing is written.
     """
     cfg = model.config
+    try:
+        tokens = _vocab_tokens(vocab, emb_matrix, cfg.m)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     keys = ["arch"] + [f.name for f in fields(ModelConfig) if f.name != "arch"]
     lines = [CHECKPOINT_MAGIC, *(f"{key} {format_setting(getattr(cfg, key))}" for key in keys),
              f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {int(seed)}"]
 
-    tokens = [tok for tok, _ in sorted(vocab.items(), key=lambda kv: kv[1])]
     tensors = [*model.named_params(), ("embeddings", emb_matrix)]
     lines += [f"vocab {len(tokens)}", *tokens, f"tensors {len(tensors)}"]
 
@@ -505,6 +511,18 @@ def save_checkpoint(path, model, seed, vocab, emb_matrix):
                 raise CheckpointError(f"tensor {name} is not 2-D")
             fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n".encode("utf-8"))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _vocab_tokens(vocab, emb_matrix, m):
+    """vocab's tokens in id order, if the ids are 2..n+1 and emb_matrix has
+    a row for each id and m columns; else CheckpointError."""
+    tokens = sorted(vocab, key=vocab.get)
+    if data.index_tokens(tokens) != vocab:
+        raise CheckpointError(f"vocab ids are not 2..{len(tokens) + 1}, one per token")
+    if emb_matrix.shape != (len(tokens) + 2, m):
+        raise CheckpointError(f"embeddings are {'x'.join(map(str, emb_matrix.shape))}, not the "
+                              f"{len(tokens) + 2}x{m} of {len(tokens)} tokens and m = {m}")
+    return tokens
 
 
 def _read_line(fh, what):
@@ -595,9 +613,9 @@ def _read_checkpoint(fh):
     model = Model(cfg, {name: tensors.pop(name) for name, _ in param_shapes(cfg) if name in tensors})
     if "embeddings" not in tensors:
         raise CheckpointError("missing tensor embeddings")
-    meta = {"seed": int(manifest["seed"]),
-            "vocab": {tok: idx + 2 for idx, tok in enumerate(vocab_tokens)},
+    meta = {"seed": int(manifest["seed"]), "vocab": data.index_tokens(vocab_tokens),
             "emb_matrix": tensors.pop("embeddings")}
+    _vocab_tokens(meta["vocab"], meta["emb_matrix"], cfg.m)
     if tensors:
         raise CheckpointError(f"unexpected tensors {sorted(tensors)}")
     return model, meta

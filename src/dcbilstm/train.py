@@ -32,7 +32,7 @@ from .model import (
 
 __all__ = [
     "TrainConfig", "TrainReport", "AdamState", "adam_update", "cross_entropy",
-    "max_norm_constrain", "train", "evaluate",
+    "max_norm_constrain", "train", "evaluate", "check_labels",
 ]
 
 
@@ -60,7 +60,7 @@ class TrainConfig:
     patience: int = 10
     stop_at_train_acc: float | None = None
     # data
-    data_format: str = "tsv"  # tsv | sst_trees
+    data_format: str = "tsv"  # one of data.DATA_FORMATS
     train_path: str = ""
     dev_path: str | None = None
     test_path: str | None = None
@@ -75,17 +75,12 @@ class TrainConfig:
     out_dir: str = "."
 
     def validate(self):
-        if self.data_format not in ("tsv", "sst_trees"):
-            raise ConfigError(f"data_format must be tsv or sst_trees, got {self.data_format!r}")
         if not self.train_path:
             raise ConfigError("train_path is required")
         if self.cv_folds < 0 or self.cv_folds == 1:
             raise ConfigError(f"cv_folds must be 0 or >= 2, got {self.cv_folds}")
         if self.cv_folds and (self.dev_path or self.test_path):
             raise ConfigError("cross-validation uses a single input file; drop dev/test paths")
-        for name in ("binary", "phrases"):
-            if getattr(self, name) and self.data_format != "sst_trees":
-                raise ConfigError(f"{name} needs data_format = sst_trees")
         if self.phrases and self.cv_folds:
             # the held-out folds would hold phrases, not only sentences
             raise ConfigError("phrases cannot be used with cv_folds")
@@ -123,7 +118,6 @@ class TrainReport:
     history: list = field(default_factory=list)
     fold_accs: list | None = None
     mean_acc: float | None = None
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,7 @@ def _folds(cfg, rng_split):
 def _build_tables(cfg, example_sets, rng_emb):
     sets = [s for s in example_sets if s]
     if cfg.embeddings_path:
-        keep = {tok.lower() for examples in sets for ex in examples for tok in ex.tokens}
+        keep = {tok for examples in sets for ex in examples for tok in ex.tokens}
         table = D.load_embeddings(cfg.embeddings_path, keep=keep)
         vocab = D.build_vocab(sets, table)
         emb_matrix = D.build_embedding_matrix(vocab, table)
@@ -281,7 +275,7 @@ def _infer_classes(example_sets):
     return max(labels) + 1
 
 
-def _check_labels(named_splits, num_classes):
+def check_labels(named_splits, num_classes):
     """ConfigError naming the first split with a label the model cannot output."""
     for name, examples in named_splits:
         top = max((ex.label for ex in examples), default=-1)
@@ -311,7 +305,8 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
     drop_rng = np.random.default_rng(seed_seqs[2])
 
     model = Model.build(model_cfg, init_rng)
-    # the tensors Adam updates: the model's, and a copy of the embeddings when they train
+    # the tensors Adam updates: the model's, and a copy of the embeddings when they
+    # train, whose PAD row stays zero: padding is never packed, so its gradient is 0
     params = dict(model.named_params())
     if cfg.train_embeddings:
         params["embeddings"] = emb_matrix.copy()
@@ -344,8 +339,6 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
                 grads["embeddings"] = embedding_gradient(trace, dEmb, len(emb))
             for name, arr in params.items():
                 adam_update(arr, grads[name], states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-            if cfg.train_embeddings:
-                emb[D.PAD_IDX] = 0.0
             max_norm_constrain(model.softmax_W, cfg.max_norm_s)
             loss_sum += loss * len(batch.labels)
 
@@ -413,7 +406,7 @@ def train(cfg):
     named, folds = _folds(cfg, rng_split)
     splits = [examples for _, examples in named]
     num_classes = cfg.num_classes or _infer_classes(splits)
-    _check_labels(named, num_classes)
+    check_labels(named, num_classes)
     vocab, emb_matrix, m = _build_tables(cfg, splits, rng_emb)
     model_cfg = _model_config(cfg, m, num_classes)
 
@@ -449,7 +442,7 @@ def train(cfg):
             result, history = {"best_dev_acc": None, "test_acc": None,
                                "final_train_acc": float("nan"), "epochs_run": 0}, []
     return TrainReport(**result, checkpoint_path=ckpt_path, log_path=log_path, history=history,
-                       fold_accs=fold_accs, mean_acc=mean_acc, seed=cfg.seed)
+                       fold_accs=fold_accs, mean_acc=mean_acc)
 
 
 def _model_config(cfg, m, num_classes):

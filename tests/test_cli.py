@@ -12,7 +12,7 @@ from dcbilstm.errors import ParseError
 from dcbilstm.model import Model, ModelConfig, count_params
 from dcbilstm.train import TrainConfig
 from tests.conftest import _toy_corpus_lines
-from tests.test_model import checkpoint_without_embeddings
+from tests.test_model import checkpoint_with_vocab, checkpoint_without_embeddings
 
 
 def test_count_params_output(capsys):
@@ -404,6 +404,22 @@ def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):
     assert captured.err == f"error: {bare}: no vocab section\n"
 
 
+def test_eval_cli_rejects_embeddings_that_do_not_fit_the_vocab(tmp_path, capsys):
+    # four tokens (ids 2..5) and three rows: "great" (id 4) has no vector
+    model = Model.build(ModelConfig(m=4, dl=1, dh=2, th=3, num_classes=2),
+                        np.random.default_rng(0))
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(checkpoint_with_vocab(tmp_path / "good.ckpt", model,
+                                            ["film", "fine", "great", "the"], np.zeros((3, 4))))
+    data = tmp_path / "two.tsv"
+    data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(short), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {short}: embeddings are 3x4, not the 6x4 of 4 tokens "
+                            f"and m = 4\n")
+
+
 def _write_trees(path, depth=5000):
     # a positive and a negative root, a neutral one, and a tree `depth` deep
     path.write_text("(3 (2 The) (4 (2 film) (4 great)))\n"
@@ -424,17 +440,16 @@ def test_eval_cli_reads_sst_trees(tmp_path, capsys):
     assert main(["eval", "--checkpoint", ckpt, "--data", str(trees),
                  "--data-format", "sst_trees", "--binary"]) == 0
     assert capsys.readouterr().out == expected
-    # the flag is spelt as train spells it; the old spelling names the new one
+    # the flag is spelt as train spells it; the old spelling is a usage error
     for old in (["--format", "sst_trees"], ["--format"], ["--format=tsv"]):
         with pytest.raises(SystemExit) as info:
             main(["eval", "--checkpoint", ckpt, "--data", str(trees), *old, "--binary"])
         assert info.value.code == 2, old
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--format is now --data-format" in captured.err, old
-    # --binary acts on trees only
+        assert capsys.readouterr().out == "", old
+    # --binary acts on trees only, in train's words
     assert main(["eval", "--checkpoint", ckpt, "--data", str(tsv), "--binary"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: --binary "), captured
+    assert captured.out == "" and captured.err == "error: binary needs data format sst_trees\n"
 
 
 def test_train_cli_reads_sst_trees(tmp_path):

@@ -40,7 +40,7 @@ def emb_path(tmp_path):
 
 def test_load_embeddings_round_trip(emb_path, tmp_path):
     table = load_embeddings(emb_path)
-    assert len(table) == 3 and table.dim == 4
+    assert len(table.vectors) == 3 and table.dim == 4
     assert np.array_equal(table.get("movie"), np.array([1.0, -1.0, 0.5, 0.25]))
     # a blank line is skipped
     blank = tmp_path / "blank.txt"
@@ -103,7 +103,7 @@ def test_load_embeddings_words_with_spaces(tmp_path):
     p.write_text("the 0.1 0.2 0.3\n. . . -1.0 0.5 0.25\nAt Name@Domain.com 1.0 2.0 3.0\n",
                  encoding="utf-8")
     table = load_embeddings(p)
-    assert table.dim == 3 and len(table) == 3
+    assert table.dim == 3 and len(table.vectors) == 3
     assert np.array_equal(table.get(". . ."), np.array([-1.0, 0.5, 0.25]))
     assert np.array_equal(table.get("at name@domain.com"), np.array([1.0, 2.0, 3.0]))
     # fewer than dim + 1 fields is still an error
@@ -118,14 +118,14 @@ def test_load_embeddings_keeps_only_the_kept_words(tmp_path):
     p.write_text("the 1.0 1.0\nzebra 2.0 2.0\nMovie 3.0 3.0\n. . . 4.0 4.0\nThe 5.0 5.0\n",
                  encoding="utf-8")
     table = load_embeddings(p, keep={"the", "movie", ". . .", "absent"})
-    assert table.dim == 2 and len(table) == 3
+    assert table.dim == 2 and len(table.vectors) == 3
     assert set(table.vectors) == {"the", "movie", ". . ."}
     assert "zebra" not in table
     # the first occurrence still wins, among kept words too
     assert np.array_equal(table.get("The"), np.array([1.0, 1.0]))
     assert np.array_equal(table.get("movie"), np.array([3.0, 3.0]))
     # the full table is unchanged without keep
-    assert len(load_embeddings(p)) == 4
+    assert len(load_embeddings(p).vectors) == 4
 
 
 def test_load_embeddings_checks_lines_it_does_not_keep(tmp_path):
@@ -163,7 +163,7 @@ def test_load_embeddings_skips_a_count_dim_header(tmp_path):
         assert "line 2" in str(info.value) and "header" in str(info.value)
     # only the first line can be a header; later ones are 1-d vectors
     p.write_text("the 0.1\n2 3\n", encoding="utf-8")
-    assert load_embeddings(p).dim == 1 and len(load_embeddings(p)) == 2
+    assert load_embeddings(p).dim == 1 and len(load_embeddings(p).vectors) == 2
 
 
 def test_load_embeddings_first_occurrence_wins(tmp_path):
@@ -404,6 +404,19 @@ def test_load_tsv_errors(tmp_path):
         load_dataset(p, "tsv")
     with pytest.raises(ConfigError):
         load_dataset(p, "jsonl")
+
+
+@pytest.mark.parametrize("fmt,flags,message", [
+    ("jsonl", {}, "data format must be one of tsv, sst_trees, got 'jsonl'"),
+    ("tsv", {"binary": True}, "binary needs data format sst_trees"),
+    ("tsv", {"phrases": True}, "phrases needs data format sst_trees"),
+    ("tsv", {"binary": True, "phrases": True}, "binary needs data format sst_trees"),
+])
+def test_load_dataset_checks_format_and_flags_before_opening_the_file(tmp_path, fmt, flags,
+                                                                      message):
+    # the path does not exist, so an OSError would mean the file was opened first
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_dataset(tmp_path / "missing.tsv", fmt, **flags)
 
 
 def test_parse_tree_minimal():

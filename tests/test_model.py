@@ -57,6 +57,19 @@ def checkpoint_without_embeddings(path, model, vocab_section=True):
     return blob if vocab_section else blob.replace(b"\nvocab 3\na\nb\nc\n", b"\n", 1)
 
 
+def checkpoint_with_vocab(path, model, tokens, emb):
+    """The bytes of a checkpoint of model whose vocab section lists tokens and
+    whose embeddings tensor is emb, fitting or not: a file as it could be
+    written before ``save_checkpoint`` checked the two against each other."""
+    save_with_vocab(path, model, 0)
+    blob = path.read_bytes()
+    blob = blob[:blob.index(f"embeddings 5 {model.config.m}\n".encode())]
+    section = "".join(f"\n{line}" for line in [f"vocab {len(tokens)}", *tokens])
+    blob = blob.replace(b"\nvocab 3\na\nb\nc", section.encode(), 1)
+    return (blob + f"embeddings {emb.shape[0]} {emb.shape[1]}\n".encode()
+            + np.ascontiguousarray(emb, dtype="<f8").tobytes())
+
+
 def padded_batch(idx, lengths, labels):
     """The Batch ``pad_batch`` builds from the rows of a (B, T) index array,
     each cut at its length."""
@@ -746,6 +759,40 @@ def test_checkpoint_without_vocab_or_embeddings_is_rejected(tmp_path, vocab_sect
     message = "missing tensor embeddings" if vocab_section else "no vocab section"
     with pytest.raises(CheckpointError, match=f"^{bad}: {message}$"):
         load_checkpoint(bad)
+
+
+_SHORT = "embeddings are 3x6, not the 6x6 of 4 tokens and m = 6"
+_NARROW = "embeddings are 5x3, not the 5x6 of 3 tokens and m = 6"
+# per case: the vocab given to save_checkpoint, the tokens of a file's vocab
+# section, the embeddings' shape (m = 6), and the save and load errors
+_MISFITS = {
+    "short": ({"a": 2, "b": 3, "c": 4, "d": 5}, ["a", "b", "c", "d"], (3, 6), _SHORT, _SHORT),
+    "narrow": ({"a": 2, "b": 3, "c": 4}, ["a", "b", "c"], (5, 3), _NARROW, _NARROW),
+    # a file lists tokens only, so a gapped vocab comes back numbered 2..4
+    "gapped": ({"a": 2, "b": 4, "c": 5}, ["a", "b", "c"], (6, 6),
+               "vocab ids are not 2..4, one per token",
+               "embeddings are 6x6, not the 5x6 of 3 tokens and m = 6"),
+    "repeated": ({"a": 2, "b": 2, "c": 4}, ["a", "a", "b"], (5, 6),
+                 "vocab ids are not 2..4, one per token",
+                 "vocab ids are not 2..3, one per token"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISFITS))
+def test_checkpoint_embeddings_must_fit_the_vocab(tmp_path, case):
+    # row i of the embeddings is token id i; ids run 2..n+1 in the written order
+    vocab, tokens, shape, save_error, load_error = _MISFITS[case]
+    model = Model.build(small_config(dl=1), np.random.default_rng(13))
+    emb = np.random.default_rng(14).standard_normal(shape)
+    path = tmp_path / "new.ckpt"
+    with pytest.raises(CheckpointError, match=f"^{path}: {save_error}$"):
+        save_checkpoint(path, model, 0, vocab=vocab, emb_matrix=emb)
+    assert not path.exists()
+    # such a file, written without the check, does not load either
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(checkpoint_with_vocab(tmp_path / "good.ckpt", model, tokens, emb))
+    with pytest.raises(CheckpointError, match=f"^{old}: {load_error}$"):
+        load_checkpoint(old)
 
 
 def test_checkpoint_truncation_detected(tmp_path):

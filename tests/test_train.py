@@ -448,7 +448,7 @@ def test_train_embeddings_moves_rows_but_not_padding(toy_tsv, tmp_path):
     assert (after[2:] != before[2:]).any(axis=1).all()
 
 
-def test_train_config_validation():
+def test_train_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         TrainConfig(train_path="").validate()
     with pytest.raises(ConfigError):
@@ -457,8 +457,12 @@ def test_train_config_validation():
         TrainConfig(train_path="x", cv_folds=3, dev_path="y").validate()
     with pytest.raises(ConfigError):
         TrainConfig(train_path="x", epochs=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(train_path="x", data_format="parquet").validate()
+    # the data format is load_dataset's to check, before a file is read or written
+    out_dir = tmp_path / "run"
+    with pytest.raises(ConfigError, match="data format"):
+        train(TrainConfig(train_path=str(tmp_path / "x.tsv"), data_format="parquet",
+                          out_dir=str(out_dir)))
+    assert not (out_dir / "run.log").exists()
 
 
 def test_train_submodule_is_not_shadowed_by_a_root_export():
