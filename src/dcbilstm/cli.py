@@ -110,8 +110,6 @@ def _build_parser():
     p.add_argument("--arch", default=ARCH_DENSE, choices=[ARCH_DENSE, ARCH_STACKED])
     p.add_argument("--dl", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-rel", type=float, default=1e-4)
-    p.add_argument("--tol-abs", type=float, default=1e-7)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one analytic gradient to prove the check bites")
 
@@ -157,7 +155,10 @@ def _cmd_eval(args):
         raise ConfigError(f"--expect-min must be in [0, 1], got {args.expect_min}")
     model, meta = load_checkpoint(args.checkpoint)
     examples = D.load_dataset(args.data, args.data_format, binary=args.binary)
-    check_labels([(args.data, examples)], model.config.num_classes)
+    if args.binary and model.config.num_classes != 2:
+        raise ConfigError(f"{args.checkpoint}: --binary needs a two-class model, "
+                          f"not one of {model.config.num_classes} classes")
+    check_labels(args.data, examples, model.config.num_classes)
     indexed = D.vectorize(examples, meta["vocab"], drop_unknown=True)
     acc = evaluate(model, meta["emb_matrix"], indexed, args.batch_size)
     print(f"accuracy {acc:.4f}")
@@ -174,11 +175,8 @@ def _cmd_count_params(args):
 
 
 def _cmd_gradcheck(args):
-    report = check_model(
-        arch=args.arch, dl=args.dl, seed=args.seed,
-        tol_rel=args.tol_rel, tol_abs=args.tol_abs,
-        inject_fault=args.inject_fault,
-    )
+    report = check_model(arch=args.arch, dl=args.dl, seed=args.seed,
+                         inject_fault=args.inject_fault)
     print(report.format())
     return 0 if report.passed else 1
 

@@ -507,8 +507,6 @@ def save_checkpoint(path, model, seed, vocab, emb_matrix):
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name, arr in tensors:
-            if arr.ndim != 2:
-                raise CheckpointError(f"tensor {name} is not 2-D")
             fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n".encode("utf-8"))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 

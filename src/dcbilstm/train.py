@@ -43,11 +43,9 @@ class TrainConfig:
     dl: int = 1
     dh: int = 10
     th: int = 100
-    num_classes: int = 0  # 0 = infer from the labels
     dropout_embed: float = 0.5
     dropout_pool: float = 0.5
     max_norm_s: float | None = 3.0
-    softmax_l2: float = 0.0  # softmax weight decay, added to max-norm unless max_norm_s is None
     forget_bias: float = 0.0
     train_embeddings: bool = False
     # optimizer
@@ -58,7 +56,6 @@ class TrainConfig:
     batch_size: int = 200
     epochs: int = 100
     patience: int = 10
-    stop_at_train_acc: float | None = None
     # data
     data_format: str = "tsv"  # one of data.DATA_FORMATS
     train_path: str = ""
@@ -95,15 +92,9 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if not 0.0 <= self.softmax_l2 < math.inf:
-            raise ConfigError(f"softmax_l2 must be >= 0 and finite, got {self.softmax_l2}")
-        if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
-            raise ConfigError(f"stop_at_train_acc must be in [0, 1] or none, "
-                              f"got {self.stop_at_train_acc}")
-        if self.num_classes < 0 or self.num_classes == 1:
-            raise ConfigError(f"num_classes must be 0 or >= 2, got {self.num_classes}")
-        # the model settings too, before any input file is read
-        _model_config(self, self.embedding_dim, self.num_classes or 2)
+        # the model settings too, before any input file is read; the class
+        # count is inferred from the data, and 2 is its smallest value
+        _model_config(self, self.embedding_dim, 2)
         return self
 
 
@@ -243,13 +234,13 @@ def _folds(cfg, rng_split):
             rest = [ex for j, ex in enumerate(pool) if j not in held]
             folds.append((*_carve_dev(rest, cfg.dev_fraction, rng_split),
                           [pool[j] for j in held_out]))
-        return [("train", pool)], folds
+        return [pool], folds
     train = _load_split(cfg, cfg.train_path, phrases=cfg.phrases)
     dev = _load_split(cfg, cfg.dev_path) if cfg.dev_path else []
     test = _load_split(cfg, cfg.test_path) if cfg.test_path else []
     if not cfg.dev_path and cfg.dev_fraction > 0:
         train, dev = _carve_dev(train, cfg.dev_fraction, rng_split)
-    return [("train", train), ("dev", dev), ("test", test)], [(train, dev, test)]
+    return [train, dev, test], [(train, dev, test)]
 
 
 def _build_tables(cfg, example_sets, rng_emb):
@@ -275,13 +266,12 @@ def _infer_classes(example_sets):
     return max(labels) + 1
 
 
-def check_labels(named_splits, num_classes):
-    """ConfigError naming the first split with a label the model cannot output."""
-    for name, examples in named_splits:
-        top = max((ex.label for ex in examples), default=-1)
-        if top >= num_classes:
-            raise ConfigError(f"{name} split has label {top}, outside the model's "
-                              f"{num_classes} classes (0..{num_classes - 1})")
+def check_labels(name, examples, num_classes):
+    """ConfigError naming the split when it has a label the model cannot output."""
+    top = max((ex.label for ex in examples), default=-1)
+    if top >= num_classes:
+        raise ConfigError(f"{name} split has label {top}, outside the model's "
+                          f"{num_classes} classes (0..{num_classes - 1})")
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +323,6 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
                 )
             grads, dEmb = model_backward(model, trace, dlogits,
                                          embedding_grad=cfg.train_embeddings)
-            if cfg.softmax_l2 > 0:
-                grads["softmax.W"] = grads["softmax.W"] + cfg.softmax_l2 * model.softmax_W
             if cfg.train_embeddings:
                 grads["embeddings"] = embedding_gradient(trace, dEmb, len(emb))
             for name, arr in params.items():
@@ -355,6 +343,7 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             "train_acc": train_acc,
             "dev_acc": dev_acc,
             "test_acc": test_acc,
+            # norms of the epoch's last batch's gradients, not a mean over the epoch
             "grad_norm_per_layer": _grad_group_norms(grads),
             "seed": cfg.seed,
         }
@@ -377,8 +366,6 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             epochs_since_best += 1
             if epochs_since_best >= cfg.patience:
                 break
-        if cfg.stop_at_train_acc is not None and train_acc >= cfg.stop_at_train_acc:
-            break
 
     record, snapshot = best
     for name, arr in params.items():
@@ -403,10 +390,9 @@ def train(cfg):
 
     # load everything before touching the filesystem so a bad path or a
     # malformed corpus leaves no half-written artifacts behind
-    named, folds = _folds(cfg, rng_split)
-    splits = [examples for _, examples in named]
-    num_classes = cfg.num_classes or _infer_classes(splits)
-    check_labels(named, num_classes)
+    splits, folds = _folds(cfg, rng_split)
+    # one class past the largest label of any split, so every label has a class
+    num_classes = _infer_classes(splits)
     vocab, emb_matrix, m = _build_tables(cfg, splits, rng_emb)
     model_cfg = _model_config(cfg, m, num_classes)
 

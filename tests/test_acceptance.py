@@ -71,8 +71,7 @@ def test_02_gradient_certification_both_architectures():
     for arch in ("dense", "stacked"):
         for dl in (0, 1, 2, 3):
             for seed in range(5):
-                report = check_model(arch=arch, dl=dl, seed=seed,
-                                     tol_rel=1e-4, tol_abs=1e-7)
+                report = check_model(arch=arch, dl=dl, seed=seed)
                 assert report.passed, "\n" + report.format()
                 groups += len(report.groups)
     elapsed = time.perf_counter() - t0

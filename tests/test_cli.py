@@ -44,14 +44,26 @@ def test_gradcheck_exit_codes(capsys):
     assert "FAIL" in out and "softmax.W" in out
 
 
-@pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
-@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
-def test_gradcheck_rejects_tolerances_that_are_not_finite_and_non_negative(capsys, flag, value):
-    # an infinite tolerance would pass even an injected fault
-    assert main(["gradcheck", "--dl", "0", "--inject-fault", f"{flag}={value}"]) == 2
+@pytest.mark.parametrize("command,key,value", [
+    ("train", "num_classes", "2"), ("train", "softmax_l2", "0.1"),
+    ("train", "stop_at_train_acc", "1.0"),
+    ("gradcheck", "tol_rel", "inf"), ("gradcheck", "tol_abs", "inf"),
+])
+def test_removed_settings_exit_2(toy_tsv, tmp_path, capsys, command, key, value):
+    out_dir = tmp_path / "run"
+    train_flags = ["--train-path", toy_tsv, "--out-dir", str(out_dir)]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--" + key.replace("_", "-"), value,
+              *(train_flags if command == "train" else ["--dl", "0", "--inject-fault"])])
+    assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: "), captured
-    assert flag[2:].replace("-", "_") in captured.err
+    assert captured.out == "" and "unrecognized arguments" in captured.err, captured
+    if command == "train":
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["train", "--config", str(conf), *train_flags]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (out_dir / "run.log").exists()
 
 
 def test_sweep_dry_run_tables(capsys):
@@ -150,11 +162,11 @@ def test_train_cli_missing_data_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--batch-size", "0"), ("--max-norm-s", "nan"), ("--softmax-l2", "nan"),
+    ("--batch-size", "0"), ("--max-norm-s", "nan"),
     ("--lr", "nan"), ("--lr", "inf"), ("--beta1", "1.0"), ("--beta2", "nan"),
-    ("--eps", "0"), ("--forget-bias", "nan"), ("--stop-at-train-acc", "nan"),
-    ("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5"), ("--num-classes", "1"),
-    ("--num-classes", "-3"), ("--embedding-dim", "0"), ("--embedding-dim", "-1"),
+    ("--eps", "0"), ("--forget-bias", "nan"),
+    ("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5"),
+    ("--embedding-dim", "0"), ("--embedding-dim", "-1"),
 ])
 def test_train_cli_bad_setting_exits_2_before_writing(toy_tsv, tmp_path, capsys, flag, value):
     out_dir = tmp_path / "run"
@@ -178,14 +190,13 @@ def test_train_cli_bad_setting_is_reported_before_the_data_is_read(tmp_path, cap
 
 def test_train_cli_none_flag_overrides_the_config_file(toy_tsv, tmp_path):
     conf = tmp_path / "t.conf"
-    conf.write_text(f"train_path = {toy_tsv}\nmax_norm_s = 2.0\nstop_at_train_acc = 0.5\n",
-                    encoding="utf-8")
+    conf.write_text(f"train_path = {toy_tsv}\nmax_norm_s = 2.0\n", encoding="utf-8")
     out_dir = tmp_path / "run"
     assert main(["train", "--config", str(conf), "--dl", "1", "--dh", "2", "--th", "3",
                  "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir),
-                 "--max-norm-s", "none", "--stop-at-train-acc", "none"]) == 0
+                 "--max-norm-s", "none"]) == 0
     logged = json.loads(open(out_dir / "run.log", encoding="utf-8").readline())
-    assert logged["max_norm_s"] is None and logged["stop_at_train_acc"] is None
+    assert logged["max_norm_s"] is None
 
 
 def test_eval_cli_round_trip(toy_tsv, tmp_path, capsys):
@@ -223,18 +234,6 @@ def test_eval_cli_rejects_labels_outside_the_models_classes(toy_tsv, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "label 2" in captured.err and str(three) in captured.err
-
-
-def test_train_cli_rejects_labels_outside_the_models_classes(toy_tsv, tmp_path, capsys):
-    three = tmp_path / "three.tsv"
-    three.write_text("0\tthe movie\n2\ta great film\n", encoding="utf-8")
-    for split in ("dev", "test"):
-        out_dir = tmp_path / split
-        assert _train_toy(toy_tsv, out_dir, "--num-classes", "2", f"--{split}-path",
-                          str(three)) == 2, split
-        err = capsys.readouterr().err
-        assert f"{split} split has label 2" in err, err
-        assert not out_dir.exists(), split
 
 
 def test_train_cli_reads_an_embeddings_file_with_a_count_dim_header(toy_tsv, tmp_path):
@@ -450,6 +449,24 @@ def test_eval_cli_reads_sst_trees(tmp_path, capsys):
     assert main(["eval", "--checkpoint", ckpt, "--data", str(tsv), "--binary"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: binary needs data format sst_trees\n"
+
+
+def test_eval_cli_binary_needs_a_two_class_model(tmp_path, capsys):
+    # 0/1 labels are in range for a five-class model, which would score them silently
+    trees = tmp_path / "trees.txt"
+    _write_trees(trees, depth=50)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--train-path", str(trees), "--data-format", "sst_trees",
+                 "--dev-fraction", "0", "--dl", "1", "--dh", "2", "--th", "3",
+                 "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    ckpt = str(out_dir / "model.ckpt")
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(trees),
+                 "--data-format", "sst_trees", "--binary"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {ckpt}: --binary needs a two-class model, "
+                            f"not one of 5 classes\n")
 
 
 def test_train_cli_reads_sst_trees(tmp_path):

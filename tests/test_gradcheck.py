@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcbilstm import kernels
+from dcbilstm import gradcheck, kernels
 from dcbilstm.errors import ConfigError
 from dcbilstm.gradcheck import check_model, finite_diff
 
@@ -98,11 +98,12 @@ def test_check_model_stacked_and_depth_zero():
     assert check_model(arch="dense", dl=0, seed=7).passed
 
 
-def test_check_model_tolerances_are_enforced():
+def test_check_model_tolerances_are_enforced(monkeypatch):
     # an absurdly tight relative tolerance with no absolute floor must fail,
     # proving the comparison is live
-    report = check_model(arch="dense", dl=0, seed=0, tol_rel=1e-16, tol_abs=0.0)
-    assert not report.passed
+    monkeypatch.setattr(gradcheck, "TOL_REL", 1e-16)
+    monkeypatch.setattr(gradcheck, "TOL_ABS", 0.0)
+    assert not check_model(arch="dense", dl=0, seed=0).passed
 
 
 def test_check_model_packs_its_sentence_once(monkeypatch):

@@ -242,14 +242,13 @@ def test_evaluate_does_not_depend_on_the_order_of_its_examples():
     assert evaluate(model, emb, indexed, batch_size=6) == acc
 
 
-def test_train_rejects_labels_outside_the_configured_classes(toy_tsv, tmp_path):
+def test_train_infers_a_class_count_that_covers_every_split(toy_tsv, tmp_path):
+    # the training file's labels are 0 and 1; the test split's 3 adds classes 2 and 3
     test_tsv = tmp_path / "test.tsv"
     test_tsv.write_text("1\tthe movie\n3\ta great film\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="test split has label 3"):
-        train(_quick_cfg(toy_tsv, tmp_path, num_classes=3, test_path=str(test_tsv)))
-    assert not (tmp_path / "run").exists()
-    # an inferred class count covers every label, so the same split trains
     assert train(_quick_cfg(toy_tsv, tmp_path, epochs=1, test_path=str(test_tsv))).test_acc >= 0
+    config = json.loads((tmp_path / "run" / "run.log").read_text(encoding="utf-8").splitlines()[0])
+    assert config["resolved_num_classes"] == 4
 
 
 def test_evaluate_empty_is_an_error():
@@ -323,15 +322,6 @@ def test_train_early_stopping_on_flat_dev(toy_tsv, tmp_path):
     assert report.epochs_run == 1 + 3
 
 
-def test_train_stop_at_train_acc(toy_tsv, tmp_path):
-    cfg = _quick_cfg(toy_tsv, tmp_path, dl=2, dh=8, th=16, epochs=200,
-                     dropout_embed=0.0, dropout_pool=0.0, dev_fraction=0.0,
-                     batch_size=32, stop_at_train_acc=1.0)
-    report = train(cfg)
-    assert report.final_train_acc == 1.0
-    assert report.epochs_run < 200
-
-
 def test_train_cv_mode(toy_tsv, tmp_path):
     cfg = _quick_cfg(toy_tsv, tmp_path, epochs=2, cv_folds=4, dev_fraction=0.2)
     report = train(cfg)
@@ -389,12 +379,6 @@ def test_train_result_is_the_best_dev_epochs_record(toy_tsv, tmp_path, dev_fract
     # byte for byte: a run stopped at the best epoch ends where the full run restored to
     cut = run(best["epoch"], "cut")
     assert open(cut.checkpoint_path, "rb").read() == open(report.checkpoint_path, "rb").read()
-
-
-def test_train_softmax_l2_mode_changes_trajectory(toy_tsv, tmp_path):
-    plain = train(_quick_cfg(toy_tsv, tmp_path, epochs=2))
-    decayed = train(_quick_cfg(toy_tsv, tmp_path, epochs=2, softmax_l2=0.1))
-    assert plain.history[-1]["train_loss"] != decayed.history[-1]["train_loss"]
 
 
 def test_train_diverges_on_corrupt_embeddings(toy_tsv, tmp_path):
