@@ -44,25 +44,34 @@ def test_gradcheck_exit_codes(capsys):
     assert "FAIL" in out and "softmax.W" in out
 
 
-@pytest.mark.parametrize("command,key,value", [
-    ("train", "num_classes", "2"), ("train", "softmax_l2", "0.1"),
-    ("train", "stop_at_train_acc", "1.0"),
-    ("gradcheck", "tol_rel", "inf"), ("gradcheck", "tol_abs", "inf"),
+@pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_gradcheck_rejects_tolerances_that_are_not_finite_and_non_negative(capsys, flag, value):
+    # an infinite tolerance would pass even an injected fault, so the tolerances
+    # are fixed and a flag that sets one is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["gradcheck", "--dl", "0", "--inject-fault", flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "", captured
+    assert f"unrecognized arguments: {flag} {value}" in captured.err, captured
+
+
+@pytest.mark.parametrize("key,value", [
+    ("num_classes", "2"), ("softmax_l2", "0.1"), ("stop_at_train_acc", "1.0"),
 ])
-def test_removed_settings_exit_2(toy_tsv, tmp_path, capsys, command, key, value):
+def test_removed_settings_exit_2(toy_tsv, tmp_path, capsys, key, value):
     out_dir = tmp_path / "run"
     train_flags = ["--train-path", toy_tsv, "--out-dir", str(out_dir)]
     with pytest.raises(SystemExit) as info:
-        main([command, "--" + key.replace("_", "-"), value,
-              *(train_flags if command == "train" else ["--dl", "0", "--inject-fault"])])
+        main(["train", "--" + key.replace("_", "-"), value, *train_flags])
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err, captured
-    if command == "train":
-        conf = tmp_path / "run.conf"
-        conf.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert main(["train", "--config", str(conf), *train_flags]) == 2
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert main(["train", "--config", str(conf), *train_flags]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not (out_dir / "run.log").exists()
 
 
@@ -165,16 +174,23 @@ def test_train_cli_missing_data_file_exits_2(tmp_path, capsys):
     ("--batch-size", "0"), ("--max-norm-s", "nan"),
     ("--lr", "nan"), ("--lr", "inf"), ("--beta1", "1.0"), ("--beta2", "nan"),
     ("--eps", "0"), ("--forget-bias", "nan"),
-    ("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5"),
-    ("--embedding-dim", "0"), ("--embedding-dim", "-1"),
+    ("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5"), ("--num-classes", "1"),
+    ("--num-classes", "-3"), ("--embedding-dim", "0"), ("--embedding-dim", "-1"),
 ])
 def test_train_cli_bad_setting_exits_2_before_writing(toy_tsv, tmp_path, capsys, flag, value):
     out_dir = tmp_path / "run"
-    assert main(["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "2", "--th", "3",
-                 "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir),
-                 flag, value]) == 2
-    # the error names the setting
-    assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} ")
+    argv = ["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "2", "--th", "3",
+            "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir), flag, value]
+    if flag == "--num-classes":
+        # the class count is inferred from the data, so no count can be set
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        # the error names the setting
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} ")
     assert not out_dir.exists()
 
 
