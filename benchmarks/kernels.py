@@ -1,4 +1,4 @@
-"""Time the two LSTM recurrence kernels, each direction, at perfbench's shapes.
+"""Time the LSTM recurrence kernels, each direction, at perfbench's shapes.
 
 Usage, from the root of a checkout:
 
@@ -15,7 +15,11 @@ top layers of each workload at its batch size, and at B = 1 on a sentence
 of the mean length, as the finite-difference units run.  Batch lengths are
 drawn as perfbench's corpus draws them, from a fixed seed.  Each shape runs
 ``lstm_layer_forward`` and then ``lstm_layer_backward`` on fresh copies of
-the same inputs ``--reps`` times per direction.  The median milliseconds of
+the same inputs ``--reps`` times per direction.  At B = 1, where the model
+runs both directions of a layer with ``lstm_pair_forward``, that call
+(``pair.forward_ms``) is timed in turn with the two ``lstm_layer_forward``
+calls it replaces, back to back (``fwd+bwd.forward_ms``); a checkout without
+the paired kernel has the second figure only.  The median milliseconds of
 every label are written to the JSON file ``--out``, replacing it, next to
 the process's peak RSS, the numpy and BLAS builds and ``nproc``.  The
 kernels are called as the model calls them: the gates are a column view of
@@ -132,6 +136,29 @@ def time_shape(mods, B, d, reps, rng):
         for kind, calls in (("forward", fwd), ("backward", bwd)):
             for label, ms in zip(mods, interleaved_ms(calls, reps)):
                 out[label][f"{name}.{kind}_ms"] = ms
+    if B == 1:
+        keys, calls = [], []
+        for label, k in mods.items():
+            P, buf = k.pack(lengths), np.empty_like(Z0)
+
+            def fresh(buf=buf):
+                buf[...] = Z0
+                return (buf,)
+
+            def two(Z, k=k, P=P):
+                k.lstm_layer_forward(Z[:, :4 * d], P, W[:, :4 * d], False)
+                k.lstm_layer_forward(Z[:, 4 * d:], P, W[:, 4 * d:], True)
+
+            def pair(Z, k=k):
+                k.lstm_pair_forward(Z, W[:, :4 * d], W[:, 4 * d:])
+
+            keys.append((label, "fwd+bwd.forward_ms"))
+            calls.append((fresh, two))
+            if hasattr(k, "lstm_pair_forward"):
+                keys.append((label, "pair.forward_ms"))
+                calls.append((fresh, pair))
+        for (label, key), ms in zip(keys, interleaved_ms(calls, reps)):
+            out[label][key] = ms
     return out
 
 

@@ -1,5 +1,6 @@
 """Hot sequence kernels: full forward / backward recurrences of one LSTM
-direction over a packed batch.
+direction over a packed batch, and the forward of both directions over one
+sentence.
 
 These are the inner loops of the whole package.  ``data.pad_batch`` packs a
 batch once, time-major (Appleyard et al. 2016, §3): rows are ordered by
@@ -27,6 +28,19 @@ kernel halves the i/f/o pre-activations once for all tokens before its
 loop, and the same columns of a copy of the recurrent rows, so a step runs
 one ``tanh`` over all 4d columns.  Halving is exact in binary floating point
 (barring subnormals), so ``x/2 + h @ (W/2)`` is ``(x + h @ W)/2`` bit for bit.
+
+A batch of one sentence, as finite differences score, takes
+``lstm_pair_forward`` instead of two ``lstm_layer_forward`` calls.  There
+each direction has exactly one row per step, and a step costs about ten
+numpy calls of under a microsecond of work each, so the time is dispatch.
+The paired kernel runs step t of the forward direction and step T-1-t of
+the reverse one as one ``(2, 4d)`` block: one batched ``(2, 1, d) @ (2, d,
+4d)`` product and one call per elementwise op.  The result is bit for bit
+that of the two calls: numpy computes each of the two products as it
+computes a lone ``(1, d) @ (d, 4d)`` one, and every other op is elementwise,
+in the same order.  Larger batches keep the per-direction kernel, whose
+steps already have many rows: there the two directions' steps differ in
+size and would have to be gathered.
 """
 
 from typing import NamedTuple
@@ -99,6 +113,52 @@ def lstm_layer_forward(Z, packing, W, reverse):
         np.tanh(c, out=h)
         h *= Zo[lo:hi]
     return H, C
+
+
+def lstm_pair_forward(Z, Wf, Wb):
+    """Run both directions of an LSTM layer over one sentence, in lockstep.
+
+    Z:      (T, 8d) float64, the sentence's [fwd | bwd] input pre-activations
+            in token order; a column view of a wider buffer is fine.  It
+            ends holding the activated gate values, as two
+            ``lstm_layer_forward`` calls leave them.
+    Wf, Wb: (Din + d, 4d) weights of the two directions; only the
+            recurrent rows are read
+
+    Returns ((Hf, Cf), (Hb, Cb)), each (T, d): what the forward and the
+    reverse ``lstm_layer_forward`` call return, bit for bit.
+    """
+    T, d = len(Z), Wf.shape[1] // 4
+    # step t holds the fwd gates of token t and the bwd gates of token T-1-t
+    G = np.empty((T, 2, 1, 4 * d))
+    G[:, 0, 0] = Z[:, :4 * d]
+    G[:, 1, 0] = Z[::-1, 4 * d:]
+    G[..., :3 * d] *= 0.5
+    Wh = np.stack((Wf[-d:], Wb[-d:]))
+    Wh[..., :3 * d] *= 0.5
+    H = np.empty((T, 2, 1, d))
+    C = np.empty((T, 2, 1, d))
+    Gs, Gi, Gf, Go, Gg = (G[..., :3 * d], G[..., :d], G[..., d:2 * d], G[..., 2 * d:3 * d],
+                          G[..., 3 * d:])
+    for t in range(T):
+        g = G[t]
+        if t:
+            g += H[t - 1] @ Wh
+        np.tanh(g, out=g)
+        s = Gs[t]
+        s += 1.0
+        s *= 0.5
+        c = C[t]
+        np.multiply(Gi[t], Gg[t], out=c)
+        if t:
+            c += Gf[t] * C[t - 1]
+        h = H[t]
+        np.tanh(c, out=h)
+        h *= Go[t]
+    Z[:, :4 * d] = G[:, 0, 0]
+    Z[::-1, 4 * d:] = G[:, 1, 0]
+    return ((H[:, 0, 0], C[:, 0, 0].copy()),
+            (H[::-1, 1, 0], C[::-1, 1, 0].copy()))
 
 
 def lstm_layer_backward(packing, W, H, C, G, dH, reverse):

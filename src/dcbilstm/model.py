@@ -384,7 +384,9 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     else:
         gates = _embedding_gates(model, emb_matrix[batch.uniq]).take(batch.inv, axis=0, mode="clip")
     # each layer adds in place one product over the states it reads past the
-    # embeddings, shared by its two directions, before its kernels run
+    # embeddings, shared by its two directions, before its kernels run.  A
+    # batch of one sentence runs both directions in one loop, which gives the
+    # two kernel calls' results bit for bit in half the numpy calls
     states = np.empty((len(gates), model.layers[-1].out.stop))
     cells = []
     for L in model.layers:
@@ -392,8 +394,11 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         if L.rest.start < L.rest.stop:
             Z += states[:, L.rest] @ W[L.rest_rows, L.cols]
         Wf, Wb = P[f"{L.name}.fwd.W"], P[f"{L.name}.bwd.W"]
-        Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], batch.packing, Wf, False)
-        Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], batch.packing, Wb, True)
+        if len(batch.lengths) == 1:
+            (Y[:, :d], Cf), (Y[:, d:], Cb) = kernels.lstm_pair_forward(Z, Wf, Wb)
+        else:
+            Y[:, :d], Cf = kernels.lstm_layer_forward(Z[:, :4 * d], batch.packing, Wf, False)
+            Y[:, d:], Cb = kernels.lstm_layer_forward(Z[:, 4 * d:], batch.packing, Wb, True)
         cells.append((Cf, Cb))
     pooled = average_pool_batch(states[:, model.layers[-1].out], batch)
     pooled_d, mask_p = pooled, None
@@ -562,6 +567,8 @@ def _read_checkpoint(fh):
     while n_tensors is None:
         line = _read_line(fh, "manifest")
         key, _, value = line.partition(" ")
+        if key in manifest or (key == "vocab" and vocab_tokens is not None):
+            raise CheckpointError(f"{key!r} appears twice in the manifest")
         if key == "vocab":
             n_vocab = _read_count(value, "vocab size")
             vocab_tokens = [_read_line(fh, "vocab token") for _ in range(n_vocab)]
@@ -588,6 +595,8 @@ def _read_checkpoint(fh):
         if len(header) != 3:
             raise CheckpointError(f"malformed tensor header {header!r}")
         name = header[0]
+        if name in tensors:
+            raise CheckpointError(f"tensor {name} appears twice")
         rows = _read_count(header[1], f"tensor {name} rows")
         cols = _read_count(header[2], f"tensor {name} cols")
         nbytes = rows * cols * 8

@@ -9,7 +9,7 @@ import pytest
 
 from dcbilstm.cli import SWEEP_TABLES, build_train_config, main, parse_config_file
 from dcbilstm.errors import ParseError
-from dcbilstm.model import Model, ModelConfig, count_params
+from dcbilstm.model import Model, ModelConfig, count_params, save_checkpoint
 from dcbilstm.train import TrainConfig
 from tests.conftest import _toy_corpus_lines
 from tests.test_model import checkpoint_with_vocab, checkpoint_without_embeddings
@@ -417,6 +417,22 @@ def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bare}: no vocab section\n"
+
+
+def test_eval_cli_rejects_a_tensor_given_twice(tmp_path, capsys):
+    cfg = ModelConfig(m=4, dl=1, dh=2, th=3, num_classes=2)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, Model.build(cfg, np.random.default_rng(0)), 0,
+                    vocab={"film": 2, "great": 3}, emb_matrix=np.zeros((4, 4)))
+    twice = tmp_path / "twice.ckpt"
+    twice.write_bytes(good.read_bytes().replace(b"\ntensors 11\n", b"\ntensors 12\n", 1)
+                      + b"softmax.b 1 2\n" + bytes(16))
+    data = tmp_path / "two.tsv"
+    data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(twice), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {twice}: tensor softmax.b appears twice\n"
 
 
 def test_eval_cli_rejects_embeddings_that_do_not_fit_the_vocab(tmp_path, capsys):

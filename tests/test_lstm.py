@@ -305,6 +305,32 @@ def test_kernels_work_in_place_on_strided_views():
         assert np.array_equal(dWh, dWh2)
 
 
+@pytest.mark.parametrize("d", [1, 4, 13, 50])
+@pytest.mark.parametrize("T", [1, 2, 5, 19])
+def test_pair_kernel_equals_two_direction_calls_bitwise(d, T):
+    """One sentence's two directions run in lockstep give what the two
+    per-direction calls give, bit for bit: the states and cells, and the
+    gate values left in the layer's column view, whose neighbours and the
+    weights are never written."""
+    rng = np.random.default_rng(34 + d + T)
+    Din, cols = 7, slice(3, 3 + 8 * d)
+    wide = rng.standard_normal((T, 8 * d + 5))
+    storage = 0.5 * rng.standard_normal((Din + d + 2, 8 * d + 4))
+    W = storage[:Din + d, 2:2 + 8 * d]
+    Wf, Wb = W[:, :4 * d], W[:, 4 * d:]
+    storage_before = storage.copy()
+    P = kernels.pack(np.array([T], dtype=np.int64))
+    want = wide.copy()
+    fwd = kernels.lstm_layer_forward(want[:, 3:3 + 4 * d], P, Wf, False)
+    bwd = kernels.lstm_layer_forward(want[:, 3 + 4 * d:3 + 8 * d], P, Wb, True)
+    got = kernels.lstm_pair_forward(wide[:, cols], Wf, Wb)
+    for (h, c), (h2, c2) in zip(got, (fwd, bwd)):
+        assert h.shape == c.shape == (T, d)
+        assert np.array_equal(h, h2) and np.array_equal(c, c2)
+    assert wide.tobytes() == want.tobytes()
+    assert storage.tobytes() == storage_before.tobytes()
+
+
 def _brute_force_schedule(P, sizes, reverse):
     """Each step's rows and the rows that feed them, found entry by entry:
     the predecessor of (sentence r, position t) is (r, t - 1) going

@@ -665,6 +665,63 @@ def test_padding_a_batch_further_changes_nothing_bitwise(arch):
         assert g0[name].tobytes() == g3[name].tobytes(), name
 
 
+def _per_direction_pair(Z, Wf, Wb):
+    """The two per-direction kernel calls that ``lstm_pair_forward`` replaces."""
+    P, d = kernels.pack(np.array([len(Z)], dtype=np.int64)), Wf.shape[1] // 4
+    return (kernels.lstm_layer_forward(Z[:, :4 * d], P, Wf, False),
+            kernels.lstm_layer_forward(Z[:, 4 * d:], P, Wb, True))
+
+
+def _one_sentence_step(arch, dl, training, T=7):
+    """Every array of a seeded forward and backward pass over one sentence."""
+    cfg = small_config(arch=arch, dl=dl)
+    cfg.dropout_embed, cfg.dropout_pool, cfg.forget_bias = 0.3, 0.2, 1.0
+    rng = np.random.default_rng(60 + dl)
+    model = Model.build(cfg, rng)
+    emb = rng.standard_normal((12, cfg.m))
+    batch = padded_batch(rng.integers(2, 12, size=(1, T)), [T], [2])
+    probs, trace = model_forward(model, emb, batch, np.random.default_rng(61), training=training)
+    out = {"probs": probs, "states": trace.states, "gates": trace.gates.copy()}
+    out.update((f"cells{k}", np.hstack(c)) for k, c in enumerate(trace.cells))
+    dlogits = probs.copy()
+    dlogits[0, 2] -= 1.0
+    grads, dEmb = model_backward(model, trace, dlogits)
+    return {**out, **grads, "embeddings": dEmb}
+
+
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+@pytest.mark.parametrize("dl", [0, 3])
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+def test_one_sentence_runs_both_directions_in_one_loop_bitwise(monkeypatch, arch, dl, training):
+    """A batch of one sentence takes the paired kernel; its forward arrays
+    and the backward pass's gradients are those of the per-direction path."""
+    got = _one_sentence_step(arch, dl, training)
+    monkeypatch.setattr(kernels, "lstm_pair_forward", _per_direction_pair)
+    want = _one_sentence_step(arch, dl, training)
+    assert list(got) == list(want)
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_batch_size_selects_the_forward_kernel(monkeypatch):
+    """One sentence never calls the per-direction kernel, and two never call
+    the paired one, in eval and in training."""
+    def never(*args):
+        raise AssertionError("the other forward kernel ran")
+
+    cfg = small_config(dl=2)
+    cfg.dropout_embed, cfg.dropout_pool = 0.3, 0.2
+    model = Model.build(cfg, np.random.default_rng(62))
+    emb = np.random.default_rng(63).standard_normal((12, cfg.m))
+    for group, unused in (([([2, 5, 3], 0)], "lstm_layer_forward"),
+                          ([([2, 5, 3], 0), ([7], 1)], "lstm_pair_forward")):
+        batch = pad_batch(group)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, unused, never)
+            for training in (False, True):
+                model_forward(model, emb, batch, np.random.default_rng(64), training=training)
+
+
 def test_training_forward_requires_rng():
     cfg = small_config()
     cfg.dropout_embed = 0.5
@@ -869,3 +926,29 @@ def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
     bad.write_bytes(mangle(good.read_bytes()))
     with pytest.raises(CheckpointError, match="bad.ckpt"):
         load_checkpoint(bad)
+
+
+def _second_softmax_bias(blob):
+    """The softmax bias block written twice, the second copy all zeros."""
+    return (_corrupt(blob, b"\ntensors 11\n", b"\ntensors 12\n")
+            + b"softmax.b 1 3\n" + bytes(24))
+
+
+@pytest.mark.parametrize("mangle, key", [
+    (lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed 3\nseed 4\n"), "'seed'"),
+    (lambda blob: _corrupt(blob, b"\ntensors 11\n", b"\nvocab 1\nz\ntensors 11\n"), "'vocab'"),
+    (_second_softmax_bias, "softmax.b"),
+], ids=["manifest-key", "vocab-section", "tensor"])
+def test_checkpoint_rejects_a_repeated_key(tmp_path, mangle, key):
+    """A key, vocab section or tensor given twice is an error naming the
+    file and the key, never a silent choice of one copy."""
+    rng = np.random.default_rng(12)
+    model = Model.build(small_config(dl=1), rng)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, model, seed=3, vocab={"a": 2, "b": 3, "c": 4},
+                    emb_matrix=rng.standard_normal((5, 6)))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(mangle(good.read_bytes()))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(bad)
+    assert str(bad) in str(info.value) and f"{key} appears twice" in str(info.value)
