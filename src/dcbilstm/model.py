@@ -234,7 +234,7 @@ class Model:
 def count_params(m, dl, dh, th):
     """Trainable values in the recurrent layers of a dense model.
 
-    Counts weights and biases of both directions of every dense layer plus
+    Sums the ``param_shapes`` of both directions of every dense layer plus
     the top layer; the embedding table and softmax head are excluded.  A
     dense stack of width dh = 0 counts zero, as the sweep tables need; a
     negative depth or width, or m or th below 1, raises ``ConfigError``.
@@ -244,7 +244,8 @@ def count_params(m, dl, dh, th):
     if m < 1 or th < 1:
         raise ConfigError(f"m and th must be >= 1, got m={m}, th={th}")
     cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=2)
-    return sum(8 * L.d * (L.w + L.d + 1) for L in _stack_layout(cfg))
+    return sum(math.prod(shape) for name, shape in param_shapes(cfg)
+               if not name.startswith("softmax."))
 
 
 def format_param_count(n):
@@ -599,10 +600,13 @@ def _read_checkpoint(fh):
             raise CheckpointError(f"tensor {name} appears twice")
         rows = _read_count(header[1], f"tensor {name} rows")
         cols = _read_count(header[2], f"tensor {name} cols")
-        nbytes = rows * cols * 8
-        buf = fh.read(nbytes)
-        if len(buf) != nbytes:
-            raise CheckpointError(f"truncated tensor {name}")
+        # read in 16 MiB pieces: a header may claim any size, and a pipe has no size to check
+        nbytes, buf = rows * cols * 8, bytearray()
+        while len(buf) < nbytes and (chunk := fh.read(min(nbytes - len(buf), 1 << 24))):
+            buf += chunk
+        if len(buf) < nbytes:
+            raise CheckpointError(f"truncated tensor {name}: {rows}x{cols} needs {nbytes} "
+                                  f"bytes, {len(buf)} are left")
         arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name} holds non-finite values")

@@ -15,7 +15,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,21 +39,21 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    # architecture
-    arch: str = "dense"
+    # architecture; a setting ModelConfig has takes its default from there
+    arch: str = ModelConfig.arch
     dl: int = 1
     dh: int = 10
     th: int = 100
-    dropout_embed: float = 0.5
-    dropout_pool: float = 0.5
-    max_norm_s: float | None = 3.0
-    forget_bias: float = 0.0
-    train_embeddings: bool = False
-    # optimizer
+    dropout_embed: float = ModelConfig.dropout_embed
+    dropout_pool: float = ModelConfig.dropout_pool
+    max_norm_s: float | None = ModelConfig.max_norm_s
+    forget_bias: float = ModelConfig.forget_bias
+    train_embeddings: bool = ModelConfig.train_embeddings
+    # optimizer: Adam, with Kingma & Ba's constants, which are not settings
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 200
     epochs: int = 100
     patience: int = 10
@@ -85,13 +86,10 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # every range is written so that NaN falls outside it
-        for name in ("dev_fraction", "beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 <= self.dev_fraction < 1.0:
+            raise ConfigError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         # the model settings too, before any input file is read; the class
         # count is inferred from the data, and 2 is its smallest value
         _model_config(self, self.embedding_dim, 2)
@@ -106,7 +104,6 @@ class TrainReport:
     epochs_run: int
     checkpoint_path: str
     log_path: str
-    history: list = field(default_factory=list)
     fold_accs: list | None = None
     mean_acc: float | None = None
 
@@ -140,7 +137,8 @@ class AdamState:
         return cls(m=np.zeros_like(arr), v=np.zeros_like(arr))
 
 
-def adam_update(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_update(param, grad, state, lr, beta1=TrainConfig.beta1, beta2=TrainConfig.beta2,
+                eps=TrainConfig.eps):
     """One bias-corrected Adam step, in place on param, state.m and state.v.
 
     The moments are updated through one temporary array, in the operation
@@ -305,7 +303,6 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
 
     best = None  # (epoch record, copy of params) of the best-dev epoch
     epochs_since_best = 0
-    history = []
     t_start = time.monotonic()
 
     for epoch in range(1, cfg.epochs + 1):
@@ -326,7 +323,7 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             if cfg.train_embeddings:
                 grads["embeddings"] = embedding_gradient(trace, dEmb, len(emb))
             for name, arr in params.items():
-                adam_update(arr, grads[name], states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                adam_update(arr, grads[name], states[name], cfg.lr)
             max_norm_constrain(model.softmax_W, cfg.max_norm_s)
             loss_sum += loss * len(batch.labels)
 
@@ -348,14 +345,12 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
             "seed": cfg.seed,
         }
         # log lines must be a pure function of (config, seed, data); wall time
-        # lives only in the in-memory report and on stderr
+        # goes to stderr only
         log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-        wall_ms = (time.monotonic() - t_start) * 1e3
-        history.append({**record, "wall_ms": wall_ms})
         print(
             f"[{tag}] epoch {epoch}: loss {train_loss:.4f} train {train_acc:.4f}"
             + (f" dev {dev_acc:.4f}" if dev_acc is not None else "")
-            + f" ({wall_ms / 1e3:.1f}s)",
+            + f" ({time.monotonic() - t_start:.1f}s)",
             file=sys.stderr,
         )
 
@@ -372,7 +367,7 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
         arr[...] = snapshot[name]
     result = {"best_dev_acc": record["dev_acc"], "test_acc": record["test_acc"],
               "final_train_acc": record["train_acc"], "epochs_run": epoch}
-    return model, emb, result, history
+    return model, emb, result
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +404,7 @@ def train(cfg):
             train_idx, dev_idx, test_idx = (
                 D.vectorize(examples, vocab, drop_unknown=True) if examples else None
                 for examples in fold)
-            model, emb, result, history = _fit(
+            model, emb, result = _fit(
                 cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx,
                 seq.spawn(3), log_fh, tag,
             )
@@ -425,9 +420,9 @@ def train(cfg):
             log_fh.write(json.dumps(
                 {"event": "cv_summary", "fold_accs": fold_accs, "mean_acc": mean_acc,
                  "seed": cfg.seed}, sort_keys=True) + "\n")
-            result, history = {"best_dev_acc": None, "test_acc": None,
-                               "final_train_acc": float("nan"), "epochs_run": 0}, []
-    return TrainReport(**result, checkpoint_path=ckpt_path, log_path=log_path, history=history,
+            result = {"best_dev_acc": None, "test_acc": None,
+                      "final_train_acc": float("nan"), "epochs_run": 0}
+    return TrainReport(**result, checkpoint_path=ckpt_path, log_path=log_path,
                        fold_accs=fold_accs, mean_acc=mean_acc)
 
 

@@ -14,6 +14,7 @@ instructions unless environment variables point at local copies:
     DCBILSTM_RUN_EXTENDED  set to 1 to enable the long accuracy run
 """
 
+import json
 import os
 import time
 from dataclasses import replace
@@ -160,7 +161,8 @@ def test_06_overfit_smoke(tmp_path):
     report = train(cfg)
     elapsed = time.perf_counter() - t0
 
-    epochs = [r for r in report.history if r["event"] == "epoch"]
+    with open(report.log_path, encoding="utf-8") as fh:
+        epochs = [r for r in map(json.loads, fh) if r["event"] == "epoch"]
     accs = [r["train_acc"] for r in epochs]
     assert 1.0 in accs, f"never reached 100% train accuracy (best {max(accs):.4f})"
     first = accs.index(1.0) + 1

@@ -59,6 +59,7 @@ def test_gradcheck_rejects_tolerances_that_are_not_finite_and_non_negative(capsy
 
 @pytest.mark.parametrize("key,value", [
     ("num_classes", "2"), ("softmax_l2", "0.1"), ("stop_at_train_acc", "1.0"),
+    ("beta1", "0.9"), ("beta2", "0.999"), ("eps", "1e-8"),
 ])
 def test_removed_settings_exit_2(toy_tsv, tmp_path, capsys, key, value):
     out_dir = tmp_path / "run"
@@ -181,8 +182,9 @@ def test_train_cli_bad_setting_exits_2_before_writing(toy_tsv, tmp_path, capsys,
     out_dir = tmp_path / "run"
     argv = ["train", "--train-path", toy_tsv, "--dl", "1", "--dh", "2", "--th", "3",
             "--embedding-dim", "4", "--epochs", "1", "--out-dir", str(out_dir), flag, value]
-    if flag == "--num-classes":
-        # the class count is inferred from the data, so no count can be set
+    if flag in ("--num-classes", "--beta1", "--beta2", "--eps"):
+        # the class count is inferred from the data, and Adam's constants
+        # are fixed, so none of these can be set
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -433,6 +435,22 @@ def test_eval_cli_rejects_a_tensor_given_twice(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {twice}: tensor softmax.b appears twice\n"
+
+
+@pytest.mark.parametrize("rows,cols", [(99999999999, 99999999999), (3000000000, 1000)])
+def test_eval_cli_rejects_a_tensor_larger_than_the_file(tmp_path, capsys, rows, cols):
+    # the tensor is read in bounded pieces, so no header can make eval allocate its size
+    good = (Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt").read_bytes()
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(good.replace(b"\ndense0.fwd.W 6 8\n",
+                                  f"\ndense0.fwd.W {rows} {cols}\n".encode(), 1))
+    data = tmp_path / "two.tsv"
+    data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(huge), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {huge}: truncated tensor dense0.fwd.W: "
+                                   f"{rows}x{cols} needs {rows * cols * 8} bytes, "), captured.err
 
 
 def test_eval_cli_rejects_embeddings_that_do_not_fit_the_vocab(tmp_path, capsys):

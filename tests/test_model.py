@@ -912,10 +912,13 @@ def _nan_entry(blob):
     lambda blob: _corrupt(blob, b"embeddings 5 6\n", b"embedding 5 6\n"),
     lambda blob: _corrupt(blob, b"\ntensors 11\n", b"\ntensors 12\n") + b"extra 1 1\n" + bytes(8),
     lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed \xff\n"),
+    lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b 99999999999 99999999999\n"),
+    lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b 3000000000 1000\n"),
 ], ids=["vocab-word", "vocab-negative", "tensor-count", "header-float", "header-negative",
         "manifest-int", "nan-tensor", "no-newline", "dh-vs-tensors", "dropout-range",
         "arch-unknown", "max-norm-nan", "bool-seven", "unknown-key", "gate-order",
-        "header-two-fields", "no-embeddings", "extra-tensor", "manifest-not-utf8"])
+        "header-two-fields", "no-embeddings", "extra-tensor", "manifest-not-utf8",
+        "header-past-index-size", "header-past-memory"])
 def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
     rng = np.random.default_rng(12)
     model = Model.build(small_config(dl=1), rng)

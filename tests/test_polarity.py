@@ -4,6 +4,7 @@ A dense stack passes the embeddings' gradient to its first layer; a stacked
 Bi-LSTM of the same depth and at least as many parameters loses most of it.
 """
 
+import json
 import math
 
 import pytest
@@ -46,7 +47,8 @@ def _epoch1_dense0_grad_norm(paths, out_dir, arch, dh, seed):
                       dropout_pool=0.0, lr=0.01, batch_size=50, epochs=1, seed=seed,
                       train_path=str(paths["train"]), dev_path=str(paths["dev"]),
                       test_path=str(paths["test"]), out_dir=str(out_dir))
-    [epoch] = train(cfg).history
+    with open(train(cfg).log_path, encoding="utf-8") as fh:
+        [epoch] = [r for r in map(json.loads, fh) if r["event"] == "epoch"]
     return epoch["grad_norm_per_layer"]["dense0"]
 
 

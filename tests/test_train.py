@@ -3,6 +3,7 @@
 import json
 import math
 import types
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dcbilstm.data import PAD_IDX, Batch, load_dataset, make_batches, vectorize
 from dcbilstm.errors import ConfigError, TrainingDiverged
 from dcbilstm.model import (
     Model,
+    ModelConfig,
     embedding_gradient,
     load_checkpoint,
     model_backward,
@@ -21,6 +23,7 @@ from dcbilstm.model import (
 from dcbilstm.train import (
     AdamState,
     TrainConfig,
+    _model_config,
     adam_update,
     cross_entropy,
     evaluate,
@@ -271,15 +274,21 @@ def _quick_cfg(toy_tsv, tmp_path, **kw):
     return TrainConfig(**base)
 
 
+def _epochs(report):
+    """The run's epoch records, read from its run.log."""
+    with open(report.log_path, encoding="utf-8") as fh:
+        return [r for r in map(json.loads, fh) if r["event"] == "epoch"]
+
+
 def test_train_writes_log_and_checkpoint(toy_tsv, tmp_path):
     report = train(_quick_cfg(toy_tsv, tmp_path))
     lines = [json.loads(l) for l in open(report.log_path, encoding="utf-8")]
     assert lines[0]["event"] == "config"
     assert lines[0]["seed"] == 0 and lines[0]["epochs"] == 3
+    assert not {"beta1", "beta2", "eps"} & lines[0].keys()  # constants, not settings
     epochs = [l for l in lines if l["event"] == "epoch"]
     assert len(epochs) == report.epochs_run
     assert "wall_ms" not in epochs[0]  # timing must not break byte determinism
-    assert "wall_ms" in report.history[0]
     assert set(epochs[0]["grad_norm_per_layer"]) == {"dense0", "top", "softmax"}
     assert lines[-1]["event"] == "result"
 
@@ -299,9 +308,10 @@ def test_train_same_seed_reproduces_bytes(toy_tsv, tmp_path):
 
 
 def test_train_seed_changes_results(toy_tsv, tmp_path):
-    r1 = train(_quick_cfg(toy_tsv, tmp_path, epochs=2))
-    r2 = train(_quick_cfg(toy_tsv, tmp_path, epochs=2, seed=1))
-    assert r1.history[0]["train_loss"] != r2.history[0]["train_loss"]
+    # both runs write one run.log, so each is read before the next run
+    first = _epochs(train(_quick_cfg(toy_tsv, tmp_path, epochs=2)))
+    second = _epochs(train(_quick_cfg(toy_tsv, tmp_path, epochs=2, seed=1)))
+    assert first[0]["train_loss"] != second[0]["train_loss"]
 
 
 def test_train_loss_decreases_on_toy_corpus(toy_tsv, tmp_path):
@@ -309,7 +319,7 @@ def test_train_loss_decreases_on_toy_corpus(toy_tsv, tmp_path):
                      dropout_embed=0.0, dropout_pool=0.0, dev_fraction=0.0,
                      batch_size=32)
     report = train(cfg)
-    losses = [rec["train_loss"] for rec in report.history]
+    losses = [rec["train_loss"] for rec in _epochs(report)]
     assert losses[-1] < losses[0]
 
 
@@ -447,6 +457,20 @@ def test_train_config_validation(tmp_path):
         train(TrainConfig(train_path=str(tmp_path / "x.tsv"), data_format="parquet",
                           out_dir=str(out_dir)))
     assert not (out_dir / "run.log").exists()
+
+
+def test_default_run_builds_the_default_model():
+    """TrainConfig takes its model defaults from ModelConfig, so a run that
+    sets no model setting builds the model of ModelConfig's defaults."""
+    built = _model_config(TrainConfig(train_path="x"), 7, 3)
+    assert asdict(built) == asdict(ModelConfig(m=7, dl=1, dh=10, th=100, num_classes=3))
+
+
+def test_adam_constants_are_not_settings():
+    cfg = TrainConfig(train_path="x")
+    assert not {"beta1", "beta2", "eps"} & {f.name for f in fields(cfg)}
+    # still readable from an instance, as code driving its own Adam step reads them
+    assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
 
 
 def test_train_submodule_is_not_shadowed_by_a_root_export():
