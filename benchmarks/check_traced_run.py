@@ -2,24 +2,23 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/check_traced_run.py                  # every workload, 2 s each
-    python3 benchmarks/check_traced_run.py --seconds 5 --workload sst2-dl3
+    python3 benchmarks/check_traced_run.py
 
-Runs ``perfbench/run.py --workload W --seconds S --trace 1`` for each
-workload that BENCHMARK.json lists, and exits 1 if any run
+Runs ``perfbench/run.py --workload all --seconds 2 --trace 1`` once and
+exits 1 if that run
 
 - exits non-zero,
 - ends with a last stdout line that strict JSON parsing rejects (NaN and
   Infinity included) or that is not an object,
 - reports ``correct`` other than true,
-- lacks a ``per_layer`` metric named in BENCHMARK.json, or
-- does not print ``hooks missing: none``.
+- lacks a ``<workload>.<per_layer>`` metric named in BENCHMARK.json, or
+- does not print exactly one ``hooks missing: none`` line per workload.
 
-It reads BENCHMARK.json and perfbench/ and edits neither; the runs write
-what perfbench/run.py writes, under .perfbench/.
+For a longer run, call perfbench/run.py directly. This script reads
+BENCHMARK.json and perfbench/ and edits neither; the run writes what
+perfbench/run.py writes, under .perfbench/.
 """
 
-import argparse
 import json
 import subprocess
 import sys
@@ -32,14 +31,16 @@ def _refuse(constant):
     raise ValueError(f"non-finite number {constant}")
 
 
-def problems(stdout, returncode, per_layer):
-    """What is wrong with one traced run, given its stdout and exit status."""
+def problems(stdout, returncode, workloads, per_layer):
+    """What is wrong with one ``--workload all`` traced run, given its stdout
+    and exit status."""
     found = [] if returncode == 0 else [f"exit status {returncode}"]
     lines = stdout.splitlines()
     hooks = [line.split("hooks missing:", 1)[1].strip()
              for line in lines if "hooks missing:" in line]
-    if hooks != ["none"]:
-        found.append("hooks missing: " + (", ".join(hooks) or "no tracing line"))
+    if hooks != ["none"] * len(workloads):
+        found.append(f"expected {len(workloads)} 'hooks missing: none' lines, "
+                     f"got {hooks}")
     try:
         result = json.loads(lines[-1] if lines else "", parse_constant=_refuse)
     except ValueError as exc:
@@ -48,34 +49,31 @@ def problems(stdout, returncode, per_layer):
         return found + ["last line is not a JSON object"]
     if result.get("correct") is not True:
         found.append(f"correct is {result.get('correct')!r}")
-    missing = [name for name in per_layer if name not in result.get("metrics", {})]
+    metrics = result.get("metrics", {})
+    missing = [f"{w}.{name}" for w in workloads for name in per_layer
+               if f"{w}.{name}" not in metrics]
     if missing:
         found.append(f"per_layer metrics missing: {', '.join(missing)}")
     return found
 
 
-def main(argv=None):
+def main():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=names, action="append",
-                    help="workload to run (repeatable; default: all of them)")
-    ap.add_argument("--seconds", type=int, default=2, help="seconds per run")
-    args = ap.parse_args(argv)
+    workloads = [w["name"] for w in bench["workloads"]]
     per_layer = [m["name"] for m in bench["per_layer"]]
-    status = 0
-    for name in args.workload or names:
-        cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-               "--seconds", str(args.seconds), "--trace", "1"]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-        found = problems(proc.stdout, proc.returncode, per_layer)
-        if found:
-            sys.stdout.write(proc.stdout)
-            sys.stderr.write(proc.stderr)
-            status = 1
-        print(f"{name}: " + ("; ".join(found) if found else
-                             f"ok ({len(per_layer)} per_layer metrics, hooks missing: none)"))
-    return status
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+           "--seconds", "2", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    found = problems(proc.stdout, proc.returncode, workloads, per_layer)
+    for problem in found:
+        print(f"check_traced_run: {problem}", file=sys.stderr)
+    if not found:
+        print(f"check_traced_run: ok ({len(workloads)} workloads, "
+              f"{len(per_layer)} per_layer metrics each, hooks missing: none)",
+              file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
