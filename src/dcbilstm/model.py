@@ -324,9 +324,19 @@ def _dropout_mask(draws, rate):
 
 @dataclass
 class ModelTrace:
+    """What a forward pass keeps for its backward pass.
+
+    A training trace holds the batch's embeddings, after dropout.  An eval
+    forward reads only the distinct tokens' rows, so an eval trace holds the
+    matrix it was given instead, and a backward pass on it (gradcheck's
+    ``check_model``, a finite-difference check) gathers the batch's rows
+    from that matrix itself.
+    """
+
     batch: data.Batch  # the batch run, whose packed layout the backward pass reads
     mask_embed: np.ndarray | None  # (N, m)
-    emb: np.ndarray  # (N, m) embeddings after dropout
+    emb: np.ndarray | None  # (N, m) embeddings after dropout; None in an eval trace
+    emb_matrix: np.ndarray | None  # the eval forward's embedding matrix; None in training
     states: np.ndarray  # (N, sum of 2d) every layer's [fwd | bwd] hidden states
     gates: np.ndarray  # (N, sum of 8d) gate values; their gradients after backward
     cells: list  # (Cf, Cb) of every layer, the top layer last
@@ -375,7 +385,7 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         raise ConfigError("training forward with dropout needs an rng")
     if emb_matrix.shape[1] != cfg.m:
         raise ConfigError(f"embedding width {emb_matrix.shape[1]} != configured m {cfg.m}")
-    emb = emb_matrix[batch.tokens]
+    emb = emb_matrix[batch.tokens] if training else None
     mask_e = None
     if training and cfg.dropout_embed > 0:
         # the padded batch's draws, so seeded runs keep their random stream
@@ -411,6 +421,7 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         batch=batch,
         mask_embed=mask_e,
         emb=emb,
+        emb_matrix=None if training else emb_matrix,
         states=states,
         gates=gates,
         cells=cells,
@@ -429,7 +440,9 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     ``embedding_grad`` false it is not formed and None stands in its place,
     the parameter gradients being the same.  The pass overwrites the
     trace's gate values with their gradients, so a trace takes one backward
-    pass; a second one raises ``ConfigError``.
+    pass; a second one raises ``ConfigError``.  An eval trace holds no
+    embeddings of its own: the pass gathers the batch's rows from the
+    matrix its forward was given.
     """
     if trace.consumed:
         raise ConfigError("trace already used by a backward pass; run model_forward again")
@@ -459,7 +472,8 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
         if L.rest.start < L.rest.stop:
             np.matmul(states[:, L.rest].T, dZ, out=dW[L.rest_rows, L.cols])
             dstates[:, L.rest] += dZ @ W[L.rest_rows, L.cols].T
-    np.matmul(trace.emb.T, dZ_all[:, E], out=dW[:m, E])
+    emb = trace.emb if trace.emb is not None else trace.emb_matrix[trace.batch.tokens]
+    np.matmul(emb.T, dZ_all[:, E], out=dW[:m, E])
     grads.update(model.lstm_views(dW, dZ_all.sum(axis=0, keepdims=True)))
     if not embedding_grad:
         return grads, None

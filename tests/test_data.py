@@ -1,6 +1,9 @@
 """Embedding ingestion, tokenization, dataset formats, folds, batching."""
 
 import io
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +351,151 @@ def test_load_embeddings_fuzz_matches_the_per_line_oracle(tmp_path, monkeypatch)
         p.write_text(text, encoding="utf-8")
         keep = {"the", "a", "naïve"} if rng.random() < 0.3 else None
         _assert_loads_as_oracle(p, text, keep)
+
+
+# -- the parse cache -------------------------------------------------------
+
+
+def _cache_of(path):
+    return Path(f"{path}{data.CACHE_SUFFIX}")
+
+
+@pytest.fixture
+def no_parse(monkeypatch):
+    """Make any parse of an embeddings line fail; returns a switch-on."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the embeddings file was parsed")
+
+    def switch_on():
+        monkeypatch.setattr(np, "loadtxt", fail)
+        monkeypatch.setattr(data, "_parse_lines", fail)
+
+    return switch_on
+
+
+_CACHED_FILES = {
+    "count-dim-header": "3 3\nthe 0.1 0.2 0.3\nmovie 1 2 3\ngood -4e-3 5 6\n",
+    "cased-duplicates": "The 0.1 0.2\nthe 1 2\nMovie 3 4\nmovie 5 6\nFilm 7 8\n",
+    "word-with-spaces": "the 0.1 0.2 0.3\n. . . -1.0 0.5 0.25\nAt Name@Domain.com 1 2 3\n",
+    "per-line-fallback": "the 0.1 0.2\nit 1_0 2\nwas -1 -2\nmovie .5 7.\n",
+    "fasttext-trailing-space": "2 3\nthe 0.1 0.2 0.3 \nmovie 1 2 3 \n",
+}
+
+
+@pytest.mark.parametrize("name", list(_CACHED_FILES))
+@pytest.mark.parametrize("keep", [None, {"the", "movie", ". . .", "it", "film"}])
+def test_a_warm_load_reads_the_parse_from_its_cache(tmp_path, no_parse, name, keep):
+    p = tmp_path / "emb.txt"
+    text = _CACHED_FILES[name]
+    p.write_text(text, encoding="utf-8")
+    cold = _assert_loads_as_oracle(p, text, keep)
+    assert _cache_of(p).is_file()
+    no_parse()
+    warm = _assert_loads_as_oracle(p, text, keep)
+    # the same table, bit for bit; with keep each vector owns its memory
+    assert list(warm.vectors) == list(cold.vectors)
+    assert all(warm.vectors[w].tobytes() == v.tobytes() for w, v in cold.vectors.items())
+    if keep is not None:
+        assert all(vec.base is None for vec in warm.vectors.values())
+    # the cache holds every row, so it serves another keep too
+    _assert_loads_as_oracle(p, text, None if keep else {"the"})
+
+
+def test_a_cache_survives_chunk_boundaries_and_fallbacks(tmp_path, four_line_chunks, no_parse):
+    p = tmp_path / "chunked.txt"
+    text = "\n".join(_CHUNKED_LINES) + "\n"
+    p.write_text(text, encoding="utf-8")
+    _assert_loads_as_oracle(p, text)
+    no_parse()
+    for keep in (None, {"film", "good", "the", ". . ."}):
+        _assert_loads_as_oracle(p, text, keep)
+
+
+def test_a_source_edited_to_the_same_size_and_mtime_is_parsed_again(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("the 0.1 0.2\nmovie 1.0 2.0\n", encoding="utf-8")
+    load_embeddings(p)
+    st = p.stat()
+    edited = "the 0.1 0.2\nmovie 3.0 4.0\n"
+    p.write_text(edited, encoding="utf-8")
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert p.stat().st_size == st.st_size and p.stat().st_mtime_ns == st.st_mtime_ns
+    table = _assert_loads_as_oracle(p, edited)
+    assert np.array_equal(table.get("movie"), [3.0, 4.0])
+
+
+def _truncate(raw):
+    return raw[:len(raw) // 2]
+
+
+def _wrong_magic(raw):
+    return b"X" + raw[1:]
+
+
+def _wrong_digest(raw):
+    at = len(data._CACHE_MAGIC) + 8  # the SHA-256 follows the source's size
+    return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+
+
+def _trailing_bytes(raw):
+    return raw + b"\0"
+
+
+@pytest.mark.parametrize("damage", [_truncate, _wrong_magic, _wrong_digest, _trailing_bytes])
+def test_a_bad_cache_is_ignored_and_rewritten(tmp_path, damage):
+    p = tmp_path / "emb.txt"
+    text = "the 0.1 0.2 0.3\n" + "".join(f"w{k} {k} -{k} {k}.5\n" for k in range(40))
+    p.write_text(text, encoding="utf-8")
+    load_embeddings(p)
+    cache = _cache_of(p)
+    good = cache.read_bytes()
+    cache.write_bytes(damage(good))
+    _assert_loads_as_oracle(p, text)
+    assert cache.read_bytes() == good
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["emb.txt", cache.name]
+
+
+def test_a_source_that_does_not_parse_leaves_no_cache(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("the 1.0 1.0\n" * 600 + "bad nan 0.1\n", encoding="utf-8")
+    for keep in (None, {"the"}):
+        with pytest.raises(ParseError) as info:
+            load_embeddings(p, keep=keep)
+        assert str(info.value) == f"{p}: line 601: non-finite vector component for 'bad'"
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.txt"]
+
+
+@pytest.mark.parametrize("fails", ["os.replace", "tempfile.mkstemp"])
+def test_a_cache_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, fails):
+    module, name = fails.split(".")
+
+    def refuse(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(getattr(data, module), name, refuse)
+    p = tmp_path / "emb.txt"
+    text = "".join(f"w{k} {k} {k}.25\n" for k in range(700))
+    p.write_text(text, encoding="utf-8")
+    for keep in (None, {"w3", "w600"}):
+        _assert_loads_as_oracle(p, text, keep)
+        assert [f.name for f in tmp_path.iterdir()] == ["emb.txt"]
+
+
+def test_a_fifo_source_is_parsed_and_nothing_is_written_beside_it(tmp_path):
+    fifo = tmp_path / "emb.fifo"
+    os.mkfifo(fifo)
+    text = "2 2\nthe 0.1 0.2\nThe 3 4\nmovie 1_0 2\n"
+    writer = threading.Thread(target=fifo.write_text, args=(text,),
+                              kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    try:
+        table = _assert_loads_as_oracle(fifo, text)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert list(table.vectors) == ["the", "movie"]
+    assert [f.name for f in tmp_path.iterdir()] == ["emb.fifo"]
 
 
 def test_tokenize_separates_punctuation():

@@ -4,12 +4,14 @@ import json
 import math
 import types
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dcbilstm import data
 from dcbilstm.cli import main
-from dcbilstm.data import PAD_IDX, Batch, load_dataset, make_batches, vectorize
+from dcbilstm.data import PAD_IDX, Batch, load_dataset, make_batches, tokenize, vectorize
 from dcbilstm.errors import ConfigError, TrainingDiverged
 from dcbilstm.model import (
     Model,
@@ -305,6 +307,27 @@ def test_train_same_seed_reproduces_bytes(toy_tsv, tmp_path):
     r2 = train(_quick_cfg(toy_tsv, tmp_path, epochs=2))
     assert open(r2.log_path, "rb").read() == log1
     assert open(r2.checkpoint_path, "rb").read() == ckpt1
+
+
+def test_train_writes_the_same_bytes_from_a_parsed_and_a_cached_embeddings_file(
+        toy_tsv, tmp_path, monkeypatch):
+    # the first run parses the file and caches its rows; the second reads
+    # the cache and must not parse
+    words = sorted({tok for line in Path(toy_tsv).read_text(encoding="utf-8").splitlines()
+                    for tok in tokenize(line.split("\t")[1])})
+    rng = np.random.default_rng(8)
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("".join(f"{w} " + " ".join(map(repr, rng.standard_normal(6).tolist())) + "\n"
+                           for w in ["unused", *words, words[0].upper()]), encoding="utf-8")
+    runs = []
+    for warm in (False, True):
+        if warm:
+            monkeypatch.setattr(data, "_parse_chunk", None)
+            monkeypatch.setattr(data, "_parse_lines", None)
+        r = train(_quick_cfg(toy_tsv, tmp_path, embeddings_path=str(emb), epochs=2))
+        runs.append((Path(r.log_path).read_bytes(), Path(r.checkpoint_path).read_bytes()))
+        assert Path(f"{emb}{data.CACHE_SUFFIX}").is_file()
+    assert runs[0] == runs[1]
 
 
 def test_train_seed_changes_results(toy_tsv, tmp_path):
