@@ -331,7 +331,7 @@ def load_embeddings(path, keep=None):
     with open(path, "rb", buffering=0) as raw:
         cache, mode = None, os.fstat(raw.fileno()).st_mode
         if stat.S_ISREG(mode):
-            cache = os.fspath(path) + CACHE_SUFFIX
+            cache = os.fsdecode(path) + CACHE_SUFFIX
             table = _read_cache(cache, raw, keep)
             if table is not None:
                 return table
