@@ -14,13 +14,12 @@ Vocabulary convention: row 0 is padding, row 1 is the unknown token, both
 embed to zero vectors.  Real tokens occupy rows 2 and up.
 """
 
-import hashlib
-import io
 import os
 import re
 import stat
 import struct
 import tempfile
+import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
@@ -156,45 +155,25 @@ def _parse_chunk(lines, dim):
 # -- the parse cache ---------------------------------------------------------
 #
 # "<source>.dcbilstm-cache" holds every row a parse of the source gave: the
-# magic line, whose number goes up whenever a parse rule changes, then the
-# source's byte size, the SHA-256 of its bytes, dim and the row count, then
-# blocks in file order, each its row count, the byte length of its words
-# joined by newlines (which no word holds), those words in utf-8, and the
-# rows as little-endian float64.  Non-kept words and later duplicates are
-# rows too, so one cache serves every `keep`.
+# magic line, whose number goes up whenever a parse rule or this format
+# changes, then the source's key (see _source_key), dim, the row count and
+# the CRC-32 of all that follows, then blocks in file order, each its row
+# count, the byte length of its words joined by newlines (which no word
+# holds), those words in utf-8, and the rows as little-endian float64.
+# Non-kept words and later duplicates are rows too, so one cache serves
+# every `keep`.
 
 CACHE_SUFFIX = ".dcbilstm-cache"
-_CACHE_MAGIC = b"dcbilstm embeddings cache 1\n"
-_CACHE_HEADER = struct.Struct("<Q32sQQ")  # source bytes, SHA-256, dim, rows
+_CACHE_MAGIC = b"dcbilstm embeddings cache 2\n"
+_CACHE_HEADER = struct.Struct("<QQqqQQI")  # source's key, dim, rows, CRC-32
 _CACHE_BLOCK = struct.Struct("<QQ")  # rows, bytes of their words
-_READ_BYTES = 1 << 20
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw reader that hashes and counts every byte read through it."""
-
-    def __init__(self, raw):
-        self.raw = raw
-        self.sha256 = hashlib.sha256()
-        self.size = 0
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = self.raw.readinto(buf)
-        if n:
-            self.sha256.update(memoryview(buf)[:n])
-            self.size += n
-        return n
-
-
-def _hash_source(raw):
-    """(byte size, SHA-256) of the rest of the binary file `raw`."""
-    reader, buf = _HashingReader(raw), bytearray(_READ_BYTES)
-    while reader.readinto(buf):
-        pass
-    return reader.size, reader.sha256.digest()
+def _source_key(st):
+    """A source's byte size, inode, mtime and ctime in ns.  A write changes
+    the ctime and no call sets a ctime back, so an edit changes the key
+    even when its size and mtime are restored."""
+    return st.st_size, st.st_ino, st.st_mtime_ns, st.st_ctime_ns
 
 
 def _read_exact(fh, buf):
@@ -204,32 +183,38 @@ def _read_exact(fh, buf):
     return buf
 
 
-def _read_cache(cache, raw, keep):
-    """The table cached at `cache` for the source `raw`, or None when there
-    is no cache, or it is stale, truncated or malformed."""
+def _read_cache(cache, key, keep):
+    """The table cached at `cache` for a source whose key is `key`, or None
+    when there is no cache, or it is stale, another user's, truncated,
+    malformed or damaged."""
     try:
         with open(cache, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if st.st_uid != os.geteuid():
+                return None
             head = _read_exact(fh, bytearray(len(_CACHE_MAGIC) + _CACHE_HEADER.size))
             if not head.startswith(_CACHE_MAGIC):
                 return None
-            size, sha256, dim, n = _CACHE_HEADER.unpack_from(head, len(_CACHE_MAGIC))
-            if size != os.fstat(raw.fileno()).st_size or (size, sha256) != _hash_source(raw):
+            *cached_key, dim, n, crc = _CACHE_HEADER.unpack_from(head, len(_CACHE_MAGIC))
+            if tuple(cached_key) != key:
                 return None
-            left = os.fstat(fh.fileno()).st_size - len(head)
-            vectors = {}
+            left, check, vectors = st.st_size - len(head), 0, {}
             while n:
-                count, nbytes = _CACHE_BLOCK.unpack(_read_exact(fh, bytearray(_CACHE_BLOCK.size)))
+                block = _read_exact(fh, bytearray(_CACHE_BLOCK.size))
+                count, nbytes = _CACHE_BLOCK.unpack(block)
                 left -= _CACHE_BLOCK.size + nbytes + 8 * count * dim
                 if not 0 < count <= n or left < 0:
                     return None
-                words = _read_exact(fh, bytearray(nbytes)).decode("utf-8").split("\n")
-                if len(words) != count:
-                    return None
+                blob = _read_exact(fh, bytearray(nbytes))
                 # the floats go straight into the block's array
                 rows = _read_exact(fh, np.empty((count, dim), dtype="<f8"))
+                check = zlib.crc32(rows, zlib.crc32(blob, zlib.crc32(block, check)))
+                words = blob.decode("utf-8").split("\n")
+                if len(words) != count or not np.isfinite(rows).all():
+                    return None
                 _store(words, rows, keep, vectors)
                 n -= count
-            if left:
+            if left or check != crc:
                 return None
     except (OSError, ValueError):
         return None
@@ -238,12 +223,13 @@ def _read_cache(cache, raw, keep):
 
 class _CacheWriter:
     """Writes parsed rows to a temp file beside `cache`, with the source's
-    permission bits `mode`; ``publish`` fills in the key and renames it to
-    `cache`.  An OSError on the way (a read-only directory, a full disk)
-    drops the cache: the temp file goes and the parse goes on without it."""
+    permission bits `mode`; ``publish`` fills in the header, syncs the file
+    to disk and renames it to `cache`.  An OSError on the way (a read-only
+    directory, a full disk, another user's cache) drops the cache: the temp
+    file goes and the parse goes on without it."""
 
     def __init__(self, cache, mode):
-        self.cache, self.fh, self.tmp, self.rows = cache, None, None, 0
+        self.cache, self.fh, self.tmp, self.rows, self.crc = cache, None, None, 0, 0
         if cache is None:  # a pipe or device: nothing is written
             return
         directory, name = os.path.split(cache)
@@ -260,20 +246,24 @@ class _CacheWriter:
         if self.fh is None or not words:
             return
         blob = "\n".join(words).encode("utf-8")
+        block = _CACHE_BLOCK.pack(len(words), len(blob))
+        rows = np.ascontiguousarray(rows, dtype="<f8")
         try:
-            self.fh.write(_CACHE_BLOCK.pack(len(words), len(blob)))
-            self.fh.write(blob)
-            self.fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+            for part in (block, blob, rows):
+                self.fh.write(part)
+                self.crc = zlib.crc32(part, self.crc)
         except OSError:
             self.discard()
         self.rows += len(words)
 
-    def publish(self, size, sha256, dim):
+    def publish(self, key, dim):
         if self.fh is None:
             return
         try:
             self.fh.seek(len(_CACHE_MAGIC))
-            self.fh.write(_CACHE_HEADER.pack(size, sha256, dim, self.rows))
+            self.fh.write(_CACHE_HEADER.pack(*key, dim, self.rows, self.crc))
+            self.fh.flush()
+            os.fsync(self.fh.fileno())
             self.fh.close()
             os.replace(self.tmp, self.cache)
             self.fh = self.tmp = None
@@ -317,26 +307,29 @@ def load_embeddings(path, keep=None):
     A regular file's parse is cached in "<path>.dcbilstm-cache", every
     line's word and float64 vector in file order, about 8 * dim bytes a
     line (5.3 GB for glove.840B.300d).  The rows are written to a temp file
-    as each chunk is parsed, and the cache is keyed by the byte size and
-    SHA-256 of the bytes parsed, hashed in the same read; a file that does
-    not parse leaves none.  A later load whose source has that size and
-    digest reads the rows from the cache instead, each block of floats
-    straight into its array, and applies the same keep and first-occurrence
-    rules, so the table is the same bit for bit: on perfbench's 81 MB file
-    about 0.1 s warm against 1 s cold.  A stale, truncated or malformed
-    cache is parsed over and replaced; a pipe or device is parsed and
-    nothing is written beside it; a cache that cannot be written is
-    skipped.  Deleting the file drops the cache.
+    as each chunk is parsed; it is synced and renamed into place when the
+    parse ends, keyed by the byte size, inode, mtime and ctime the file had
+    when the parse began (where timestamps are coarse, a same-size rewrite
+    within one tick of that load could go unseen).  A file that does not
+    parse, or changes while it is parsed, leaves no cache.  A later load of a file with that key reads
+    only the cache, each block of floats straight into its array; it checks
+    that the cache is the loading user's, its CRC-32 and that every value
+    is finite, and applies the same keep and first-occurrence rules, so the
+    table is the same bit for bit: on perfbench's 81 MB file about 0.1 s
+    warm against 1 s cold.  A stale, truncated or damaged cache is parsed
+    over and replaced; a pipe or device is parsed and nothing is written
+    beside it; a cache that cannot be written is skipped.  Deleting the
+    file drops the cache.
     """
-    with open(path, "rb", buffering=0) as raw:
-        cache, mode = None, os.fstat(raw.fileno()).st_mode
-        if stat.S_ISREG(mode):
+    with open_text(path) as fh:
+        st = os.fstat(fh.fileno())
+        cache = None
+        if stat.S_ISREG(st.st_mode):
             cache = os.fsdecode(path) + CACHE_SUFFIX
-            table = _read_cache(cache, raw, keep)
+            table = _read_cache(cache, _source_key(st), keep)
             if table is not None:
                 return table
-            raw.seek(0)
-        source, writer, vectors = _HashingReader(raw), _CacheWriter(cache, mode), {}
+        writer, vectors = _CacheWriter(cache, st.st_mode), {}
 
         def take(words, rows):
             writer.add(words, rows)
@@ -344,22 +337,21 @@ def load_embeddings(path, keep=None):
 
         dim = header_dim = None
         try:
-            with _naming_file(path, "utf-8"), io.TextIOWrapper(
-                    io.BufferedReader(source, _READ_BYTES), encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):  # until a vector fixes dim
-                    if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
-                        continue
-                    words, rows, dim = _parse_lines([line], line_no, None, header_dim)
-                    if dim is not None:
-                        take(words, rows)
-                        break
-                while chunk := list(islice(fh, _CHUNK_LINES)):
-                    take(*(_parse_chunk(chunk, dim)
-                           or _parse_lines(chunk, line_no + 1, dim, header_dim)[:2]))
-                    line_no += len(chunk)
-                if dim is None:
-                    raise ParseError("embedding file is empty")
-            writer.publish(source.size, source.sha256.digest(), dim)
+            for line_no, line in enumerate(fh, start=1):  # until a vector fixes dim
+                if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
+                    continue
+                words, rows, dim = _parse_lines([line], line_no, None, header_dim)
+                if dim is not None:
+                    take(words, rows)
+                    break
+            while chunk := list(islice(fh, _CHUNK_LINES)):
+                take(*(_parse_chunk(chunk, dim)
+                       or _parse_lines(chunk, line_no + 1, dim, header_dim)[:2]))
+                line_no += len(chunk)
+            if dim is None:
+                raise ParseError("embedding file is empty")
+            if _source_key(os.fstat(fh.fileno())) == _source_key(st):
+                writer.publish(_source_key(st), dim)
         finally:
             writer.discard()
     return EmbeddingTable(vectors, dim)

@@ -3,6 +3,7 @@
 import io
 import os
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,9 @@ def test_a_source_edited_to_the_same_size_and_mtime_is_parsed_again(tmp_path):
     assert np.array_equal(table.get("movie"), [3.0, 4.0])
 
 
+_HEAD = len(data._CACHE_MAGIC) + data._CACHE_HEADER.size
+
+
 def _truncate(raw):
     return raw[:len(raw) // 2]
 
@@ -433,19 +437,45 @@ def _wrong_magic(raw):
     return b"X" + raw[1:]
 
 
-def _wrong_digest(raw):
-    at = len(data._CACHE_MAGIC) + 8  # the SHA-256 follows the source's size
+def _flip(raw, at):
     return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+
+
+def _wrong_key(raw):
+    return _flip(raw, len(data._CACHE_MAGIC) + 8)  # the inode follows the byte size
+
+
+def _wrong_digest(raw):
+    return _flip(raw, _HEAD - 1)  # the CRC-32 ends the header
 
 
 def _trailing_bytes(raw):
     return raw + b"\0"
 
 
-@pytest.mark.parametrize("damage", [_truncate, _wrong_magic, _wrong_digest, _trailing_bytes])
+def _zeroed_row_block(raw):
+    # the second block's floats (the first holds only the line that fixed dim)
+    at = _HEAD
+    for _ in range(2):
+        count, nbytes = data._CACHE_BLOCK.unpack_from(raw, at)
+        at += data._CACHE_BLOCK.size + nbytes
+        floats = slice(at, at + 8 * 3 * count)
+        at = floats.stop
+    return raw[:floats.start] + bytes(floats.stop - floats.start) + raw[floats.stop:]
+
+
+def _nan_with_its_crc(raw):
+    # a NaN in the last row, with the CRC-32 stamped to match
+    raw = raw[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    crc = zlib.crc32(raw[_HEAD:]).to_bytes(4, "little")
+    return raw[:_HEAD - 4] + crc + raw[_HEAD:]
+
+
+@pytest.mark.parametrize("damage", [_truncate, _wrong_magic, _wrong_key, _wrong_digest,
+                                    _trailing_bytes, _zeroed_row_block, _nan_with_its_crc])
 def test_a_bad_cache_is_ignored_and_rewritten(tmp_path, damage):
     p = tmp_path / "emb.txt"
-    text = "the 0.1 0.2 0.3\n" + "".join(f"w{k} {k} -{k} {k}.5\n" for k in range(40))
+    text = "the 0.1 0.2 0.3\n" + "".join(f"w{k} {k} -{k} {k}.5\n" for k in range(600))
     p.write_text(text, encoding="utf-8")
     load_embeddings(p)
     cache = _cache_of(p)
@@ -454,6 +484,44 @@ def test_a_bad_cache_is_ignored_and_rewritten(tmp_path, damage):
     _assert_loads_as_oracle(p, text)
     assert cache.read_bytes() == good
     assert sorted(f.name for f in tmp_path.iterdir()) == ["emb.txt", cache.name]
+
+
+def test_another_users_cache_is_not_read(tmp_path, monkeypatch):
+    p = tmp_path / "emb.txt"
+    p.write_text("the 0.1 0.2\nmovie 1.0 2.0\n", encoding="utf-8")
+    load_embeddings(p)
+    parses, parse_lines = [], data._parse_lines
+    monkeypatch.setattr(os, "geteuid", lambda: os.stat(_cache_of(p)).st_uid + 1)
+    monkeypatch.setattr(data, "_parse_lines", lambda *a: parses.append(a) or parse_lines(*a))
+    assert np.array_equal(load_embeddings(p).get("movie"), [1.0, 2.0])
+    assert parses
+
+
+def test_a_cache_is_synced_before_it_is_renamed_into_place(tmp_path, monkeypatch):
+    calls = []
+    for name in ("fsync", "replace"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    p = tmp_path / "emb.txt"
+    p.write_text("the 0.1 0.2\n", encoding="utf-8")
+    load_embeddings(p)
+    assert calls == ["fsync", "replace"]
+
+
+def test_a_source_changed_while_it_is_parsed_leaves_no_cache(tmp_path, four_line_chunks):
+    p = tmp_path / "chunked.txt"
+    text = "\n".join(_CHUNKED_LINES) + "\n"
+    p.write_text(text, encoding="utf-8")
+    parse_chunk = data._parse_chunk
+
+    def touch_then_parse(*args):
+        os.utime(p)  # sets the ctime to now
+        return parse_chunk(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_parse_chunk", touch_then_parse)
+        _assert_loads_as_oracle(p, text)
+    assert [f.name for f in tmp_path.iterdir()] == ["chunked.txt"]
 
 
 def test_a_source_that_does_not_parse_leaves_no_cache(tmp_path):
