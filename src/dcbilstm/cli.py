@@ -42,22 +42,23 @@ def _coerce(key, value, line_no=None):
         raise ParseError(f"bad value for {key}: {exc}", line_no)
 
 
+def _read_setting(line, line_no):
+    """One config line -> [(key, typed value)], or [] for a comment line."""
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return []
+    key, sep, value = line.partition("=")
+    if not sep:
+        raise ParseError("expected 'key = value'", line_no)
+    key, value = key.strip(), value.strip()
+    if key not in _FIELD_TYPES:
+        raise ParseError(f"unknown config key {key!r}", line_no)
+    return [(key, _coerce(key, value, line_no))]
+
+
 def parse_config_file(path):
     """Flat `key = value` file -> dict of typed TrainConfig overrides."""
-    values = {}
-    with D.open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError("expected 'key = value'", line_no)
-            key, value = key.strip(), value.strip()
-            if key not in _FIELD_TYPES:
-                raise ParseError(f"unknown config key {key!r}", line_no)
-            values[key] = _coerce(key, value, line_no)
-    return values
+    return dict(D.read_lines(path, _read_setting))
 
 
 def build_train_config(config_path=None, overrides=None):

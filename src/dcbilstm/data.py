@@ -1,6 +1,7 @@
 """Text loading: embeddings, tokenization, dataset formats, vocab, batching.
 
-Supported dataset formats:
+Each dataset format is a line reader in ``DATA_FORMATS``, which
+``read_lines`` runs over a file's non-blank lines:
 
   tsv        one example per line, "<label>\\t<text>", labels are
              non-negative integers.
@@ -22,6 +23,7 @@ import tempfile
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -31,7 +33,6 @@ from .errors import ConfigError, EmptySequenceError, ParseError
 
 PAD_IDX = 0
 UNK_IDX = 1
-DATA_FORMATS = ("tsv", "sst_trees")
 EMBEDDING_SCALE = 0.1  # random embeddings are uniform in [-0.1, 0.1)
 _CHUNK_LINES = 512  # embedding lines per bulk parse
 
@@ -41,21 +42,27 @@ _PUNCT_RE = re.compile(r"([.,!?;:()\"])")
 
 
 @contextmanager
-def _naming_file(path, encoding):
-    """A parse or decoding error raised inside names the file."""
+def open_text(path, encoding="utf-8"):
+    """Open `path` for reading; a parse or decoding error inside names the file."""
     try:
-        yield
+        with open(path, "r", encoding=encoding) as fh:
+            yield fh
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not {encoding} text ({exc.reason})") from exc
 
 
-@contextmanager
-def open_text(path, encoding="utf-8"):
-    """Open `path` for reading; a parse or decoding error names the file."""
-    with _naming_file(path, encoding), open(path, "r", encoding=encoding) as fh:
-        yield fh
+def read_lines(path, read_line, encoding="utf-8"):
+    """The items `read_line(line, line_no)` gives for each non-blank line of
+    `path`, which comes without its newline, numbered from 1 with blank lines
+    counted.  A ParseError it raises, or text not in `encoding`, names the file."""
+    items = []
+    with open_text(path, encoding) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isspace():
+                items.extend(read_line(line.rstrip("\n"), line_no))
+    return items
 
 
 class EmbeddingTable:
@@ -369,26 +376,20 @@ class Example:
     label: int
 
 
-def _load_tsv(path):
-    examples = []
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
-            label_str, sep, text = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise ParseError("expected '<label>\\t<text>'", line_no)
-            try:
-                label = int(label_str)
-            except ValueError:
-                raise ParseError(f"label {label_str!r} is not an integer", line_no)
-            if label < 0:
-                raise ParseError(f"label {label} is negative", line_no)
-            tokens = tokenize(text)
-            if not tokens:
-                raise ParseError("no tokens after tokenization", line_no)
-            examples.append(Example(tokens=tokens, label=label))
-    return examples
+def _read_tsv(line, line_no):
+    label_str, sep, text = line.partition("\t")
+    if not sep:
+        raise ParseError("expected '<label>\\t<text>'", line_no)
+    try:
+        label = int(label_str)
+    except ValueError:
+        raise ParseError(f"label {label_str!r} is not an integer", line_no)
+    if label < 0:
+        raise ParseError(f"label {label} is negative", line_no)
+    tokens = tokenize(text)
+    if not tokens:
+        raise ParseError("no tokens after tokenization", line_no)
+    return [Example(tokens=tokens, label=label)]
 
 
 # -- PTB sentiment trees ----------------------------------------------------
@@ -438,20 +439,17 @@ def parse_tree(line, line_no=0):
     return spans
 
 
-def _load_sst(path, binary, phrases):
-    examples = []
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
-            spans = parse_tree(line.rstrip("\n"), line_no)
-            for words, label in spans if phrases else spans[-1:]:
-                if binary:
-                    label = _BINARY_LABELS.get(label)
-                    if label is None:
-                        continue
-                examples.append(Example(tokens=[w.lower() for w in words], label=label))
-    return examples
+def _read_tree(line, line_no, binary=False, phrases=False):
+    """The root, or with phrases every node; binary drops the neutral ones."""
+    spans = parse_tree(line, line_no)
+    for words, label in spans if phrases else spans[-1:]:
+        label = _BINARY_LABELS.get(label) if binary else label
+        if label is not None:
+            yield Example(tokens=[w.lower() for w in words], label=label)
+
+
+# each format's line reader; binary and phrases are sst_trees' flags
+DATA_FORMATS = {"tsv": _read_tsv, "sst_trees": _read_tree}
 
 
 def load_dataset(path, fmt, binary=False, phrases=False):
@@ -460,9 +458,10 @@ def load_dataset(path, fmt, binary=False, phrases=False):
         raise ConfigError(f"data format must be one of {', '.join(DATA_FORMATS)}, got {fmt!r}")
     if fmt != "sst_trees" and (binary or phrases):
         raise ConfigError(f"{'binary' if binary else 'phrases'} needs data format sst_trees")
-    if fmt == "tsv":
-        return _load_tsv(path)
-    return _load_sst(path, binary=binary, phrases=phrases)
+    read_line = DATA_FORMATS[fmt]
+    if binary or phrases:
+        read_line = partial(read_line, binary=binary, phrases=phrases)
+    return read_lines(path, read_line)
 
 
 def load_label_lines(path, label, encoding="utf-8"):
@@ -471,13 +470,7 @@ def load_label_lines(path, label, encoding="utf-8"):
     Movie-review style distributions ship as latin-1; pass encoding for
     those.  Blank lines are skipped.
     """
-    examples = []
-    with open_text(path, encoding) as fh:
-        for line in fh:
-            tokens = tokenize(line)
-            if tokens:
-                examples.append(Example(tokens=tokens, label=label))
-    return examples
+    return read_lines(path, lambda line, line_no: [Example(tokenize(line), label)], encoding)
 
 
 # -- vocab / vectorization --------------------------------------------------
