@@ -7,8 +7,9 @@ check reports FAIL, an accuracy floor is missed, training diverges), 2 for
 usage and configuration problems (argparse errors share this code).
 
 Run settings come from an optional flat config file of `key = value` lines
-(# starts a comment, unknown keys are rejected) overridden by command-line
-flags; the effective configuration is echoed into the run log.
+(# starts a comment; an unknown key, or one set twice, is rejected)
+overridden by command-line flags; the effective configuration is echoed
+into the run log.
 """
 
 import argparse
@@ -42,23 +43,27 @@ def _coerce(key, value, line_no=None):
         raise ParseError(f"bad value for {key}: {exc}", line_no)
 
 
-def _read_setting(line, line_no):
-    """One config line -> [(key, typed value)], or [] for a comment line."""
-    line = line.split("#", 1)[0].strip()
-    if not line:
-        return []
-    key, sep, value = line.partition("=")
-    if not sep:
-        raise ParseError("expected 'key = value'", line_no)
-    key, value = key.strip(), value.strip()
-    if key not in _FIELD_TYPES:
-        raise ParseError(f"unknown config key {key!r}", line_no)
-    return [(key, _coerce(key, value, line_no))]
-
-
 def parse_config_file(path):
-    """Flat `key = value` file -> dict of typed TrainConfig overrides."""
-    return dict(D.read_lines(path, _read_setting))
+    """Flat `key = value` file -> dict of typed TrainConfig overrides; a key
+    may be set once."""
+    values = {}
+
+    def read_setting(line, line_no):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParseError("expected 'key = value'", line_no)
+            key, value = key.strip(), value.strip()
+            if key not in _FIELD_TYPES:
+                raise ParseError(f"unknown config key {key!r}", line_no)
+            if key in values:
+                raise ParseError(f"config key {key!r} is set twice", line_no)
+            values[key] = _coerce(key, value, line_no)
+        return ()
+
+    D.read_lines(path, read_setting)
+    return values
 
 
 def build_train_config(config_path=None, overrides=None):

@@ -453,7 +453,8 @@ DATA_FORMATS = {"tsv": _read_tsv, "sst_trees": _read_tree}
 
 
 def load_dataset(path, fmt, binary=False, phrases=False):
-    """The examples of `path`; a bad format or flag fails before it is opened."""
+    """The examples of `path`; a bad format or flag fails before it is
+    opened, and a file that yields no example is a ParseError."""
     if fmt not in DATA_FORMATS:
         raise ConfigError(f"data format must be one of {', '.join(DATA_FORMATS)}, got {fmt!r}")
     if fmt != "sst_trees" and (binary or phrases):
@@ -461,7 +462,10 @@ def load_dataset(path, fmt, binary=False, phrases=False):
     read_line = DATA_FORMATS[fmt]
     if binary or phrases:
         read_line = partial(read_line, binary=binary, phrases=phrases)
-    return read_lines(path, read_line)
+    examples = read_lines(path, read_line)
+    if not examples:
+        raise ParseError(f"{path}: no examples" + (" with a non-neutral label" if binary else ""))
+    return examples
 
 
 def load_label_lines(path, label, encoding="utf-8"):

@@ -247,6 +247,8 @@ def _build_tables(cfg, example_sets, rng_emb):
         keep = {tok for examples in sets for ex in examples for tok in ex.tokens}
         table = D.load_embeddings(cfg.embeddings_path, keep=keep)
         vocab = D.build_vocab(sets, table)
+        if not vocab:
+            raise ConfigError(f"{cfg.embeddings_path}: covers no word of the corpus")
         emb_matrix = D.build_embedding_matrix(vocab, table)
         m = table.dim
     else:

@@ -336,6 +336,52 @@ def test_train_cli_single_label_without_num_classes_exits_2(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_a_dataset_file_that_yields_no_example_exits_2(toy_tsv, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n \n", encoding="utf-8")
+    for flag in ("--dev-path", "--test-path"):
+        out_dir = tmp_path / "run"
+        assert main(["train", "--train-path", toy_tsv, flag, str(empty), "--epochs", "1",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no examples\n"
+        assert not (out_dir / "run.log").exists()
+    ckpt = str(Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt")
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no examples\n"
+    # --binary drops the neutral roots before the check
+    neutral = tmp_path / "neutral.txt"
+    neutral.write_text("(2 (2 the) (2 film))\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(neutral),
+                 "--data-format", "sst_trees", "--binary"]) == 2
+    assert capsys.readouterr().err == f"error: {neutral}: no examples with a non-neutral label\n"
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(neutral),
+                 "--data-format", "sst_trees"]) == 2
+    assert "label 2, outside the model's 2 classes" in capsys.readouterr().err
+
+
+def test_train_cli_embeddings_covering_no_corpus_word_exits_2(toy_tsv, tmp_path, capsys):
+    vec = tmp_path / "emb.txt"
+    vec.write_text("zebra 0.1 0.2\nquokka 0.3 0.4\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert _train_toy(toy_tsv, out_dir, "--embeddings-path", str(vec)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {vec}: covers no word of the corpus\n"
+    assert not (out_dir / "run.log").exists()
+
+
+def test_train_cli_config_key_set_twice_exits_2(toy_tsv, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"train_path = {toy_tsv}\ndl = 1\n\nepochs = 1\ndl = 4\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(conf), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {conf}: line 5: config key 'dl' is set twice\n"
+    assert not (out_dir / "run.log").exists()
+    # a flag still overrides a key the file sets once
+    conf.write_text(f"train_path = {toy_tsv}\ndl = 1\n", encoding="utf-8")
+    assert build_train_config(str(conf), {"dl": 4}).dl == 4
+
+
 def test_train_cli_divergence_exits_1(tmp_path, capsys):
     # finite vectors at the edge of float64 overflow once embedding dropout
     # scales them by 2

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import threading
 import zlib
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from dcbilstm import data
+from dcbilstm.cli import parse_config_file
 from dcbilstm.data import (
     PAD_IDX,
     UNK_IDX,
@@ -709,6 +711,41 @@ def test_load_label_lines_latin1(tmp_path):
     p.write_bytes("clich\xe9 but charming\n".encode("latin-1"))
     examples = load_label_lines(p, 0, encoding="latin-1")
     assert examples[0].tokens[0] == "clich\xe9"
+
+
+# each line reader: how a file is read through it, two lines it accepts, and a
+# malformed line; a label line is any text, so it has no malformed form
+LINE_READERS = {
+    "tsv": (lambda p: load_dataset(p, "tsv"), ["1\tA fine film.", "0\tso dull"], "1 no tab"),
+    "sst_trees": (lambda p: load_dataset(p, "sst_trees"),
+                  ["(3 (2 good) (2 film))", "(1 (0 dull))"], "(3 (2 good)"),
+    "label lines": (lambda p: load_label_lines(p, 1), ["A fine film.", "so dull"], None),
+    "config file": (parse_config_file, ["dl = 3  # depth", "lr = 0.01"], "dl 3"),
+}
+
+
+@pytest.mark.parametrize("name", LINE_READERS)
+def test_every_line_reader_skips_blank_lines_and_names_the_file(tmp_path, name):
+    read, (first, second), bad = LINE_READERS[name]
+    path = tmp_path / "input"
+    path.write_bytes(f"{first}\n{second}\n".encode("utf-8"))
+    expected = read(path)
+    assert len(expected) == 2
+    # whitespace-only lines are skipped, the last without a newline too
+    path.write_bytes(f" \n{first}\n\t \u00a0\n\n{second}\n  ".encode("utf-8"))
+    assert read(path) == expected
+    # CRLF line ends read as LF ones
+    path.write_bytes(f"{first}\r\n\r\n{second}\r\n".encode("utf-8"))
+    assert read(path) == expected
+    # an error's line number counts the skipped lines, and the error names the file
+    if bad is not None:
+        path.write_bytes(f"{first}\n\n \n{bad}\n{second}\n".encode("utf-8"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 4: "):
+            read(path)
+    # a byte that is not utf-8 is reported with the file's name
+    path.write_bytes(f"{first}\n".encode("utf-8") + "caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not utf-8 text \("):
+        read(path)
 
 
 def test_build_vocab_sorted_and_filtered(emb_path):
