@@ -5,14 +5,7 @@ Adam, with every recurrence run by the packed time-major kernels in
 ``kernels``.
 """
 
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    EmptySequenceError,
-    ParseError,
-    ShapeError,
-    TrainingDiverged,
-)
+from .errors import CheckpointError, ConfigError, ParseError, TrainingDiverged
 from .model import (
     Model,
     ModelConfig,
@@ -31,6 +24,6 @@ __all__ = [
     "Model", "ModelConfig", "TrainConfig", "TrainReport",
     "check_model", "count_params", "evaluate", "finite_diff",
     "load_checkpoint", "model_backward", "model_forward", "save_checkpoint",
-    "CheckpointError", "ConfigError", "EmptySequenceError", "ParseError",
-    "ShapeError", "TrainingDiverged", "__version__",
+    "CheckpointError", "ConfigError", "ParseError", "TrainingDiverged",
+    "__version__",
 ]

@@ -24,7 +24,8 @@ from .model import (ARCH_DENSE, ARCH_STACKED, count_params, format_param_count,
                     load_checkpoint, parse_setting)
 from .train import TrainConfig, check_labels, evaluate, train
 
-# rows are (dl, dh, th); all tables assume 300-dim pretrained vectors
+# the settings each row sets, in row order; all tables assume 300-dim vectors
+_SWEEP_ROW_KEYS = ("dl", "dh", "th")
 SWEEP_TABLES = {
     "t3": [(0, 10, 300), (5, 40, 100), (10, 20, 100), (15, 13, 100), (20, 10, 100)],
     "t4": [(0, 10, 100), (5, 10, 100), (10, 10, 100), (15, 10, 100), (20, 10, 100)],
@@ -75,9 +76,11 @@ def build_train_config(config_path=None, overrides=None):
     return TrainConfig(**values)
 
 
-def _add_train_flags(p):
+def _add_train_flags(p, skip=()):
     # a flag left out sets no attribute, so `--max-norm-s none` can override a file
     for f in dataclasses.fields(TrainConfig):
+        if f.name in skip:
+            continue
         flag = "--" + f.name.replace("_", "-")
         if f.type is bool:
             p.add_argument(flag, default=argparse.SUPPRESS, action=argparse.BooleanOptionalAction)
@@ -129,7 +132,7 @@ def _build_parser():
     p.add_argument("--table", required=True, choices=sorted(SWEEP_TABLES))
     p.add_argument("--dry-run", action="store_true", help="print rows and counts only")
     p.add_argument("--config", default=None)
-    _add_train_flags(p)
+    _add_train_flags(p, skip=_SWEEP_ROW_KEYS)
     return top
 
 
@@ -224,7 +227,7 @@ def _cmd_sweep(args):
     for dl, dh, th in rows:
         row = dict(overrides)
         # a zero-width layer contributes nothing; run it as depth zero
-        row.update({"dl": 0 if dh == 0 else dl, "dh": dh, "th": th})
+        row.update(zip(_SWEEP_ROW_KEYS, (0 if dh == 0 else dl, dh, th)))
         cfg = build_train_config(args.config, row)
         cfg.out_dir = f"{cfg.out_dir}/{args.table}_dl{dl}_dh{dh}_th{th}"
         report = train(cfg)

@@ -29,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, EmptySequenceError, ParseError
+from .errors import ConfigError, ParseError
 
 PAD_IDX = 0
 UNK_IDX = 1
@@ -462,19 +462,25 @@ def load_dataset(path, fmt, binary=False, phrases=False):
     read_line = DATA_FORMATS[fmt]
     if binary or phrases:
         read_line = partial(read_line, binary=binary, phrases=phrases)
-    examples = read_lines(path, read_line)
-    if not examples:
-        raise ParseError(f"{path}: no examples" + (" with a non-neutral label" if binary else ""))
-    return examples
+    return _read_examples(path, read_line, kind=" with a non-neutral label" if binary else "")
 
 
 def load_label_lines(path, label, encoding="utf-8"):
     """One-sentence-per-line file where every line shares one label.
 
     Movie-review style distributions ship as latin-1; pass encoding for
-    those.  Blank lines are skipped.
+    those.  Blank lines are skipped, and a file that yields no example is a
+    ParseError.
     """
-    return read_lines(path, lambda line, line_no: [Example(tokenize(line), label)], encoding)
+    return _read_examples(path, lambda line, line_no: [Example(tokenize(line), label)], encoding)
+
+
+def _read_examples(path, read_line, encoding="utf-8", kind=""):
+    """``read_lines`` for a file of examples, which must yield at least one."""
+    examples = read_lines(path, read_line, encoding)
+    if not examples:
+        raise ParseError(f"{path}: no examples{kind}")
+    return examples
 
 
 # -- vocab / vectorization --------------------------------------------------
@@ -568,13 +574,13 @@ class Batch:
 
 def pad_batch(group):
     """(index list, label) pairs -> one padded Batch.  The one place a batch is
-    packed; a sentence with no tokens raises ``EmptySequenceError``."""
+    packed; a sentence with no tokens raises ``ConfigError``."""
     B = len(group)
     if B == 0:
         raise ConfigError("cannot build an empty batch")
     lengths = np.array([len(idxs) for idxs, _ in group], dtype=np.int64)
     if (lengths < 1).any():
-        raise EmptySequenceError(f"batch sentence {int(lengths.argmin())} has no tokens")
+        raise ConfigError(f"batch sentence {int(lengths.argmin())} has no tokens")
     T = int(lengths.max())
     indices = np.full((B, T), PAD_IDX, dtype=np.int64)
     for n, (idxs, _) in enumerate(group):

@@ -1,16 +1,8 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
-    """Operand shapes do not conform."""
-
-
 class ConfigError(ValueError):
-    """Invalid model or run configuration."""
-
-
-class EmptySequenceError(ValueError):
-    """An operation received a zero-length sequence."""
+    """Invalid model or run configuration, or an array that does not fit it."""
 
 
 class ParseError(ValueError):
@@ -21,7 +13,6 @@ class ParseError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-        self.line_no = line_no
 
 
 class CheckpointError(ValueError):

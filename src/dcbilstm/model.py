@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import data, kernels
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError
 
 ARCH_DENSE = "dense"
 ARCH_STACKED = "stacked"
@@ -297,7 +297,7 @@ def average_pool_batch(H, batch):
     """Mean of each sentence's packed hidden vectors: a sum over packed steps."""
     rows, lengths = batch.packing.rows, batch.lengths
     if len(H) != len(rows):
-        raise ShapeError(f"average_pool: {len(H)} packed rows for {len(rows)} tokens")
+        raise ConfigError(f"average_pool: {len(H)} packed rows for {len(rows)} tokens")
     # every sentence is active at step 0, so its rows list them in packed order
     total = np.zeros((len(lengths), H.shape[1]))
     for lo, hi, _, _ in batch.packing.steps[False]:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dcbilstm.errors import ShapeError
-
 
 def sigmoid(x):
     """Logistic function via 0.5*(tanh(x/2)+1); saturates without overflow."""
@@ -68,9 +66,9 @@ class StepCache:
 def _check_step_shapes(p, x, h_prev, c_prev):
     d = p.d
     if x.shape != (1, p.input_dim):
-        raise ShapeError(f"lstm_step: x shape {x.shape}, expected (1, {p.input_dim})")
+        raise ValueError(f"lstm_step: x shape {x.shape}, expected (1, {p.input_dim})")
     if h_prev.shape != (1, d) or c_prev.shape != (1, d):
-        raise ShapeError(
+        raise ValueError(
             f"lstm_step: state shapes {h_prev.shape}/{c_prev.shape}, expected (1, {d})"
         )
 
@@ -99,7 +97,7 @@ def lstm_step_backward(p, cache, dh, dc_in):
     """
     d = p.d
     if dh.shape != (1, d) or dc_in.shape != (1, d):
-        raise ShapeError(f"lstm_step_backward: grad shapes {dh.shape}/{dc_in.shape}, expected (1, {d})")
+        raise ValueError(f"lstm_step_backward: grad shapes {dh.shape}/{dc_in.shape}, expected (1, {d})")
     i, f, o, g = cache.i, cache.f, cache.o, cache.g
     tc = np.tanh(cache.c)
     dc = dc_in + dh * o * (1.0 - tc * tc)

@@ -102,6 +102,32 @@ def test_sweep_runs_every_row_of_a_table(toy_tsv, tmp_path, capsys):
     assert config["dl"] == 0 and config["dh"] == 0
 
 
+@pytest.mark.parametrize("flag", ["--dl", "--dh", "--th"])
+def test_sweep_rejects_a_setting_its_rows_set(toy_tsv, tmp_path, capsys, flag):
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--table", "t5", flag, "3", "--train-path", toy_tsv, "--embedding-dim",
+              "4", "--epochs", "1", "--batch-size", "16", "--out-dir", str(out_dir)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag} 3" in captured.err, captured
+    assert not out_dir.exists()
+
+
+def test_sweep_rows_replace_a_config_files_dl_dh_th(toy_tsv, tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("dl = 3\ndh = 2\nth = 7\n", encoding="utf-8")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--table", "t4", "--config", str(conf), "--train-path", toy_tsv,
+                 "--embedding-dim", "4", "--epochs", "1", "--batch-size", "16",
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    for dl, dh, th in SWEEP_TABLES["t4"]:
+        config = json.loads((out_dir / f"t4_dl{dl}_dh{dh}_th{th}" / "run.log").read_text(
+            encoding="utf-8").splitlines()[0])
+        assert (config["dl"], config["dh"], config["th"]) == (dl, dh, th)
+
+
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.conf"
     p.write_text(
@@ -600,6 +626,24 @@ def test_prepare_data_lines(tmp_path, capsys):
     capsys.readouterr()
     assert main(["prepare-data", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: prepare-data needs at least one --raw PATH:LABEL\n"
+
+
+@pytest.mark.parametrize("inputs", [
+    [("empty.txt", "")],
+    [("blank.txt", "\n \n\t\n")],
+    [("pos.txt", "a charming film\n"), ("empty.txt", "")],
+], ids=["empty", "blank", "good-and-empty"])
+def test_prepare_data_rejects_an_input_that_yields_no_example(tmp_path, capsys, inputs):
+    raw = []
+    for label, (name, text) in enumerate(inputs):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        raw += ["--raw", f"{tmp_path / name}:{label}"]
+    out = tmp_path / "mr.tsv"
+    assert main(["prepare-data", "--out", str(out), *raw]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / inputs[-1][0]}: no examples\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [["--encoding", "bogus"], ["--raw", "{neg}:-1"],

@@ -29,7 +29,7 @@ from dcbilstm.data import (
     tokenize,
     vectorize,
 )
-from dcbilstm.errors import ConfigError, EmptySequenceError, ParseError
+from dcbilstm.errors import ConfigError, ParseError
 
 EMB_FIXTURE = """the 0.1 0.2 0.3 0.4
 Movie 1.0 -1.0 0.5 0.25
@@ -831,7 +831,7 @@ def test_pad_batch_packs_the_batch_once():
     [([], 1), ([4], 0), ([], 0)],
 ])
 def test_pad_batch_rejects_a_sentence_with_no_tokens(group):
-    with pytest.raises(EmptySequenceError):
+    with pytest.raises(ConfigError):
         pad_batch(group)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dcbilstm import kernels
-from dcbilstm.errors import ShapeError
 from dcbilstm.model import Model, ModelConfig
 from lstm_oracle import CellParams, lstm_step, lstm_step_backward
 
@@ -50,9 +49,9 @@ def test_step_zero_input_zero_state():
 
 def test_step_shape_validation():
     p = CellParams(W=np.zeros((5, 8)), b=np.zeros((1, 8)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         lstm_step(p, np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         lstm_step(p, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 2)))
 
 
@@ -120,7 +119,7 @@ def test_step_backward_matches_finite_differences():
 def test_step_backward_rejects_bad_grad_shape():
     p = CellParams.init(2, 3, np.random.default_rng(1))
     _, _, cache = lstm_step(p, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         lstm_step_backward(p, cache, np.zeros((1, 2)), np.zeros((1, 3)))
 
 

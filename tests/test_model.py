@@ -13,7 +13,7 @@ import pytest
 
 from dcbilstm import kernels
 from dcbilstm.data import make_batches, pad_batch
-from dcbilstm.errors import CheckpointError, ConfigError, ShapeError
+from dcbilstm.errors import CheckpointError, ConfigError
 from dcbilstm.model import (
     Model,
     ModelConfig,
@@ -295,7 +295,7 @@ def test_average_pool_ignores_padding():
     for n, L in enumerate(lengths):
         alone = average_pool_batch(*packed(Hb[n:n + 1, :L], lengths[n:n + 1]))
         assert np.abs(batched[n] - alone[0]).max() < 1e-12
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         average_pool_batch(H[0, :2], packed(H, one_length(5))[1])
 
 
