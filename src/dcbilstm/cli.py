@@ -24,7 +24,7 @@ from .model import (ARCH_DENSE, ARCH_STACKED, count_params, format_param_count,
                     load_checkpoint, parse_setting)
 from .train import TrainConfig, check_labels, evaluate, train
 
-# the settings each row sets, in row order; all tables assume 300-dim vectors
+# the settings each row sets, in row order; the paper's tables use 300-dim vectors
 _SWEEP_ROW_KEYS = ("dl", "dh", "th")
 SWEEP_TABLES = {
     "t3": [(0, 10, 300), (5, 40, 100), (10, 20, 100), (15, 13, 100), (20, 10, 100)],
@@ -216,20 +216,24 @@ def _cmd_prepare_data(args):
 
 
 def _cmd_sweep(args):
-    rows = SWEEP_TABLES[args.table]
+    rows, overrides = SWEEP_TABLES[args.table], _collect_overrides(args)
+    cfgs = []
+    for dl, dh, th in rows:
+        # a zero-width layer contributes nothing; run it as depth zero
+        row = dict(zip(_SWEEP_ROW_KEYS, (0 if dh == 0 else dl, dh, th)))
+        cfg = build_train_config(args.config, {**overrides, **row})
+        cfg.out_dir = f"{cfg.out_dir}/{args.table}_dl{dl}_dh{dh}_th{th}"
+        cfgs.append(cfg)
     if args.dry_run:
-        print(f"table {args.table} (m=300)")
+        # every row trains at one m: the embeddings file's, or embedding_dim
+        path = cfg.embeddings_path
+        m = D.load_embeddings(path, keep=set()).dim if path else cfg.embedding_dim
+        print(f"table {args.table} (m={m})")
         for dl, dh, th in rows:
-            n = count_params(300, dl, dh, th)
+            n = count_params(m, dl, dh, th)
             print(f"  dl={dl:<3d} dh={dh:<3d} th={th:<4d} params {n} ({format_param_count(n)})")
         return 0
-    overrides = _collect_overrides(args)
-    for dl, dh, th in rows:
-        row = dict(overrides)
-        # a zero-width layer contributes nothing; run it as depth zero
-        row.update(zip(_SWEEP_ROW_KEYS, (0 if dh == 0 else dl, dh, th)))
-        cfg = build_train_config(args.config, row)
-        cfg.out_dir = f"{cfg.out_dir}/{args.table}_dl{dl}_dh{dh}_th{th}"
+    for (dl, dh, th), cfg in zip(rows, cfgs):
         report = train(cfg)
         acc = report.mean_acc if report.mean_acc is not None else (
             report.test_acc if report.test_acc is not None else report.best_dev_acc)

@@ -1,12 +1,11 @@
 """Central-difference verification of the analytic gradients.
 
-The checker drives the production forward/backward paths end to end: it
-wraps a random length-5 sentence as a one-row batch whose "embedding
-matrix" is the input itself, so the loss function being differentiated is
-exactly the training loss (dropout off).  Every parameter tensor plus the
-input occupies one report group; an element passes when the relative error
-against the numerical derivative is within TOL_REL, or the absolute gap is
-under TOL_ABS for near-zero pairs.
+``window_gradients`` pairs the analytic gradient of the eval loss (dropout
+off) with its central difference over windows of a model's tensors, and
+``compare`` judges a pair: an element passes within TOL_REL relative
+error, or under TOL_ABS absolute gap for near-zero pairs.  ``check_model``
+certifies every tensor of a small model and its input, a random length-5
+sentence that is its own embedding matrix.
 """
 
 from dataclasses import dataclass, field
@@ -77,7 +76,8 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _compare(name, analytic, numeric):
+def compare(name, analytic, numeric):
+    """GroupResult of an analytic gradient against its numeric estimate."""
     diff = np.abs(analytic - numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     rel = diff / denom
@@ -100,6 +100,33 @@ M, DH, TH, NUM_CLASSES, SEQ_LEN = 8, 4, 6, 3, 5
 TOL_REL, TOL_ABS = 1e-4, 1e-7
 
 
+def window_gradients(model, emb_matrix, batch, windows):
+    """{name: (analytic, numeric)} gradients of the eval loss over windows.
+
+    windows maps a name of ``model.params``, or "input" for emb_matrix (only
+    then is its gradient formed), to a basic index such as ``np.s_[:, 4:8]``
+    or ``...``, probed in the order given.  An index that yields a copy
+    raises ConfigError: a nudged copy never reaches the model.
+    """
+    arrays = dict(model.params, input=emb_matrix)
+    views = {name: arrays[name][index] for name, index in windows.items()}
+    for name, view in views.items():
+        if view.size and not np.may_share_memory(view, arrays[name]):
+            raise ConfigError(f"window {windows[name]!r} of {name} is a copy, not a view")
+
+    def loss_fn():
+        probs, _ = model_forward(model, emb_matrix, batch, training=False)
+        return cross_entropy(probs, batch.labels)[0]
+
+    probs, trace = model_forward(model, emb_matrix, batch, training=False)
+    _, dlogits = cross_entropy(probs, batch.labels)
+    analytic, dEmb = model_backward(model, trace, dlogits, embedding_grad="input" in windows)
+    if "input" in windows:
+        analytic["input"] = embedding_gradient(trace, dEmb, len(emb_matrix))
+    numeric = finite_diff(loss_fn, views)
+    return {name: (analytic[name][index], numeric[name]) for name, index in windows.items()}
+
+
 def check_model(arch="dense", dl=1, seed=0, inject_fault=False):
     """Build a small random model and verify all its gradients.
 
@@ -117,22 +144,11 @@ def check_model(arch="dense", dl=1, seed=0, inject_fault=False):
     emb_matrix = 0.5 * rng.standard_normal((SEQ_LEN, M))
     batch = pad_batch([(list(range(SEQ_LEN)), int(rng.integers(NUM_CLASSES)))])
 
-    def loss_fn():
-        probs, _ = model_forward(model, emb_matrix, batch, training=False)
-        return cross_entropy(probs, batch.labels)[0]
-
-    probs, trace = model_forward(model, emb_matrix, batch, training=False)
-    _, dlogits = cross_entropy(probs, batch.labels)
-    analytic, dEmb = model_backward(model, trace, dlogits)
+    windows = dict.fromkeys([*model.params, "input"], ...)  # every element
+    pairs = window_gradients(model, emb_matrix, batch, windows)
     if inject_fault:
-        analytic["softmax.W"] = analytic["softmax.W"].copy()
-        analytic["softmax.W"][0, 0] += 1e-2
-
-    arrays = dict(model.named_params(), input=emb_matrix)
-    analytic["input"] = embedding_gradient(trace, dEmb, SEQ_LEN)
-
-    numeric = finite_diff(loss_fn, arrays)
-    groups = [_compare(name, analytic[name], numeric[name]) for name in arrays]
+        pairs["softmax.W"][0][0, 0] += 1e-2
+    groups = [compare(name, *pair) for name, pair in pairs.items()]
     return GradCheckReport(
         arch=arch, dl=dl, seed=seed, passed=all(g.passed for g in groups), groups=groups,
     )

@@ -33,7 +33,7 @@ from .model import (
 
 __all__ = [
     "TrainConfig", "TrainReport", "AdamState", "adam_update", "cross_entropy",
-    "max_norm_constrain", "train", "evaluate", "check_labels",
+    "max_norm_constrain", "train_step", "train", "evaluate", "check_labels",
 ]
 
 
@@ -180,6 +180,29 @@ def max_norm_constrain(W, s):
     return W
 
 
+def train_step(model, emb, batch, rng, params, states, lr):
+    """One optimisation step of ``train``, dropout drawn from rng: (loss, grads).
+
+    Adam updates ``params`` in order, with their ``states``, then the
+    max-norm constraint applies.  params are the model's tensors, plus emb
+    as "embeddings" when the model's config trains them (only then is that
+    gradient formed).  A non-finite loss raises TrainingDiverged before any
+    tensor or state changes.
+    """
+    probs, trace = model_forward(model, emb, batch, rng, training=True)
+    loss, dlogits = cross_entropy(probs, batch.labels)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"non-finite loss {loss}")
+    tune = model.config.train_embeddings
+    grads, dEmb = model_backward(model, trace, dlogits, embedding_grad=tune)
+    if tune:
+        grads["embeddings"] = embedding_gradient(trace, dEmb, len(emb))
+    for name, arr in params.items():
+        adam_update(arr, grads[name], states[name], lr)
+    max_norm_constrain(model.softmax_W, model.config.max_norm_s)
+    return loss, grads
+
+
 def evaluate(model, emb_matrix, indexed, batch_size=200):
     """Accuracy in eval mode (dropout off); argmax ties go to the lowest class.
 
@@ -309,24 +332,14 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
 
     for epoch in range(1, cfg.epochs + 1):
         loss_sum = 0.0
-        grads = {}
         for b_idx, batch in enumerate(D.make_batches(train_idx, cfg.batch_size, batch_rng, shuffle=True)):
-            probs, trace = model_forward(model, emb, batch, drop_rng, training=True)
-            loss, dlogits = cross_entropy(probs, batch.labels)
-            if not np.isfinite(loss):
+            try:
+                loss, grads = train_step(model, emb, batch, drop_rng, params, states, cfg.lr)
+            except TrainingDiverged:
                 log_fh.write(json.dumps({"event": "diverged", "tag": tag, "epoch": epoch,
-                                         "batch": b_idx, "seed": cfg.seed},
-                                        sort_keys=True) + "\n")
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} batch {b_idx} (seed {cfg.seed})"
-                )
-            grads, dEmb = model_backward(model, trace, dlogits,
-                                         embedding_grad=cfg.train_embeddings)
-            if cfg.train_embeddings:
-                grads["embeddings"] = embedding_gradient(trace, dEmb, len(emb))
-            for name, arr in params.items():
-                adam_update(arr, grads[name], states[name], cfg.lr)
-            max_norm_constrain(model.softmax_W, cfg.max_norm_s)
+                                         "batch": b_idx, "seed": cfg.seed}, sort_keys=True) + "\n")
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch} batch {b_idx} "
+                                       f"(seed {cfg.seed})") from None
             loss_sum += loss * len(batch.labels)
 
         train_loss = loss_sum / len(train_idx)

@@ -78,14 +78,43 @@ def test_removed_settings_exit_2(toy_tsv, tmp_path, capsys, key, value):
 
 def test_sweep_dry_run_tables(capsys):
     for table, rows in SWEEP_TABLES.items():
-        assert main(["sweep", "--table", table, "--dry-run"]) == 0
+        assert main(["sweep", "--table", table, "--dry-run", "--embedding-dim", "300"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith(f"table {table} (m=300)\n")
         for dl, dh, th in rows:
             assert f"dl={dl:<3d} dh={dh:<3d} th={th:<4d}" in out
             assert str(count_params(300, dl, dh, th)) in out
     # the fixed row sets themselves
     assert SWEEP_TABLES["t4"] == [(0, 10, 100), (5, 10, 100), (10, 10, 100),
                                   (15, 10, 100), (20, 10, 100)]
+
+
+@pytest.mark.parametrize("conf_text", [None, "dl = 3\nwidth = 7\n"], ids=["missing", "unknown-key"])
+def test_sweep_dry_run_reads_its_config_first(tmp_path, capsys, conf_text):
+    conf = tmp_path / "sweep.conf"
+    if conf_text is not None:
+        conf.write_text(conf_text, encoding="utf-8")
+    assert main(["sweep", "--table", "t5", "--dry-run", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: "), captured
+
+
+def test_sweep_dry_run_counts_at_the_width_it_would_train_at(tmp_path, capsys):
+    # no --train-path: a dry run reads no corpus
+    assert main(["sweep", "--table", "t5", "--dry-run", "--embedding-dim", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("table t5 (m=4)\n")
+    for dl, dh, th in SWEEP_TABLES["t5"]:
+        assert f"dl={dl:<3d} dh={dh:<3d} th={th:<4d} params {count_params(4, dl, dh, th)} " in out
+    # an embeddings file sets m, whatever embedding_dim says, and its parse is cached
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("film 0.1 0.2 0.3 0.4 0.5 0.6\ndull 1 2 3 4 5 6\n", encoding="utf-8")
+    assert main(["sweep", "--table", "t3", "--dry-run", "--embedding-dim", "4",
+                 "--embeddings-path", str(vectors)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("table t3 (m=6)\n")
+    assert f"params {count_params(6, 15, 13, 100)} " in out
+    assert Path(f"{vectors}.dcbilstm-cache").is_file()
 
 
 def test_sweep_runs_every_row_of_a_table(toy_tsv, tmp_path, capsys):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from dcbilstm import gradcheck, kernels
+from dcbilstm.data import pad_batch
 from dcbilstm.errors import ConfigError
-from dcbilstm.gradcheck import check_model, finite_diff
+from dcbilstm.gradcheck import check_model, finite_diff, window_gradients
+from dcbilstm.model import Model, embedding_gradient, model_backward, model_forward
+from dcbilstm.train import cross_entropy
+from tests.test_model import small_config
 
 
 def test_finite_diff_exact_on_quadratics():
@@ -118,3 +122,44 @@ def test_check_model_packs_its_sentence_once(monkeypatch):
     monkeypatch.setattr(kernels, "pack", counted)
     assert check_model("dense", dl=1).passed
     assert calls == [[5]]
+
+
+def _window_case(seed=4):
+    cfg = small_config(arch="dense", dl=2)
+    rng = np.random.default_rng(seed)
+    model = Model.build(cfg, rng)
+    emb_matrix = 0.5 * rng.standard_normal((5, cfg.m))
+    batch = pad_batch([([0, 1, 2, 3, 4], 2)])
+
+    def loss_fn():
+        probs, _ = model_forward(model, emb_matrix, batch)
+        return cross_entropy(probs, batch.labels)[0]
+
+    probs, trace = model_forward(model, emb_matrix, batch)
+    analytic, dEmb = model_backward(model, trace, cross_entropy(probs, batch.labels)[1])
+    analytic["input"] = embedding_gradient(trace, dEmb, len(emb_matrix))
+    return model, emb_matrix, batch, loss_fn, analytic
+
+
+@pytest.mark.parametrize("lo", [0, 4, 8])
+def test_window_gradients_is_finite_diff_and_backward_on_the_window(lo):
+    model, emb_matrix, batch, loss_fn, analytic = _window_case()
+    name, window = "dense1.bwd.b", np.s_[:, lo:lo + 4]
+    snapshot = model.lstm_b.copy()
+    pairs = window_gradients(model, emb_matrix, batch, {name: window, "input": np.s_[2:4]})
+    assert list(pairs) == [name, "input"]
+    want = finite_diff(loss_fn, {name: model.params[name][window],
+                                 "input": emb_matrix[2:4]})
+    for key, index in ((name, window), ("input", np.s_[2:4])):
+        got_analytic, got_numeric = pairs[key]
+        assert got_numeric.tobytes() == want[key].tobytes(), key
+        assert got_analytic.tobytes() == analytic[key][index].tobytes(), key
+    assert model.lstm_b.tobytes() == snapshot.tobytes()
+
+
+@pytest.mark.parametrize("index", [np.s_[:, [0, 1]], np.s_[0, 0], np.s_[np.array([True])]],
+                         ids=["fancy", "scalar", "mask"])
+def test_window_gradients_rejects_an_index_that_copies(index):
+    model, emb_matrix, batch, _, _ = _window_case()
+    with pytest.raises(ConfigError, match="copy"):
+        window_gradients(model, emb_matrix, batch, {"softmax.b": index})

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dcbilstm import data
+from dcbilstm import train as train_module
 from dcbilstm.cli import main
 from dcbilstm.data import PAD_IDX, Batch, load_dataset, make_batches, tokenize, vectorize
 from dcbilstm.errors import ConfigError, TrainingDiverged
@@ -25,12 +26,16 @@ from dcbilstm.model import (
 from dcbilstm.train import (
     AdamState,
     TrainConfig,
+    _build_tables,
+    _folds,
+    _infer_classes,
     _model_config,
     adam_update,
     cross_entropy,
     evaluate,
     max_norm_constrain,
     train,
+    train_step,
 )
 from tests.test_model import small_config
 
@@ -412,6 +417,87 @@ def test_train_result_is_the_best_dev_epochs_record(toy_tsv, tmp_path, dev_fract
     # byte for byte: a run stopped at the best epoch ends where the full run restored to
     cut = run(best["epoch"], "cut")
     assert open(cut.checkpoint_path, "rb").read() == open(report.checkpoint_path, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# train_step: the step train() runs
+
+
+@pytest.mark.parametrize("train_embeddings", [False, True], ids=["dense", "train-embeddings"])
+def test_train_step_over_the_first_epoch_reproduces_the_checkpoint(toy_tsv, tmp_path,
+                                                                   train_embeddings):
+    # one epoch with no dev split: the checkpoint holds the tensors after its last step
+    cfg = _quick_cfg(toy_tsv, tmp_path, epochs=1, dev_fraction=0.0,
+                     train_embeddings=train_embeddings)
+    report = train(cfg)
+    # train()'s seeds and tables, rebuilt as it builds them
+    root = np.random.SeedSequence(cfg.seed)
+    split_ss, emb_ss = root.spawn(2)
+    splits, folds = _folds(cfg, np.random.default_rng(split_ss))
+    vocab, emb_matrix, m = _build_tables(cfg, splits, np.random.default_rng(emb_ss))
+    init_ss, batch_ss, drop_ss = root.spawn(1)[0].spawn(3)
+    model = Model.build(_model_config(cfg, m, _infer_classes(splits)),
+                        np.random.default_rng(init_ss))
+    params = dict(model.named_params())
+    if train_embeddings:
+        params["embeddings"] = emb_matrix.copy()
+    emb = params.get("embeddings", emb_matrix)
+    states = {name: AdamState.like(arr) for name, arr in params.items()}
+    drop_rng = np.random.default_rng(drop_ss)
+    indexed = vectorize(folds[0][0], vocab, drop_unknown=True)
+    for batch in make_batches(indexed, cfg.batch_size, np.random.default_rng(batch_ss),
+                              shuffle=True):
+        loss, grads = train_step(model, emb, batch, drop_rng, params, states, cfg.lr)
+        assert np.isfinite(loss) and grads.keys() == params.keys()
+    saved, meta = load_checkpoint(report.checkpoint_path)
+    for name, arr in model.named_params():
+        assert saved.params[name].tobytes() == arr.tobytes(), name
+    assert meta["emb_matrix"].tobytes() == emb.tobytes()
+    assert (emb is emb_matrix) != train_embeddings
+
+
+def _step_inputs(train_embeddings, seed=3):
+    cfg = ModelConfig(m=6, dl=2, dh=3, th=4, num_classes=2, max_norm_s=3.0,
+                      train_embeddings=train_embeddings)  # both dropouts on by default
+    model = Model.build(cfg, np.random.default_rng(seed))
+    emb = np.random.default_rng(seed + 1).standard_normal((7, cfg.m))
+    emb[PAD_IDX] = 0.0
+    params = dict(model.named_params())
+    if train_embeddings:
+        params["embeddings"] = emb
+    states = {name: AdamState.like(arr) for name, arr in params.items()}
+    batch = make_batches([([2, 3, 4], 0), ([5, 6], 1), ([3], 1)], 3)[0]
+    return model, emb, batch, params, states
+
+
+@pytest.mark.parametrize("train_embeddings", [False, True])
+def test_train_step_forms_the_embedding_gradient_only_when_the_embeddings_train(
+        monkeypatch, train_embeddings):
+    seen, backward = [], train_module.model_backward
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("embedding_grad", True))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "model_backward", spy)
+    model, emb, batch, params, states = _step_inputs(train_embeddings)
+    _, grads = train_step(model, emb, batch, np.random.default_rng(0), params, states, 0.01)
+    assert seen == [train_embeddings]
+    assert ("embeddings" in grads) == train_embeddings
+
+
+@pytest.mark.parametrize("train_embeddings", [False, True])
+def test_train_step_on_a_non_finite_loss_changes_no_tensor_or_state(train_embeddings):
+    model, emb, batch, params, states = _step_inputs(train_embeddings)
+    rng = np.random.default_rng(0)
+    train_step(model, emb, batch, rng, params, states, 0.01)  # Adam states past zero
+    emb[3] = np.nan  # a token of the batch
+    before = {name: (arr.tobytes(), states[name].m.tobytes(), states[name].v.tobytes(),
+                     states[name].t) for name, arr in params.items()}
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
+        train_step(model, emb, batch, rng, params, states, 0.01)
+    assert {name: (arr.tobytes(), states[name].m.tobytes(), states[name].v.tobytes(),
+                   states[name].t) for name, arr in params.items()} == before
 
 
 def test_train_diverges_on_corrupt_embeddings(toy_tsv, tmp_path):
