@@ -20,9 +20,9 @@ import sys
 from . import data as D
 from .errors import CheckpointError, ConfigError, ParseError, TrainingDiverged
 from .gradcheck import check_model
-from .model import (ARCH_DENSE, ARCH_STACKED, count_params, format_param_count,
-                    load_checkpoint, parse_setting)
-from .train import TrainConfig, check_labels, evaluate, train
+from .model import (ARCH_DENSE, ARCH_STACKED, ModelConfig, count_params, format_param_count,
+                    load_checkpoint, parse_setting, run_depth)
+from .train import TrainConfig, check_labels, evaluate, model_config, train
 
 # the settings each row sets, in row order; the paper's tables use 300-dim vectors
 _SWEEP_ROW_KEYS = ("dl", "dh", "th")
@@ -178,7 +178,9 @@ def _cmd_eval(args):
 
 
 def _cmd_count_params(args):
-    n = count_params(args.m, args.dl, args.dh, args.th)
+    cfg = ModelConfig(m=args.m, dl=run_depth(args.dl, args.dh), dh=args.dh, th=args.th,
+                      num_classes=2)
+    n = count_params(cfg.validate())
     print(f"{n} ({format_param_count(n)})")
     return 0
 
@@ -219,9 +221,8 @@ def _cmd_sweep(args):
     rows, overrides = SWEEP_TABLES[args.table], _collect_overrides(args)
     cfgs = []
     for dl, dh, th in rows:
-        # a zero-width layer contributes nothing; run it as depth zero
-        row = dict(zip(_SWEEP_ROW_KEYS, (0 if dh == 0 else dl, dh, th)))
-        cfg = build_train_config(args.config, {**overrides, **row})
+        row = dict(zip(_SWEEP_ROW_KEYS, (run_depth(dl, dh), dh, th)))
+        cfg = build_train_config(args.config, {**overrides, **row}).validate()
         cfg.out_dir = f"{cfg.out_dir}/{args.table}_dl{dl}_dh{dh}_th{th}"
         cfgs.append(cfg)
     if args.dry_run:
@@ -229,8 +230,8 @@ def _cmd_sweep(args):
         path = cfg.embeddings_path
         m = D.load_embeddings(path, keep=set()).dim if path else cfg.embedding_dim
         print(f"table {args.table} (m={m})")
-        for dl, dh, th in rows:
-            n = count_params(m, dl, dh, th)
+        for (dl, dh, th), cfg in zip(rows, cfgs):
+            n = count_params(model_config(cfg, m, 2))
             print(f"  dl={dl:<3d} dh={dh:<3d} th={th:<4d} params {n} ({format_param_count(n)})")
         return 0
     for (dl, dh, th), cfg in zip(rows, cfgs):

@@ -133,6 +133,8 @@ def check_model(arch="dense", dl=1, seed=0, inject_fault=False):
     inject_fault deliberately corrupts one analytic softmax weight gradient
     so callers can confirm the checker notices and names the element.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(
         m=M, dl=dl, dh=DH, th=TH, num_classes=NUM_CLASSES, arch=arch,

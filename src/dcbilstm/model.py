@@ -50,7 +50,7 @@ class ModelConfig:
     def validate(self):
         if self.arch not in (ARCH_DENSE, ARCH_STACKED):
             raise ConfigError(f"arch must be {ARCH_DENSE!r} or {ARCH_STACKED!r}, got {self.arch!r}")
-        for name, low in (("m", 1), ("dl", 0), ("th", 1), ("num_classes", 2)):
+        for name, low in (("m", 1), ("dl", 0), ("dh", 0), ("th", 1), ("num_classes", 2)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.dl > 0 and self.dh < 1:
@@ -231,19 +231,15 @@ class Model:
         return list(self.params.items())
 
 
-def count_params(m, dl, dh, th):
-    """Trainable values in the recurrent layers of a dense model.
+def run_depth(dl, dh):
+    """The depth a (dl, dh) stack runs at: a zero-width stack adds nothing,
+    so it runs at depth 0; any other depth is left for ``validate``."""
+    return 0 if dl > 0 and dh == 0 else dl
 
-    Sums the ``param_shapes`` of both directions of every dense layer plus
-    the top layer; the embedding table and softmax head are excluded.  A
-    dense stack of width dh = 0 counts zero, as the sweep tables need; a
-    negative depth or width, or m or th below 1, raises ``ConfigError``.
-    """
-    if dl < 0 or dh < 0:
-        raise ConfigError(f"dl and dh must be >= 0, got dl={dl}, dh={dh}")
-    if m < 1 or th < 1:
-        raise ConfigError(f"m and th must be >= 1, got m={m}, th={th}")
-    cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=2)
+
+def count_params(cfg):
+    """Trainable values in the recurrent layers of the model ``cfg`` builds:
+    the ``param_shapes`` of every layer, without the softmax head."""
     return sum(math.prod(shape) for name, shape in param_shapes(cfg)
                if not name.startswith("softmax."))
 

@@ -33,7 +33,7 @@ from .model import (
 
 __all__ = [
     "TrainConfig", "TrainReport", "AdamState", "adam_update", "cross_entropy",
-    "max_norm_constrain", "train_step", "train", "evaluate", "check_labels",
+    "max_norm_constrain", "train_step", "train", "model_config", "evaluate", "check_labels",
 ]
 
 
@@ -73,8 +73,6 @@ class TrainConfig:
     out_dir: str = "."
 
     def validate(self):
-        if not self.train_path:
-            raise ConfigError("train_path is required")
         if self.cv_folds < 0 or self.cv_folds == 1:
             raise ConfigError(f"cv_folds must be 0 or >= 2, got {self.cv_folds}")
         if self.cv_folds and (self.dev_path or self.test_path):
@@ -90,9 +88,11 @@ class TrainConfig:
             raise ConfigError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # the model settings too, before any input file is read; the class
         # count is inferred from the data, and 2 is its smallest value
-        _model_config(self, self.embedding_dim, 2)
+        model_config(self, self.embedding_dim, 2)
         return self
 
 
@@ -391,6 +391,8 @@ def _fit(cfg, model_cfg, emb_matrix, train_idx, dev_idx, test_idx, seed_seqs, lo
 
 def train(cfg):
     """Run the configured training job; returns a TrainReport."""
+    if not cfg.train_path:
+        raise ConfigError("train_path is required")
     cfg.validate()
 
     root = np.random.SeedSequence(cfg.seed)
@@ -404,7 +406,7 @@ def train(cfg):
     # one class past the largest label of any split, so every label has a class
     num_classes = _infer_classes(splits)
     vocab, emb_matrix, m = _build_tables(cfg, splits, rng_emb)
-    model_cfg = _model_config(cfg, m, num_classes)
+    model_cfg = model_config(cfg, m, num_classes)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     log_path = os.path.join(cfg.out_dir, "run.log")
@@ -441,7 +443,8 @@ def train(cfg):
                        fold_accs=fold_accs, mean_acc=mean_acc)
 
 
-def _model_config(cfg, m, num_classes):
+def model_config(cfg, m, num_classes):
+    """The validated ModelConfig a run of ``cfg`` builds at width m."""
     shared = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig) if hasattr(cfg, f.name)}
     return ModelConfig(**{**shared, "m": m, "num_classes": num_classes}).validate()
 

@@ -58,7 +58,7 @@ PARAM_TABLE = [
 def test_01_param_counts_match_published_cells():
     t0 = time.perf_counter()
     for dl, dh, th, exact, label in PARAM_TABLE:
-        n = count_params(300, dl, dh, th)
+        n = count_params(ModelConfig(m=300, dl=dl, dh=dh, th=th, num_classes=2))
         assert n == exact, f"(dl={dl}, dh={dh}, th={th}): {n} != {exact}"
         assert format_param_count(n) == label
     elapsed = time.perf_counter() - t0

@@ -9,10 +9,16 @@ import pytest
 
 from dcbilstm.cli import SWEEP_TABLES, build_train_config, main, parse_config_file
 from dcbilstm.errors import ParseError
-from dcbilstm.model import Model, ModelConfig, count_params, save_checkpoint
+from dcbilstm.model import Model, ModelConfig, count_params, run_depth, save_checkpoint
 from dcbilstm.train import TrainConfig
 from tests.conftest import _toy_corpus_lines
 from tests.test_model import checkpoint_with_vocab, checkpoint_without_embeddings
+
+
+def _row_count(m, dl, dh, th, arch="dense"):
+    """The recurrent count of the model a sweep row (dl, dh, th) trains at width m."""
+    return count_params(ModelConfig(m=m, dl=run_depth(dl, dh), dh=dh, th=th, num_classes=2,
+                                    arch=arch))
 
 
 def test_count_params_output(capsys):
@@ -42,6 +48,11 @@ def test_gradcheck_exit_codes(capsys):
     assert main(["gradcheck", "--dl", "0", "--seed", "0", "--inject-fault"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "softmax.W" in out
+
+
+def test_gradcheck_negative_seed_names_the_setting(capsys):
+    assert main(["gradcheck", "--dl", "0", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
@@ -83,7 +94,7 @@ def test_sweep_dry_run_tables(capsys):
         assert out.startswith(f"table {table} (m=300)\n")
         for dl, dh, th in rows:
             assert f"dl={dl:<3d} dh={dh:<3d} th={th:<4d}" in out
-            assert str(count_params(300, dl, dh, th)) in out
+            assert str(_row_count(300, dl, dh, th)) in out
     # the fixed row sets themselves
     assert SWEEP_TABLES["t4"] == [(0, 10, 100), (5, 10, 100), (10, 10, 100),
                                   (15, 10, 100), (20, 10, 100)]
@@ -105,7 +116,7 @@ def test_sweep_dry_run_counts_at_the_width_it_would_train_at(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("table t5 (m=4)\n")
     for dl, dh, th in SWEEP_TABLES["t5"]:
-        assert f"dl={dl:<3d} dh={dh:<3d} th={th:<4d} params {count_params(4, dl, dh, th)} " in out
+        assert f"dl={dl:<3d} dh={dh:<3d} th={th:<4d} params {_row_count(4, dl, dh, th)} " in out
     # an embeddings file sets m, whatever embedding_dim says, and its parse is cached
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("film 0.1 0.2 0.3 0.4 0.5 0.6\ndull 1 2 3 4 5 6\n", encoding="utf-8")
@@ -113,8 +124,32 @@ def test_sweep_dry_run_counts_at_the_width_it_would_train_at(tmp_path, capsys):
                  "--embeddings-path", str(vectors)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("table t3 (m=6)\n")
-    assert f"params {count_params(6, 15, 13, 100)} " in out
+    assert f"params {_row_count(6, 15, 13, 100)} " in out
     assert Path(f"{vectors}.dcbilstm-cache").is_file()
+
+
+def test_sweep_dry_run_counts_the_arch_its_rows_train(capsys):
+    assert main(["sweep", "--table", "t4", "--dry-run", "--arch", "stacked",
+                 "--embedding-dim", "300"]) == 0
+    out = capsys.readouterr().out
+    counts = [int(n) for n in re.findall(r" params (\d+) ", out)]
+    # at dl = 0 both archs are the top layer alone; the dense rows below it
+    # count 541,200 to 1,442,400
+    assert counts == [320_800, 131_600, 144_000, 156_400, 168_800], out
+    assert counts == [_row_count(300, *row, arch="stacked") for row in SWEEP_TABLES["t4"]]
+
+
+@pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--dropout-embed", "1.5"),
+                                        ("--seed", "-1")])
+def test_sweep_dry_run_rejects_what_a_real_sweep_rejects(toy_tsv, tmp_path, capsys, flag, value):
+    assert main(["sweep", "--table", "t4", "--dry-run", flag, value]) == 2
+    dry = capsys.readouterr()
+    assert dry.out == "" and dry.err.startswith(f"error: {flag[2:].replace('-', '_')} "), dry
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--table", "t4", "--train-path", toy_tsv, "--out-dir", str(out_dir),
+                 flag, value]) == 2
+    assert capsys.readouterr() == dry
+    assert not out_dir.exists()
 
 
 def test_sweep_runs_every_row_of_a_table(toy_tsv, tmp_path, capsys):
@@ -232,6 +267,7 @@ def test_train_cli_missing_data_file_exits_2(tmp_path, capsys):
     ("--eps", "0"), ("--forget-bias", "nan"),
     ("--dh", "0"), ("--arch", "wide"), ("--dropout-embed", "1.5"), ("--num-classes", "1"),
     ("--num-classes", "-3"), ("--embedding-dim", "0"), ("--embedding-dim", "-1"),
+    ("--seed", "-1"),
 ])
 def test_train_cli_bad_setting_exits_2_before_writing(toy_tsv, tmp_path, capsys, flag, value):
     out_dir = tmp_path / "run"

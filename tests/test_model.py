@@ -5,6 +5,7 @@ that chains single lstm_step calls and python-list concatenation, sharing
 no code with the batched kernels.
 """
 
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from dcbilstm.model import (
     model_backward,
     model_forward,
     param_shapes,
+    run_depth,
     save_checkpoint,
     softmax_rows,
 )
@@ -202,13 +204,15 @@ def test_model_config_validation():
         ModelConfig(m=6, dl=-1, dh=3, th=4, num_classes=3).validate()
     with pytest.raises(ConfigError):
         ModelConfig(m=6, dl=1, dh=0, th=4, num_classes=3).validate()
+    with pytest.raises(ConfigError, match="dh must be >= 0"):
+        ModelConfig(m=6, dl=0, dh=-1, th=4, num_classes=3).validate()
     with pytest.raises(ConfigError):
         ModelConfig(m=6, dl=1, dh=3, th=4, num_classes=1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(m=6, dl=1, dh=3, th=4, num_classes=3, dropout_pool=1.0).validate()
     with pytest.raises(ConfigError):
         ModelConfig(m=6, dl=1, dh=3, th=4, num_classes=3, max_norm_s=0.0).validate()
-    # dh is irrelevant without dense layers
+    # a zero width is allowed without dense layers
     ModelConfig(m=6, dl=0, dh=0, th=4, num_classes=3).validate()
 
 
@@ -216,13 +220,18 @@ def test_model_config_validation():
 # parameter counting
 
 
+def dense_count(m, dl, dh, th):
+    return count_params(ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=2))
+
+
 def test_count_params_equals_constructed_model_size():
-    for m, dl, dh, th in [(6, 0, 3, 4), (6, 2, 3, 4), (12, 3, 5, 7), (300, 1, 10, 100)]:
-        cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=3)
+    for arch, (m, dl, dh, th) in itertools.product(
+            ["dense", "stacked"], [(6, 0, 3, 4), (6, 2, 3, 4), (12, 3, 5, 7), (300, 1, 10, 100)]):
+        cfg = ModelConfig(m=m, dl=dl, dh=dh, th=th, num_classes=3, arch=arch)
         model = Model.build(cfg, np.random.default_rng(0))
         recurrent = sum(arr.size for name, arr in model.named_params()
                         if not name.startswith("softmax"))
-        assert recurrent == count_params(m, dl, dh, th), (m, dl, dh, th)
+        assert recurrent == count_params(cfg), (arch, m, dl, dh, th)
 
 
 def test_count_params_published_cells():
@@ -241,20 +250,28 @@ def test_count_params_published_cells():
         (10, 15, 100): (1_102_000, "1.10M"),
     }
     for (dl, dh, th), (exact, printed) in cells.items():
-        n = count_params(300, dl, dh, th)
+        n = dense_count(300, dl, dh, th)
         assert n == exact, (dl, dh, th)
         assert format_param_count(n) == printed, (dl, dh, th)
 
 
 def test_count_params_zero_width_dense_stack():
-    assert count_params(300, 10, 0, 100) == count_params(300, 0, 0, 100) == 320_800
+    # a zero-width stack runs at depth 0, for either arch
+    assert run_depth(10, 0) == 0 and run_depth(10, 3) == 10
+    for arch in ("dense", "stacked"):
+        cfg = ModelConfig(m=300, dl=run_depth(10, 0), dh=0, th=100, num_classes=2, arch=arch)
+        assert count_params(cfg.validate()) == dense_count(300, 0, 0, 100) == 320_800
 
 
 def test_count_params_rejects_impossible_sizes():
+    # count_params counts what it is given; the ModelConfig it counts is
+    # what rejects an impossible size, the zero-width rule applied first
     for m, dl, dh, th in [(300, -2, 10, 100), (300, 2, -3, 100), (300, 0, 10, -5),
-                          (300, 0, 10, 0), (0, 1, 10, 100), (0, 0, 0, -5)]:
+                          (300, 0, 10, 0), (0, 1, 10, 100), (0, 0, 0, -5), (300, -2, 0, 100),
+                          (300, 0, -3, 100)]:
+        cfg = ModelConfig(m=m, dl=run_depth(dl, dh), dh=dh, th=th, num_classes=2)
         with pytest.raises(ConfigError):
-            count_params(m, dl, dh, th)
+            cfg.validate()
 
 
 # ---------------------------------------------------------------------------

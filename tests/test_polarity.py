@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from dcbilstm.model import ModelConfig, param_shapes
+from dcbilstm.model import ModelConfig, count_params, param_shapes
 from dcbilstm.train import TrainConfig, train
 from polarity_corpus import SPLITS, WORDS, polarity, write_splits
 
@@ -53,10 +53,9 @@ def _epoch1_dense0_grad_norm(paths, out_dir, arch, dh, seed):
 
 
 def _sizes(arch, dh):
-    """(recurrent parameters, all parameters) from the parameter table."""
+    """(recurrent parameters, all parameters) of the model the config builds."""
     cfg = ModelConfig(m=16, dl=6, dh=dh, th=16, num_classes=2, arch=arch)
-    sizes = {name: math.prod(shape) for name, shape in param_shapes(cfg)}
-    return sum(n for name, n in sizes.items() if not name.startswith("softmax")), sum(sizes.values())
+    return count_params(cfg), sum(math.prod(shape) for _, shape in param_shapes(cfg))
 
 
 def test_stacked_baseline_has_at_least_the_dense_models_parameters():

@@ -29,11 +29,11 @@ from dcbilstm.train import (
     _build_tables,
     _folds,
     _infer_classes,
-    _model_config,
     adam_update,
     cross_entropy,
     evaluate,
     max_norm_constrain,
+    model_config,
     train,
     train_step,
 )
@@ -436,7 +436,7 @@ def test_train_step_over_the_first_epoch_reproduces_the_checkpoint(toy_tsv, tmp_
     splits, folds = _folds(cfg, np.random.default_rng(split_ss))
     vocab, emb_matrix, m = _build_tables(cfg, splits, np.random.default_rng(emb_ss))
     init_ss, batch_ss, drop_ss = root.spawn(1)[0].spawn(3)
-    model = Model.build(_model_config(cfg, m, _infer_classes(splits)),
+    model = Model.build(model_config(cfg, m, _infer_classes(splits)),
                         np.random.default_rng(init_ss))
     params = dict(model.named_params())
     if train_embeddings:
@@ -552,8 +552,13 @@ def test_train_embeddings_moves_rows_but_not_padding(toy_tsv, tmp_path):
 
 
 def test_train_config_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        TrainConfig(train_path="").validate()
+    # train() requires a train path itself, so a sweep can check its rows' values without one
+    TrainConfig(train_path="").validate()
+    with pytest.raises(ConfigError, match="train_path is required"):
+        train(TrainConfig(train_path="", out_dir=str(tmp_path / "none")))
+    assert not (tmp_path / "none").exists()
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(train_path="x", seed=-1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(train_path="x", cv_folds=1).validate()
     with pytest.raises(ConfigError):
@@ -571,7 +576,7 @@ def test_train_config_validation(tmp_path):
 def test_default_run_builds_the_default_model():
     """TrainConfig takes its model defaults from ModelConfig, so a run that
     sets no model setting builds the model of ModelConfig's defaults."""
-    built = _model_config(TrainConfig(train_path="x"), 7, 3)
+    built = model_config(TrainConfig(train_path="x"), 7, 3)
     assert asdict(built) == asdict(ModelConfig(m=7, dl=1, dh=10, th=100, num_classes=3))
 
 
