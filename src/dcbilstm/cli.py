@@ -3,8 +3,10 @@
 Subcommands: train, eval, count-params, gradcheck, prepare-data, sweep.
 
 Exit codes: 0 on success, 1 when a verification step fails (a gradient
-check reports FAIL, an accuracy floor is missed, training diverges), 2 for
-usage and configuration problems (argparse errors share this code).
+check reports FAIL, an accuracy floor is missed, training diverges) or
+stdout is closed before the output is written (a reader such as `head`
+exits early), 2 for usage and configuration problems (argparse errors share
+this code).
 
 Run settings come from an optional flat config file of `key = value` lines
 (# starts a comment; an unknown key, or one set twice, is rejected)
@@ -15,6 +17,7 @@ into the run log.
 import argparse
 import codecs
 import dataclasses
+import os
 import sys
 
 from . import data as D
@@ -254,7 +257,14 @@ def main(argv=None):
         "sweep": _cmd_sweep,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone, so nothing more is shown; the flush at exit
+        # writes to devnull instead of raising again
+        sys.stdout = open(os.devnull, "w")
+        return 1
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -322,17 +322,16 @@ def _dropout_mask(draws, rate):
 class ModelTrace:
     """What a forward pass keeps for its backward pass.
 
-    A training trace holds the batch's embeddings, after dropout.  An eval
-    forward reads only the distinct tokens' rows, so an eval trace holds the
-    matrix it was given instead, and a backward pass on it (gradcheck's
-    ``check_model``, a finite-difference check) gathers the batch's rows
-    from that matrix itself.
+    Every trace holds the embedding matrix its forward was given, and the
+    embedding-dropout mask when there is one, but never a per-token copy of
+    the embeddings: the backward pass gathers the batch's rows from that
+    matrix and masks them itself.  So change the matrix (an Adam step on
+    tuned embeddings) only after the backward pass.
     """
 
     batch: data.Batch  # the batch run, whose packed layout the backward pass reads
+    emb_matrix: np.ndarray  # the forward's embedding matrix, read again by the backward pass
     mask_embed: np.ndarray | None  # (N, m)
-    emb: np.ndarray | None  # (N, m) embeddings after dropout; None in an eval trace
-    emb_matrix: np.ndarray | None  # the eval forward's embedding matrix; None in training
     states: np.ndarray  # (N, sum of 2d) every layer's [fwd | bwd] hidden states
     gates: np.ndarray  # (N, sum of 8d) gate values; their gradients after backward
     cells: list  # (Cf, Cb) of every layer, the top layer last
@@ -341,9 +340,19 @@ class ModelTrace:
     consumed: bool = False  # set by model_backward, which overwrites gates
 
 
+def _embedded_rows(emb_matrix, batch, mask):
+    """The batch's embeddings in packed order, (N, m), times the
+    embedding-dropout mask when there is one."""
+    rows = emb_matrix[batch.tokens]
+    if mask is not None:
+        rows *= mask
+    return rows
+
+
 def _embedding_draws(rng, batch, m):
     """The uniform draws ``rng.random((B, T, m))`` at the batch's real tokens,
-    in packed order, without drawing the padding.
+    in packed order, without drawing the padding; T is the batch's longest
+    sentence, so however far a batch is padded it draws the same stream.
 
     In that padded draw sentence b's real values are the first L_b * m of
     its T * m block.  They are drawn in place and the rest of the block is
@@ -353,7 +362,7 @@ def _embedding_draws(rng, batch, m):
     discards it.  Either way the values and the generator's next draw are
     those of the padded draw, bit for bit.
     """
-    bg, lengths, T = rng.bit_generator, batch.lengths, batch.indices.shape[1]
+    bg, lengths, T = rng.bit_generator, batch.lengths, int(batch.lengths.max())
     jump = isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)) and not bg.state["has_uint32"]
     starts = np.cumsum(lengths) - lengths
     draws = np.empty((int(lengths.sum()), m))
@@ -381,13 +390,11 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
         raise ConfigError("training forward with dropout needs an rng")
     if emb_matrix.shape[1] != cfg.m:
         raise ConfigError(f"embedding width {emb_matrix.shape[1]} != configured m {cfg.m}")
-    emb = emb_matrix[batch.tokens] if training else None
     mask_e = None
     if training and cfg.dropout_embed > 0:
         # the padded batch's draws, so seeded runs keep their random stream
         mask_e = _dropout_mask(_embedding_draws(rng, batch, cfg.m), cfg.dropout_embed)
-        emb *= mask_e
-        gates = _embedding_gates(model, emb)
+        gates = _embedding_gates(model, _embedded_rows(emb_matrix, batch, mask_e))
     else:
         gates = _embedding_gates(model, emb_matrix[batch.uniq]).take(batch.inv, axis=0, mode="clip")
     # each layer adds in place one product over the states it reads past the
@@ -415,9 +422,8 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     probs = softmax_rows(pooled_d @ model.softmax_W + model.softmax_b)
     trace = ModelTrace(
         batch=batch,
+        emb_matrix=emb_matrix,
         mask_embed=mask_e,
-        emb=emb,
-        emb_matrix=None if training else emb_matrix,
         states=states,
         gates=gates,
         cells=cells,
@@ -436,9 +442,9 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     ``embedding_grad`` false it is not formed and None stands in its place,
     the parameter gradients being the same.  The pass overwrites the
     trace's gate values with their gradients, so a trace takes one backward
-    pass; a second one raises ``ConfigError``.  An eval trace holds no
-    embeddings of its own: the pass gathers the batch's rows from the
-    matrix its forward was given.
+    pass; a second one raises ``ConfigError``.  The pass gathers the
+    batch's embeddings from the matrix the forward was given, and masks
+    them, for the embedding-row weight gradients.
     """
     if trace.consumed:
         raise ConfigError("trace already used by a backward pass; run model_forward again")
@@ -468,8 +474,8 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
         if L.rest.start < L.rest.stop:
             np.matmul(states[:, L.rest].T, dZ, out=dW[L.rest_rows, L.cols])
             dstates[:, L.rest] += dZ @ W[L.rest_rows, L.cols].T
-    emb = trace.emb if trace.emb is not None else trace.emb_matrix[trace.batch.tokens]
-    np.matmul(emb.T, dZ_all[:, E], out=dW[:m, E])
+    np.matmul(_embedded_rows(trace.emb_matrix, trace.batch, trace.mask_embed).T,
+              dZ_all[:, E], out=dW[:m, E])
     grads.update(model.lstm_views(dW, dZ_all.sum(axis=0, keepdims=True)))
     if not embedding_grad:
         return grads, None

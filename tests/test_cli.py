@@ -1,7 +1,10 @@
 """Exit codes, output formats, config-file handling of the command line."""
 
+import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +101,43 @@ def test_sweep_dry_run_tables(capsys):
     # the fixed row sets themselves
     assert SWEEP_TABLES["t4"] == [(0, 10, 100), (5, 10, 100), (10, 10, 100),
                                   (15, 10, 100), (20, 10, 100)]
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has exited: writing, or flushing what was
+    buffered, raises BrokenPipeError as a pipe does."""
+
+    def __init__(self, on):
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_a_closed_stdout_exits_1_and_prints_nothing(tmp_path, capsys, monkeypatch, command, on):
+    """A reader that leaves early (head, grep -q) is not a usage error; stdout
+    is pointed at devnull, so the flush at exit cannot raise again."""
+    tsv = tmp_path / "two.tsv"
+    tsv.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    argv = {"sweep": ["sweep", "--table", "t4", "--dry-run"],
+            "eval": ["eval", "--checkpoint", str(Path(__file__).parent / "data" /
+                                                  "dense_dl2_vocab.ckpt"), "--data", str(tsv)]}
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(on))
+    assert main(argv[command]) == 1
+    devnull = sys.stdout
+    assert devnull.name == os.devnull
+    devnull.flush()
+    devnull.close()
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("conf_text", [None, "dl = 3\nwidth = 7\n"], ids=["missing", "unknown-key"])

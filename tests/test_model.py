@@ -6,7 +6,7 @@ no code with the batched kernels.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -544,8 +544,9 @@ def test_eval_forward_over_distinct_tokens_matches_the_per_token_product(arch, d
     probs, trace = model_forward(model, emb_matrix, batch, training=False)
     want, ref = _per_token_forward(model, emb_matrix, batch)
     assert _near(probs, want) and _near(trace.gates, ref.gates)
-    # the eval trace gathers no embeddings; its backward gathers ref's rows
-    assert trace.emb is None and np.array_equal(trace.emb_matrix[batch.tokens], ref.emb)
+    # both traces keep the caller's matrix, and the backward gathers its rows
+    assert trace.emb_matrix is emb_matrix and ref.emb_matrix is emb_matrix
+    assert trace.mask_embed is None
 
     # a backward pass on the eval trace gives the per-token gradients
     dlogits = probs.copy()
@@ -657,10 +658,13 @@ def test_model_storage_keeps_the_parameter_contracts(tmp_path):
 
 @pytest.mark.parametrize("arch", ["dense", "stacked"])
 def test_padding_a_batch_further_changes_nothing_bitwise(arch):
-    """Padding never enters the packed layout, so the same batch padded 3
-    positions further gives byte-identical probabilities and gradients."""
+    """Padding never enters the packed layout or the random stream, so the
+    same batch padded 3 positions further gives byte-identical probabilities
+    and gradients, in eval mode and, from the same seed, in training with
+    both dropouts, whose masks are byte-identical too."""
     rng = np.random.default_rng(13)
     cfg = small_config(arch=arch, dl=2)
+    cfg.dropout_embed, cfg.dropout_pool = 0.3, 0.2
     model = Model.build(cfg, rng)
     emb_matrix = rng.standard_normal((12, cfg.m))
     lengths = np.array([2, 6, 1, 4, 6], dtype=np.int64)
@@ -668,19 +672,55 @@ def test_padding_a_batch_further_changes_nothing_bitwise(arch):
     idx[np.arange(6) >= lengths[:, None]] = 0
     labels = np.array([0, 2, 1, 1, 0], dtype=np.int64)
     batch = padded_batch(idx, lengths, labels)
-    results = []
-    for extra in (0, 3):
-        padded = replace(batch, indices=np.pad(batch.indices, ((0, 0), (0, extra))))
-        probs, trace = model_forward(model, emb_matrix, padded)
-        dlogits = probs.copy()
-        dlogits[np.arange(5), labels] -= 1.0
-        grads, dEmb = model_backward(model, trace, dlogits / 5)
-        results.append((probs, {**grads, "embeddings": dEmb}))
-    (p0, g0), (p3, g3) = results
-    assert p0.tobytes() == p3.tobytes()
-    assert set(g0) == set(g3)
-    for name in g0:
-        assert g0[name].tobytes() == g3[name].tobytes(), name
+    for training in (False, True):
+        results = []
+        for extra in (0, 3):
+            padded = replace(batch, indices=np.pad(batch.indices, ((0, 0), (0, extra))))
+            probs, trace = model_forward(model, emb_matrix, padded, np.random.default_rng(14),
+                                         training=training)
+            masks = {"mask_embed": trace.mask_embed, "mask_pool": trace.mask_pool}
+            assert all((mask is not None) == training for mask in masks.values())
+            dlogits = probs.copy()
+            dlogits[np.arange(5), labels] -= 1.0
+            grads, dEmb = model_backward(model, trace, dlogits / 5)
+            results.append((probs, {**masks, **grads, "embeddings": dEmb}))
+        (p0, g0), (p3, g3) = results
+        assert p0.tobytes() == p3.tobytes(), training
+        assert set(g0) == set(g3)
+        for name in g0:
+            assert np.asarray(g0[name]).tobytes() == np.asarray(g3[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+@pytest.mark.parametrize("dropout_embed", [0.0, 0.3])
+def test_a_training_trace_keeps_the_matrix_and_no_embedding_rows(arch, dropout_embed):
+    """The trace references the caller's matrix; the only (N, m) array it
+    holds is the dropout mask, and the backward pass forms the rows itself."""
+    cfg = small_config(arch=arch, dl=2, m=5)
+    cfg.dropout_embed, cfg.dropout_pool = dropout_embed, 0.2
+    model = Model.build(cfg, np.random.default_rng(15))
+    emb_matrix = np.random.default_rng(16).standard_normal((6, cfg.m))
+    batch = _repeated_token_batch(17)
+    probs, trace = model_forward(model, emb_matrix, batch, np.random.default_rng(18),
+                                 training=True)
+    assert trace.emb_matrix is emb_matrix
+    assert (trace.mask_embed is not None) == (dropout_embed > 0)
+    shape = (int(batch.lengths.sum()), cfg.m)
+    held = [(f.name, getattr(trace, f.name)) for f in fields(trace) if f.name != "batch"]
+    held += [(f"cells{k}", c) for k, pair in enumerate(trace.cells) for c in pair]
+    for name, arr in held:
+        if isinstance(arr, np.ndarray) and arr is not emb_matrix:
+            assert name == "mask_embed" or arr.shape != shape, name
+            assert not np.shares_memory(arr, emb_matrix), name
+
+    # the backward pass's embedding-row gradient is that of the masked rows
+    rows = emb_matrix[batch.tokens] * (1.0 if trace.mask_embed is None else trace.mask_embed)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
+    grads, _ = model_backward(model, trace, dlogits)
+    got = np.hstack([grads[f"{L.name}.{tag}.W"][:cfg.m] for L in model.layers if L.embedded
+                     for tag in ("fwd", "bwd")])
+    assert _near(got, rows.T @ trace.gates[:, model.embedded_cols])
 
 
 def _per_direction_pair(Z, Wf, Wb):
