@@ -22,9 +22,13 @@ calls it replaces, back to back (``fwd+bwd.forward_ms``); a checkout without
 the paired kernel has the second figure only.  The median milliseconds of
 every label are written to the JSON file ``--out``, replacing it, next to
 the process's peak RSS, the numpy and BLAS builds and ``nproc``.  The
-kernels are called as the model calls them: the gates are a column view of
-one (N, 8d) buffer holding both directions, and the weights a column view
-of one (Din + d, 8d) array.  BLAS runs on one thread.
+kernels are called as the model calls them: the gates are the layer's
+column view of one (N, sum of 8d) buffer as wide as its workload's (640
+columns at sst2-dl3, 2360 at sst2-dl15), the dense layer's at the first
+dense layer's columns and the top layer's at the last, and the weights a
+column view of one (Din + d, 8d) array.  The row stride of that buffer is
+what the backward kernel's derivative passes read across.  BLAS runs on
+one thread.
 """
 
 import os
@@ -53,11 +57,15 @@ SEED = 0  # of the synthetic lengths, gates and weights
 
 
 def shapes():
-    """(name, B, d) of every timed shape, from perfbench's workloads."""
+    """(name, B, d, width, col) of every timed shape, from perfbench's
+    workloads: the layer's gates are the 8d columns from ``col`` of a
+    ``width``-column buffer laid out as the model lays out its gates."""
     out = []
     for w in WORKLOADS.values():
-        for layer, d in (("dense", w.dh), ("top", w.th)):
-            out += [(f"{w.name}-{layer}", w.batch, d), (f"{w.name}-{layer}-B1", 1, d)]
+        width = 8 * (w.dl * w.dh + w.th)
+        for layer, d, col in (("dense", w.dh, 0), ("top", w.th, width - 8 * w.th)):
+            out += [(f"{w.name}-{layer}", w.batch, d, width, col),
+                    (f"{w.name}-{layer}-B1", 1, d, width, col)]
     return out
 
 
@@ -106,15 +114,17 @@ def interleaved_ms(calls, reps):
     return [1e3 * float(np.median(t)) for t in times]
 
 
-def time_shape(mods, B, d, reps, rng):
+def time_shape(mods, B, d, width, col, reps, rng):
     """{label: timings} of one shape, every module on the same inputs."""
     lengths = _lengths(B, rng)
     N = int(lengths.sum())
-    Z0 = 0.5 * rng.standard_normal((N, 8 * d))
+    Z0 = 0.5 * rng.standard_normal((N, width))
     W = 0.3 * rng.standard_normal((SST2.dim + d, 8 * d))
     dH = rng.standard_normal((N, d))
-    out = {label: {"B": B, "d": d, "tokens": N, "steps": int(lengths.max())} for label in mods}
-    for reverse, cols in ((False, slice(0, 4 * d)), (True, slice(4 * d, 8 * d))):
+    out = {label: {"B": B, "d": d, "tokens": N, "steps": int(lengths.max()),
+                   "gate_cols": width} for label in mods}
+    for reverse, wcols in ((False, slice(0, 4 * d)), (True, slice(4 * d, 8 * d))):
+        cols = slice(col + wcols.start, col + wcols.stop)
         name = "bwd" if reverse else "fwd"
         fwd, bwd = [], []
         for k in mods.values():
@@ -122,14 +132,14 @@ def time_shape(mods, B, d, reps, rng):
 
             def fresh_gates(P=P, buf=buf):
                 buf[...] = Z0
-                return buf[:, cols], P, W[:, cols], reverse
+                return buf[:, cols], P, W[:, wcols], reverse
 
             H, C = k.lstm_layer_forward(*fresh_gates())
             G = buf[:, cols].copy()
 
             def fresh_grads(P=P, buf=buf, H=H, C=C, G=G):
                 buf[:, cols] = G
-                return P, W[:, cols], H, C, buf[:, cols], dH, reverse
+                return P, W[:, wcols], H, C, buf[:, cols], dH, reverse
 
             fwd.append((fresh_gates, k.lstm_layer_forward))
             bwd.append((fresh_grads, k.lstm_layer_backward))
@@ -146,11 +156,11 @@ def time_shape(mods, B, d, reps, rng):
                 return (buf,)
 
             def two(Z, k=k, P=P):
-                k.lstm_layer_forward(Z[:, :4 * d], P, W[:, :4 * d], False)
-                k.lstm_layer_forward(Z[:, 4 * d:], P, W[:, 4 * d:], True)
+                k.lstm_layer_forward(Z[:, col:col + 4 * d], P, W[:, :4 * d], False)
+                k.lstm_layer_forward(Z[:, col + 4 * d:col + 8 * d], P, W[:, 4 * d:], True)
 
             def pair(Z, k=k):
-                k.lstm_pair_forward(Z, W[:, :4 * d], W[:, 4 * d:])
+                k.lstm_pair_forward(Z[:, col:col + 8 * d], W[:, :4 * d], W[:, 4 * d:])
 
             keys.append((label, "fwd+bwd.forward_ms"))
             calls.append((fresh, two))
@@ -192,8 +202,8 @@ def main(argv=None):
             for j, (label, path) in enumerate(checkouts.items())}
     rng = np.random.default_rng(SEED)
     timings = {label: {} for label in mods}
-    for name, B, d in shapes():
-        for label, row in time_shape(mods, B, d, args.reps, rng).items():
+    for name, B, d, width, col in shapes():
+        for label, row in time_shape(mods, B, d, width, col, args.reps, rng).items():
             timings[label][name] = row
             print(f"{label:<8s} {name:<19s} B={B:<3d} d={d:<3d} " + "  ".join(
                 f"{k} {v:.3f}" for k, v in row.items() if k.endswith("_ms")))

@@ -29,6 +29,17 @@ loop, and the same columns of a copy of the recurrent rows, so a step runs
 one ``tanh`` over all 4d columns.  Halving is exact in binary floating point
 (barring subnormals), so ``x/2 + h @ (W/2)`` is ``(x + h @ W)/2`` bit for bit.
 
+The backward kernel first turns the gate values into the derivatives that
+do not depend on the carried gradients dh and dc, about twenty elementwise
+passes.  The gates are a column view of the model's whole gate buffer (640
+columns at the paper's SST-2 cell), so each row of them is a short stretch
+of a long stride.  ``_gate_derivatives`` runs those passes over blocks of
+``BLOCK // d`` rows, which stay in cache from one pass to the next, and
+writes every result with ``out=`` through two block-sized scratch arrays
+instead of allocating a temporary per pass.  Every value goes through the
+same operations in the same order as in the whole-array expressions, so
+the results are theirs bit for bit.
+
 A batch of one sentence, as finite differences score, takes
 ``lstm_pair_forward`` instead of two ``lstm_layer_forward`` calls.  There
 each direction has exactly one row per step, and a step costs about ten
@@ -173,29 +184,21 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
     of the recurrent rows ``W[Din:]`` (d, 4d), accumulated over all tokens.
 
     Steps are visited opposite to the forward consumption order while
-    carrying the recurrent gradients dh and dc; everything that does not
-    depend on them is computed once for all tokens before the loop.
+    carrying the recurrent gradients dh and dc.  Everything that does not
+    depend on them is computed before the loop by ``_gate_derivatives``,
+    in row blocks that stay in cache.
     """
     steps = packing.steps[reverse]
     N, d = len(G), W.shape[1] // 4
     WhT = np.ascontiguousarray(W[-d:].T)
-    i, f, o, g = G[:, :d], G[:, d:2 * d], G[:, 2 * d:3 * d], G[:, 3 * d:]
-    tc = np.tanh(C)
     # (h, c) of each token's predecessor, zero where a sentence starts
     Hprev = np.zeros((N, d))
     Cprev = np.zeros((N, d))
     for lo, _, plo, kp in steps:
         Hprev[lo:lo + kp] = H[plo:plo + kp]
         Cprev[lo:lo + kp] = C[plo:plo + kp]
-    # gate derivatives, written over the gate values; the loop scales the o
-    # block by dh and the rest by dc, and reads the forget gates kept here
-    f_gate = f.copy()
-    dc_dh = o * (1.0 - tc * tc)
-    di = g * i * (1.0 - i)
-    g[...] = i * (1.0 - g * g)
-    i[...] = di
-    f[...] = Cprev * f_gate * (1.0 - f_gate)
-    o[...] = tc * o * (1.0 - o)
+    f_gate, dc_dh = _gate_derivatives(G, C, Cprev)
+    del Cprev
     dZ = G.reshape(N, 4, d)  # splitting the gate axis is a view, never a copy
     # gradients carried to the first rows of the next step visited
     dh_rec = dc_rec = np.zeros((0, d))
@@ -211,3 +214,56 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
         dh_rec = dz[:kp].reshape(kp, 4 * d) @ WhT
         dc_rec = dc[:kp] * f_gate[lo:lo + kp]
     return Hprev.T @ G
+
+
+# values per scratch array of ``_gate_derivatives`` (128 KiB), so a block of
+# rows of every operand it reads and writes stays in a core's cache; sized
+# with benchmarks/kernels.py on both perfbench workloads
+BLOCK = 1 << 14
+
+
+def _gate_derivatives(G, C, Cprev):
+    """Write the gate derivatives that do not depend on dh and dc over G.
+
+    G:     (N, 4d) gate values ``[i | f | o | g]``, a column view of a
+           wider buffer as the model passes it.  It becomes
+           ``[g i (1-i) | c' f (1-f) | tanh(c) o (1-o) | i (1-g^2)]``;
+           the backward loop scales the o block by dh and the rest
+           by dc.
+    C:     (N, d) cell states; Cprev (N, d) each token's predecessor's,
+           zero where a sentence starts.
+
+    Returns (f_gate, dc_dh), each (N, d): the forget gates, which the loop
+    still reads, and ``o (1 - tanh(c)^2)``.  Rows are taken ``BLOCK // d``
+    at a time (see the module docstring).  Each value goes through the
+    operations its formula above spells, in the order a whole-array numpy
+    expression of it runs them, so the results are that expression's bit
+    for bit.
+    """
+    N, d = C.shape
+    rows = max(1, BLOCK // d)
+    f_gate, dc_dh = np.empty((N, d)), np.empty((N, d))
+    s_buf, u_buf = np.empty((min(rows, N), d)), np.empty((min(rows, N), d))
+    for a in range(0, N, rows):
+        b = min(a + rows, N)
+        i, f, o, g = (G[a:b, k * d:(k + 1) * d] for k in range(4))
+        s, u = s_buf[:b - a], u_buf[:b - a]
+        np.tanh(C[a:b], out=s)  # tanh(c)
+        np.multiply(s, s, out=u)
+        np.subtract(1.0, u, out=u)
+        np.multiply(o, u, out=dc_dh[a:b])  # o (1 - tanh(c)^2)
+        np.subtract(1.0, o, out=u)
+        np.multiply(s, o, out=s)
+        np.multiply(s, u, out=o)  # tanh(c) o (1 - o)
+        f_gate[a:b] = f
+        np.subtract(1.0, f, out=u)
+        np.multiply(Cprev[a:b], f, out=s)
+        np.multiply(s, u, out=f)  # c' f (1 - f)
+        np.multiply(g, i, out=s)
+        np.subtract(1.0, i, out=u)
+        np.multiply(s, u, out=s)  # g i (1 - i)
+        np.multiply(g, g, out=u)
+        np.subtract(1.0, u, out=u)
+        np.multiply(i, u, out=g)  # i (1 - g^2)
+        i[...] = s
+    return f_gate, dc_dh

@@ -304,6 +304,82 @@ def test_kernels_work_in_place_on_strided_views():
         assert np.array_equal(dWh, dWh2)
 
 
+def _backward_whole_array(packing, W, H, C, G, dH, reverse):
+    """``kernels.lstm_layer_backward`` with its derivatives formed as
+    whole-array expressions over every token at once, the formulas the
+    kernel's row blocks must reproduce bit for bit."""
+    steps = packing.steps[reverse]
+    N, d = len(G), W.shape[1] // 4
+    WhT = np.ascontiguousarray(W[-d:].T)
+    i, f, o, g = G[:, :d], G[:, d:2 * d], G[:, 2 * d:3 * d], G[:, 3 * d:]
+    tc = np.tanh(C)
+    Hprev = np.zeros((N, d))
+    Cprev = np.zeros((N, d))
+    for lo, _, plo, kp in steps:
+        Hprev[lo:lo + kp] = H[plo:plo + kp]
+        Cprev[lo:lo + kp] = C[plo:plo + kp]
+    f_gate = f.copy()
+    dc_dh = o * (1.0 - tc * tc)
+    di = g * i * (1.0 - i)
+    g[...] = i * (1.0 - g * g)
+    i[...] = di
+    f[...] = Cprev * f_gate * (1.0 - f_gate)
+    o[...] = tc * o * (1.0 - o)
+    dZ = G.reshape(N, 4, d)
+    dh_rec = dc_rec = np.zeros((0, d))
+    for lo, hi, _, kp in reversed(steps):
+        dh = dH[lo:hi].copy()
+        dh[:len(dh_rec)] += dh_rec
+        dc = dh * dc_dh[lo:hi]
+        dc[:len(dc_rec)] += dc_rec
+        dz = dZ[lo:hi]
+        dz[:, :2] *= dc[:, None, :]
+        dz[:, 2] *= dh
+        dz[:, 3] *= dc
+        dh_rec = dz[:kp].reshape(kp, 4 * d) @ WhT
+        dc_rec = dc[:kp] * f_gate[lo:lo + kp]
+    return Hprev.T @ G
+
+
+@pytest.mark.parametrize("d, blocks", [(50, 3.4), (13, 0.9)])
+def test_backward_row_blocks_equal_the_whole_array_formulas_bitwise(d, blocks):
+    """The backward kernel forms its gate derivatives a block of rows at a
+    time.  Over a batch of ``blocks`` blocks (several plus a remainder, or
+    one block holding the whole batch), on a layer's column view of a
+    wider gate buffer, the dZ it leaves in the view and its recurrent-row
+    gradient equal those of the whole-array formulas byte for byte, in
+    both directions, and the columns beside the view are never written.
+    A block boundary that skipped a row would leave a gate value there, and
+    one that took a row twice would apply its derivative twice."""
+    rng = np.random.default_rng(35 + d)
+    rows = max(1, kernels.BLOCK // d)
+    want_N = int(blocks * rows)
+    lengths = []
+    while sum(lengths) < want_N:
+        lengths.append(int(rng.integers(1, 57)))
+    lengths[-1] -= sum(lengths) - want_N
+    lengths = np.array(lengths, dtype=np.int64)
+    P = kernels.pack(lengths)
+    N, Din = len(P.rows), 7
+    assert N == want_N and (N % rows != 0 if blocks > 1 else N <= rows)
+    cols = slice(3, 3 + 8 * d)
+    W = 0.4 * rng.standard_normal((Din + d, 8 * d))
+    wide = 0.5 * rng.standard_normal((N, 8 * d + 11))
+    dH = rng.standard_normal((N, 2 * d))
+    for reverse, half in ((False, slice(0, 4 * d)), (True, slice(4 * d, 8 * d))):
+        view = slice(cols.start + half.start, cols.start + half.stop)
+        H, C = kernels.lstm_layer_forward(wide[:, view], P, W[:, half], reverse)
+        want = wide.copy()
+        want_dWh = _backward_whole_array(P, W[:, half], H, C, want[:, view],
+                                         dH[:, half.start // 4:half.stop // 4], reverse)
+        dH_before = dH.copy()
+        dWh = kernels.lstm_layer_backward(P, W[:, half], H, C, wide[:, view],
+                                          dH[:, half.start // 4:half.stop // 4], reverse)
+        assert wide.tobytes() == want.tobytes(), reverse
+        assert dWh.tobytes() == want_dWh.tobytes(), reverse
+        assert dH.tobytes() == dH_before.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 4, 13, 50])
 @pytest.mark.parametrize("T", [1, 2, 5, 19])
 def test_pair_kernel_equals_two_direction_calls_bitwise(d, T):
