@@ -132,13 +132,15 @@ def _parse_lines(lines, line_no, dim, header_dim):
     return words, np.array(rows), dim
 
 
-def _parse_chunk(lines, dim):
-    """Parse `lines` with one numpy call: (words, rows), or None if it cannot.
+def _parse_chunk(lines, dim, header_dim):
+    """Parse `lines` with one numpy call: (words, rows, dim), or None if it cannot.
 
     Each line's first field is its word and the rest goes to np.loadtxt,
-    whose C parser rounds as float() does.  A chunk it rejects or mis-shapes
-    (a bad or short line, a word with spaces, a non-finite value, or a
-    component only float() reads, such as "1_0") is left to _parse_lines.
+    whose C parser rounds as float() does.  While `dim` is None, the width
+    it reads fixes dim, as the first data line does in _parse_lines.  A
+    chunk it rejects or mis-shapes (a bad or short line, a word with spaces,
+    a non-finite value, a width other than header_dim, or a component only
+    float() reads, such as "1_0") is left to _parse_lines.
     """
     words, rests = [], []
     for line in lines:
@@ -149,14 +151,15 @@ def _parse_chunk(lines, dim):
         elif word:
             return None
     if not rests:
-        return words, np.empty((0, dim))
+        return words, np.empty((0, dim or 0)), dim
     try:
         M = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return None
-    if M.shape != (len(rests), dim) or not np.isfinite(M).all():
+    dim = dim or M.shape[1]
+    if M.shape != (len(rests), dim) or header_dim not in (None, dim) or not np.isfinite(M).all():
         return None
-    return words, M
+    return words, M, dim
 
 
 # -- the parse cache ---------------------------------------------------------
@@ -302,14 +305,15 @@ def load_embeddings(path, keep=None):
     line is parsed and checked, a non-finite component (nan, inf) being an
     error.
 
-    The file is streamed in chunks of _CHUNK_LINES lines, and each chunk's
-    vectors are parsed by one np.loadtxt call, about twice as fast as a
-    float() per component and bit for bit the same.  A chunk the bulk parse
-    rejects is parsed again line by line, which raises the ParseError of its
-    first bad line or accepts what float() accepts.  Without keep, a vector
-    is a row of its chunk's matrix; with keep, only the (lowercase) kept
-    words are stored, each vector copied out of its chunk, so a corpus needs
-    memory for its own vocabulary, not the whole file.
+    The file is streamed in chunks of _CHUNK_LINES lines, the first holding
+    the header if there is one, and each chunk's vectors are parsed by one
+    np.loadtxt call, about twice as fast as a float() per component and bit
+    for bit the same.  A chunk the bulk parse rejects is parsed again line
+    by line, which raises the ParseError of its first bad line or accepts
+    what float() accepts.  Without keep, a vector is a row of its chunk's
+    matrix; with keep, only the (lowercase) kept words are stored, each
+    vector copied out of its chunk, so a corpus needs memory for its own
+    vocabulary, not the whole file.
 
     A regular file's parse is cached in "<path>.dcbilstm-cache", every
     line's word and float64 vector in file order, about 8 * dim bytes a
@@ -337,23 +341,16 @@ def load_embeddings(path, keep=None):
             if table is not None:
                 return table
         writer, vectors = _CacheWriter(cache, st.st_mode), {}
-
-        def take(words, rows):
-            writer.add(words, rows)
-            _store(words, rows, keep, vectors)
-
         dim = header_dim = None
+        line_no = 1  # of the chunk's first line
         try:
-            for line_no, line in enumerate(fh, start=1):  # until a vector fixes dim
-                if line_no == 1 and (header_dim := _vec_header_dim(line)) is not None:
-                    continue
-                words, rows, dim = _parse_lines([line], line_no, None, header_dim)
-                if dim is not None:
-                    take(words, rows)
-                    break
             while chunk := list(islice(fh, _CHUNK_LINES)):
-                take(*(_parse_chunk(chunk, dim)
-                       or _parse_lines(chunk, line_no + 1, dim, header_dim)[:2]))
+                if line_no == 1 and (header_dim := _vec_header_dim(chunk[0])) is not None:
+                    chunk[0] = ""  # not a data line; blanked, the lines keep their numbers
+                words, rows, dim = (_parse_chunk(chunk, dim, header_dim)
+                                    or _parse_lines(chunk, line_no, dim, header_dim))
+                writer.add(words, rows)
+                _store(words, rows, keep, vectors)
                 line_no += len(chunk)
             if dim is None:
                 raise ParseError("embedding file is empty")

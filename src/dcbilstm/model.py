@@ -511,17 +511,19 @@ def save_checkpoint(path, model, seed, vocab, emb_matrix):
 
     vocab maps each token to its row of emb_matrix, ids 2 and up as
     ``data.build_vocab`` numbers them; a model scores text only through both.
-    Ids that are not 2..n+1, or an emb_matrix that is not (n + 2, m), raise
-    ``CheckpointError`` naming path, and nothing is written.
+    Ids that are not 2..n+1, an emb_matrix that is not (n + 2, m), or a
+    negative seed raise ``CheckpointError`` naming path, and nothing is
+    written.
     """
     cfg = model.config
     try:
         tokens = _vocab_tokens(vocab, emb_matrix, cfg.m)
+        seed = _read_count(str(int(seed)), "seed")  # as load_checkpoint reads it
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     keys = ["arch"] + [f.name for f in fields(ModelConfig) if f.name != "arch"]
     lines = [CHECKPOINT_MAGIC, *(f"{key} {format_setting(getattr(cfg, key))}" for key in keys),
-             f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {int(seed)}"]
+             f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {seed}"]
 
     tensors = [*model.named_params(), ("embeddings", emb_matrix)]
     lines += [f"vocab {len(tokens)}", *tokens, f"tensors {len(tensors)}"]
@@ -640,8 +642,8 @@ def _read_checkpoint(fh):
     model = Model(cfg, {name: tensors.pop(name) for name, _ in param_shapes(cfg) if name in tensors})
     if "embeddings" not in tensors:
         raise CheckpointError("missing tensor embeddings")
-    meta = {"seed": int(manifest["seed"]), "vocab": data.index_tokens(vocab_tokens),
-            "emb_matrix": tensors.pop("embeddings")}
+    meta = {"seed": _read_count(manifest["seed"], "seed"),
+            "vocab": data.index_tokens(vocab_tokens), "emb_matrix": tensors.pop("embeddings")}
     _vocab_tokens(meta["vocab"], meta["emb_matrix"], cfg.m)
     if tensors:
         raise CheckpointError(f"unexpected tensors {sorted(tensors)}")

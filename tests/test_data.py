@@ -181,8 +181,7 @@ def test_load_embeddings_first_occurrence_wins(tmp_path):
 
 @pytest.mark.parametrize("header", ["", "3 3\n"])
 def test_load_embeddings_ignores_trailing_whitespace(tmp_path, header):
-    # fastText writes a space after every component; the first line fixes
-    # dim one line at a time, the others are parsed in bulk
+    # fastText writes a space after every component
     p = tmp_path / "emb.vec"
     p.write_text(header + "the 0.1 0.2 0.3 \nmovie 1 2 3 \ngood 4 5 6\t \n", encoding="utf-8")
     table = load_embeddings(p)
@@ -246,8 +245,8 @@ def _assert_loads_as_oracle(path, text, keep=None):
     return table
 
 
-# a header, then line 2 fixes dim = 3; the bulk chunks of 4 lines start at
-# line 3, so the third of them is lines 11-14
+# a header, then line 2 fixes dim = 3; the chunks of 4 lines start at line
+# 1, so the third of them is lines 9-12
 _CHUNKED_LINES = [
     "9 3",                                          # 1: header
     "the 0.1 0.2 0.3",                              # 2
@@ -273,8 +272,9 @@ def test_load_embeddings_across_chunk_boundaries(tmp_path, four_line_chunks):
     assert np.array_equal(table.get("movie"), [1.5, -2.5, 3e-3])
     assert np.array_equal(table.get("film"), [0.25, 0.0, 7.0])
     assert np.array_equal(table.get("it"), [10.0, 2.0, 3.0])
-    # lines 7-10 are one bulk parse: film is a row of its chunk's matrix
-    assert table.get("film").base.shape == (3, 3)
+    # lines 1-4 are one bulk parse, whose rows are "the" and "movie": the
+    # header and the blank line are not rows
+    assert table.get("the").base.shape == (2, 3)
     # with keep, each stored vector owns its memory
     kept = _assert_loads_as_oracle(p, text, keep={"film", "good", "the", ". . ."})
     assert list(kept.vectors) == ["the", ". . .", "film", "good"]
@@ -299,6 +299,38 @@ def test_load_embeddings_names_the_bad_line_of_a_late_chunk(tmp_path, four_line_
             load_embeddings(p, keep=keep)
         assert str(info.value) == f"{p}: line 12: {message}"
     _assert_loads_as_oracle(p, text)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 4, 512])
+def test_a_clean_file_is_parsed_in_bulk_only(tmp_path, monkeypatch, chunk_lines):
+    # every chunk, the header's and the one that fixes dim included, is one
+    # np.loadtxt call; the per-line parse is only the fallback
+    monkeypatch.setattr(data, "_CHUNK_LINES", chunk_lines)
+
+    def fail(*args):
+        raise AssertionError("a clean chunk was parsed line by line")
+
+    monkeypatch.setattr(data, "_parse_lines", fail)
+    p = tmp_path / "clean.vec"
+    for text in ("the 0.1 0.2\nMovie 1 2\n", "3 2\n\nthe 0.1 0.2\n  \nmovie 1 2 \ngood -3e-3 5\n"):
+        p.write_text(text, encoding="utf-8")
+        _assert_loads_as_oracle(p, text)
+
+
+@pytest.mark.parametrize("text, chunk_lines, message", [
+    # a chunk of only the header or blank lines does not fix dim
+    ("3 4\n\n\n \nthe 1 2 3\n", 2, "line 5: header gives dim 4, not 3"),
+    ("2 0\nthe 1 2 3\n", 1, "line 2: header gives dim 0, not 3"),
+], ids=["blank-chunk-after-header", "zero-dim-header"])
+def test_only_a_data_line_fixes_dim(tmp_path, monkeypatch, text, chunk_lines, message):
+    monkeypatch.setattr(data, "_CHUNK_LINES", chunk_lines)
+    p = tmp_path / "emb.vec"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_embeddings(p)
+    assert str(info.value) == f"{p}: {message}"
+    _assert_loads_as_oracle(p, text)
+    assert [f.name for f in tmp_path.iterdir()] == ["emb.vec"]
 
 
 def _fuzz_file(rng):
@@ -456,7 +488,7 @@ def _trailing_bytes(raw):
 
 
 def _zeroed_row_block(raw):
-    # the second block's floats (the first holds only the line that fixed dim)
+    # the second block's floats, the rows of lines 513-601
     at = _HEAD
     for _ in range(2):
         count, nbytes = data._CACHE_BLOCK.unpack_from(raw, at)
@@ -492,9 +524,9 @@ def test_another_users_cache_is_not_read(tmp_path, monkeypatch):
     p = tmp_path / "emb.txt"
     p.write_text("the 0.1 0.2\nmovie 1.0 2.0\n", encoding="utf-8")
     load_embeddings(p)
-    parses, parse_lines = [], data._parse_lines
+    parses, parse_chunk = [], data._parse_chunk
     monkeypatch.setattr(os, "geteuid", lambda: os.stat(_cache_of(p)).st_uid + 1)
-    monkeypatch.setattr(data, "_parse_lines", lambda *a: parses.append(a) or parse_lines(*a))
+    monkeypatch.setattr(data, "_parse_chunk", lambda *a: parses.append(a) or parse_chunk(*a))
     assert np.array_equal(load_embeddings(p).get("movie"), [1.0, 2.0])
     assert parses
 

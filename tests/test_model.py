@@ -972,11 +972,18 @@ def _nan_entry(blob):
     lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed \xff\n"),
     lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b 99999999999 99999999999\n"),
     lambda blob: _corrupt(blob, b"softmax.b 1 3\n", b"softmax.b 3000000000 1000\n"),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed -5\n"),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed +5\n"),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed 1_0\n"),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed  7\n"),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", "\nseed \u0663\n".encode()),
+    lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed 5 \n"),
 ], ids=["vocab-word", "vocab-negative", "tensor-count", "header-float", "header-negative",
         "manifest-int", "nan-tensor", "no-newline", "dh-vs-tensors", "dropout-range",
         "arch-unknown", "max-norm-nan", "bool-seven", "unknown-key", "gate-order",
         "header-two-fields", "no-embeddings", "extra-tensor", "manifest-not-utf8",
-        "header-past-index-size", "header-past-memory"])
+        "header-past-index-size", "header-past-memory", "seed-negative", "seed-plus",
+        "seed-underscore", "seed-two-spaces", "seed-arabic-digit", "seed-trailing-space"])
 def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
     rng = np.random.default_rng(12)
     model = Model.build(small_config(dl=1), rng)
@@ -987,6 +994,15 @@ def test_checkpoint_rejects_corrupt_files(tmp_path, mangle):
     bad.write_bytes(mangle(good.read_bytes()))
     with pytest.raises(CheckpointError, match="bad.ckpt"):
         load_checkpoint(bad)
+
+
+def test_a_negative_seed_is_not_saved(tmp_path):
+    # load_checkpoint reads the seed as a non-negative integer
+    model = Model.build(small_config(dl=1), np.random.default_rng(12))
+    path = tmp_path / "neg.ckpt"
+    with pytest.raises(CheckpointError, match=f"^{path}: seed '-3' is not a non-negative"):
+        save_checkpoint(path, model, seed=-3, vocab={}, emb_matrix=np.zeros((2, 6)))
+    assert not path.exists()
 
 
 def _second_softmax_bias(blob):
