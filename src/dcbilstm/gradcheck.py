@@ -21,14 +21,15 @@ from .train import cross_entropy
 def finite_diff(loss_fn, arrays, eps=1e-5):
     """Two-sided difference of loss_fn w.r.t. every element of `arrays`.
 
-    arrays maps names to float64 tensors that loss_fn reads; each element
-    is nudged in place and restored, through the array itself, so a view
-    of a wider array (a model parameter) is nudged where the model reads
-    it.  Cost is two loss evaluations per element, so keep the model tiny.
+    arrays maps names to tensors that loss_fn reads; each element is
+    nudged in place and restored, through the array itself, so a view of a
+    wider array (a model parameter) is nudged where the model reads it.
+    Each gradient has its array's dtype.  Cost is two loss evaluations per
+    element, so keep the model tiny.
     """
     grads = {}
     for name, arr in arrays.items():
-        g = np.zeros(arr.shape)
+        g = np.zeros(arr.shape, arr.dtype)
         for k in np.ndindex(arr.shape):
             saved = arr[k]
             arr[k] = saved + eps

@@ -20,7 +20,10 @@ Conventions shared with the rest of the package:
   - the ``4d`` axis is sliced in the fixed gate order ``[i | f | o | g]``;
   - initial hidden and cell states are exactly zero;
   - padding is never packed, so a sentence's outputs do not depend on how
-    far its batch is padded, bit for bit.
+    far its batch is padded, bit for bit;
+  - every buffer a kernel allocates takes the dtype of the arrays it is
+    handed, so a float32 or complex model runs the same loops as a float64
+    one.
 
 The gate-value array ``G`` stores the activated gates.  Sigmoids are
 ``0.5 * (tanh(z/2) + 1)``, which saturates without overflow.  The forward
@@ -93,7 +96,7 @@ def pack(lengths):
 def lstm_layer_forward(Z, packing, W, reverse):
     """Run one direction of an LSTM layer over every sentence of a batch.
 
-    Z:       (N, 4d) float64, each packed token's input pre-activations
+    Z:       (N, 4d), each packed token's input pre-activations
              ``x @ W[:Din] + b``; a column view of a wider buffer is fine.
              The recurrent terms are added in place, and Z ends holding
              the activated gate values the backward pass reads.
@@ -107,8 +110,8 @@ def lstm_layer_forward(Z, packing, W, reverse):
     Wh = W[-d:].copy()
     Wh[:, :3 * d] *= 0.5
     Z[:, :3 * d] *= 0.5
-    H = np.empty((len(Z), d))
-    C = np.empty((len(Z), d))
+    H = np.empty((len(Z), d), Z.dtype)
+    C = np.empty((len(Z), d), Z.dtype)
     Zs, Zi, Zf, Zo, Zg = Z[:, :3 * d], Z[:, :d], Z[:, d:2 * d], Z[:, 2 * d:3 * d], Z[:, 3 * d:]
     for lo, hi, plo, kp in packing.steps[reverse]:
         z = Z[lo:hi]
@@ -129,7 +132,7 @@ def lstm_layer_forward(Z, packing, W, reverse):
 def lstm_pair_forward(Z, Wf, Wb):
     """Run both directions of an LSTM layer over one sentence, in lockstep.
 
-    Z:      (T, 8d) float64, the sentence's [fwd | bwd] input pre-activations
+    Z:      (T, 8d), the sentence's [fwd | bwd] input pre-activations
             in token order; a column view of a wider buffer is fine.  It
             ends holding the activated gate values, as two
             ``lstm_layer_forward`` calls leave them.
@@ -141,14 +144,14 @@ def lstm_pair_forward(Z, Wf, Wb):
     """
     T, d = len(Z), Wf.shape[1] // 4
     # step t holds the fwd gates of token t and the bwd gates of token T-1-t
-    G = np.empty((T, 2, 1, 4 * d))
+    G = np.empty((T, 2, 1, 4 * d), Z.dtype)
     G[:, 0, 0] = Z[:, :4 * d]
     G[:, 1, 0] = Z[::-1, 4 * d:]
     G[..., :3 * d] *= 0.5
     Wh = np.stack((Wf[-d:], Wb[-d:]))
     Wh[..., :3 * d] *= 0.5
-    H = np.empty((T, 2, 1, d))
-    C = np.empty((T, 2, 1, d))
+    H = np.empty((T, 2, 1, d), Z.dtype)
+    C = np.empty((T, 2, 1, d), Z.dtype)
     Gs, Gi, Gf, Go, Gg = (G[..., :3 * d], G[..., :d], G[..., d:2 * d], G[..., 2 * d:3 * d],
                           G[..., 3 * d:])
     for t in range(T):
@@ -192,8 +195,8 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
     N, d = len(G), W.shape[1] // 4
     WhT = np.ascontiguousarray(W[-d:].T)
     # (h, c) of each token's predecessor, zero where a sentence starts
-    Hprev = np.zeros((N, d))
-    Cprev = np.zeros((N, d))
+    Hprev = np.zeros((N, d), H.dtype)
+    Cprev = np.zeros((N, d), C.dtype)
     for lo, _, plo, kp in steps:
         Hprev[lo:lo + kp] = H[plo:plo + kp]
         Cprev[lo:lo + kp] = C[plo:plo + kp]
@@ -201,7 +204,7 @@ def lstm_layer_backward(packing, W, H, C, G, dH, reverse):
     del Cprev
     dZ = G.reshape(N, 4, d)  # splitting the gate axis is a view, never a copy
     # gradients carried to the first rows of the next step visited
-    dh_rec = dc_rec = np.zeros((0, d))
+    dh_rec = dc_rec = np.zeros((0, d), G.dtype)
     for lo, hi, _, kp in reversed(steps):
         dh = dH[lo:hi].copy()
         dh[:len(dh_rec)] += dh_rec
@@ -242,8 +245,8 @@ def _gate_derivatives(G, C, Cprev):
     """
     N, d = C.shape
     rows = max(1, BLOCK // d)
-    f_gate, dc_dh = np.empty((N, d)), np.empty((N, d))
-    s_buf, u_buf = np.empty((min(rows, N), d)), np.empty((min(rows, N), d))
+    f_gate, dc_dh = np.empty((N, d), G.dtype), np.empty((N, d), G.dtype)
+    s_buf, u_buf = np.empty((min(rows, N), d), G.dtype), np.empty((min(rows, N), d), G.dtype)
     for a in range(0, N, rows):
         b = min(a + rows, N)
         i, f, o, g = (G[a:b, k * d:(k + 1) * d] for k in range(4))

@@ -166,6 +166,11 @@ class Model:
     forward pass can apply the embedding rows of every layer in one product.
     The softmax head keeps arrays of its own.  Construction copies the
     given arrays; it never aliases them.
+
+    The storage is the one owner of the model's dtype: it takes the result
+    type of the given arrays (float32, float64 or complex; integer arrays
+    give float64), and every buffer of the forward and backward passes
+    follows it.  ``build`` draws float64.
     """
 
     def __init__(self, config, params):
@@ -181,10 +186,15 @@ class Model:
                 raise ConfigError(f"{name} shape {params[name].shape}, expected {shape}")
         self.layers = _stack_layout(config)
         self.embedded_cols = slice(0, max(L.cols.stop for L in self.layers if L.embedded))
-        self.lstm_W = np.zeros((max(L.w + L.d for L in self.layers), self.layers[-1].cols.stop))
-        self.lstm_b = np.zeros((1, self.lstm_W.shape[1]))
+        dtype = np.result_type(*params.values())
+        if dtype.kind not in "fc":  # integer or bool arrays
+            dtype = np.dtype(np.float64)
+        self.lstm_W = np.zeros((max(L.w + L.d for L in self.layers), self.layers[-1].cols.stop),
+                               dtype)
+        self.lstm_b = np.zeros((1, self.lstm_W.shape[1]), dtype)
         self.params = self.lstm_views(self.lstm_W, self.lstm_b)
-        self.params.update((name, np.empty(shapes[name])) for name in ("softmax.W", "softmax.b"))
+        self.params.update((name, np.empty(shapes[name], dtype))
+                           for name in ("softmax.W", "softmax.b"))
         for name, arr in self.params.items():
             arr[...] = params[name]
 
@@ -279,10 +289,11 @@ def _embedding_gates(model, x):
 
     x holds rows of embeddings, (n, m); the result is (n, sum of 8d) in
     weight-column order, ``x @ lstm_W[:m, E] + lstm_b`` on the columns E of
-    the layers that read the embeddings and the bias alone on the rest.
+    the layers that read the embeddings and the bias alone on the rest, in
+    the result type of x and the weights.
     """
     m, W, E = model.config.m, model.lstm_W, model.embedded_cols
-    gates = np.empty((len(x), W.shape[1]))
+    gates = np.empty((len(x), W.shape[1]), np.result_type(x, W))
     np.matmul(x, W[:m, E], out=gates[:, E])
     gates[:, E.stop:] = 0.0
     gates += model.lstm_b
@@ -295,12 +306,13 @@ def average_pool_batch(H, batch):
     if len(H) != len(rows):
         raise ConfigError(f"average_pool: {len(H)} packed rows for {len(rows)} tokens")
     # every sentence is active at step 0, so its rows list them in packed order
-    total = np.zeros((len(lengths), H.shape[1]))
+    total = np.zeros((len(lengths), H.shape[1]), H.dtype)
     for lo, hi, _, _ in batch.packing.steps[False]:
         total[:hi - lo] += H[lo:hi]
     pooled = np.empty_like(total)
     pooled[rows[:len(lengths)]] = total
-    return pooled / lengths[:, None]
+    pooled /= lengths[:, None]  # in place: an integer divisor would promote float32
+    return pooled
 
 
 def softmax_rows(logits):
@@ -365,7 +377,7 @@ def _embedding_draws(rng, batch, m):
     bg, lengths, T = rng.bit_generator, batch.lengths, int(batch.lengths.max())
     jump = isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)) and not bg.state["has_uint32"]
     starts = np.cumsum(lengths) - lengths
-    draws = np.empty((int(lengths.sum()), m))
+    draws = np.empty((int(lengths.sum()), m), np.float64)
     for lo, L in zip(starts.tolist(), lengths.tolist()):
         rng.random(out=draws[lo:lo + L])
         if L < T and jump:
@@ -401,7 +413,7 @@ def model_forward(model, emb_matrix, batch, rng=None, training=False):
     # embeddings, shared by its two directions, before its kernels run.  A
     # batch of one sentence runs both directions in one loop, which gives the
     # two kernel calls' results bit for bit in half the numpy calls
-    states = np.empty((len(gates), model.layers[-1].out.stop))
+    states = np.empty((len(gates), model.layers[-1].out.stop), gates.dtype)
     cells = []
     for L in model.layers:
         Z, Y, d = gates[:, L.cols], states[:, L.out], L.d
@@ -459,10 +471,11 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
     dpool = dlogits @ model.softmax_W.T
     if trace.mask_pool is not None:
         dpool = dpool * trace.mask_pool
+    dpool /= lengths[:, None]
     # zero but for the top layer's columns; each layer adds its gradient on
     # the states it reads
     dstates = np.zeros_like(states)
-    dstates[:, model.layers[-1].out] = (dpool / lengths[:, None])[packing.rows]
+    dstates[:, model.layers[-1].out] = dpool[packing.rows]
     dW = np.empty_like(W)  # every row a weight view covers is written below
     for L, (Cf, Cb) in zip(reversed(model.layers), reversed(trace.cells)):
         Y, dY, dZ, d = states[:, L.out], dstates[:, L.out], dZ_all[:, L.cols], L.d
@@ -487,7 +500,7 @@ def model_backward(model, trace, dlogits, embedding_grad=True):
 
 def embedding_gradient(trace, dEmb, vocab_size):
     """Scatter a packed embedding gradient onto the rows of the embedding matrix."""
-    full = np.zeros((vocab_size, dEmb.shape[1]))
+    full = np.zeros((vocab_size, dEmb.shape[1]), dEmb.dtype)
     np.add.at(full, trace.batch.tokens, dEmb)
     return full
 
@@ -511,21 +524,25 @@ def save_checkpoint(path, model, seed, vocab, emb_matrix):
 
     vocab maps each token to its row of emb_matrix, ids 2 and up as
     ``data.build_vocab`` numbers them; a model scores text only through both.
-    Ids that are not 2..n+1, an emb_matrix that is not (n + 2, m), or a
-    negative seed raise ``CheckpointError`` naming path, and nothing is
-    written.
+    Ids that are not 2..n+1, an emb_matrix that is not (n + 2, m), a
+    negative seed or a complex tensor raise ``CheckpointError`` naming path,
+    and nothing is written.  Every tensor is written as float64, which
+    holds a float32 value exactly.
     """
     cfg = model.config
+    tensors = [*model.named_params(), ("embeddings", emb_matrix)]
     try:
         tokens = _vocab_tokens(vocab, emb_matrix, cfg.m)
         seed = _read_count(str(int(seed)), "seed")  # as load_checkpoint reads it
+        for name, arr in tensors:
+            if np.iscomplexobj(arr):  # "<f8" would drop the imaginary parts
+                raise CheckpointError(f"tensor {name} is complex; a checkpoint holds real values")
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     keys = ["arch"] + [f.name for f in fields(ModelConfig) if f.name != "arch"]
     lines = [CHECKPOINT_MAGIC, *(f"{key} {format_setting(getattr(cfg, key))}" for key in keys),
              f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {seed}"]
 
-    tensors = [*model.named_params(), ("embeddings", emb_matrix)]
     lines += [f"vocab {len(tokens)}", *tokens, f"tensors {len(tensors)}"]
 
     with open(path, "wb") as fh:

@@ -68,6 +68,13 @@ def test_finite_diff_certifies_a_column_slice_view():
     assert np.array_equal(wide, snapshot)
 
 
+def test_finite_diff_gives_each_gradient_its_arrays_dtype():
+    x, y = np.array([[0.5, -1.5]], np.float32), np.array([[2.0]])
+    grads = finite_diff(lambda: float((x * x).sum() + (y * y).sum()), {"x": x, "y": y}, eps=1e-2)
+    assert grads["x"].dtype == np.float32 and grads["y"].dtype == np.float64
+    assert np.abs(grads["x"] - 2.0 * x).max() < 1e-3
+
+
 def test_finite_diff_aborts_on_non_finite_loss():
     x = np.array([[0.5]])
 

@@ -406,6 +406,33 @@ def test_pair_kernel_equals_two_direction_calls_bitwise(d, T):
     assert storage.tobytes() == storage_before.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_every_kernel_buffer_takes_the_dtype_of_its_inputs(dtype):
+    """Gates and weights of another dtype than float64 come out of every
+    kernel in that dtype, with no ComplexWarning: a buffer left at numpy's
+    float64 default would upcast float32 values or drop imaginary parts."""
+    rng = np.random.default_rng(36)
+    d, Din, lengths = 4, 7, np.array([5, 2, 7], dtype=np.int64)
+    P = kernels.pack(lengths)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        if dtype == np.complex128:
+            x = x + 1e-3j * rng.standard_normal(shape)
+        return x.astype(dtype)
+
+    W, Z, dH = 0.4 * draw(Din + d, 8 * d), 0.5 * draw(len(P.rows), 8 * d), draw(len(P.rows), 2 * d)
+    for k, reverse in enumerate((False, True)):
+        half = slice(4 * d * k, 4 * d * (k + 1))
+        H, C = kernels.lstm_layer_forward(Z[:, half], P, W[:, half], reverse)
+        dWh = kernels.lstm_layer_backward(P, W[:, half], H, C, Z[:, half],
+                                          dH[:, d * k:d * (k + 1)], reverse)
+        assert {H.dtype, C.dtype, Z.dtype, dWh.dtype} == {np.dtype(dtype)}, reverse
+    pair = kernels.lstm_pair_forward(Z[:5], W[:, :4 * d], W[:, 4 * d:])
+    assert {a.dtype for hc in pair for a in hc} == {np.dtype(dtype)}
+
+
 def _brute_force_schedule(P, sizes, reverse):
     """Each step's rows and the rows that feed them, found entry by entry:
     the predecessor of (sentence r, position t) is (r, t - 1) going

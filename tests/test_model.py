@@ -6,6 +6,7 @@ no code with the batched kernels.
 """
 
 import itertools
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -799,6 +800,111 @@ def test_model_forward_rejects_an_embedding_matrix_of_the_wrong_width():
 
 
 # ---------------------------------------------------------------------------
+# dtype: the parameter storage owns it
+
+
+def cast_model(model, dtype):
+    """A copy of model whose storage has the given dtype."""
+    return Model(model.config, {name: arr.astype(dtype) for name, arr in model.named_params()})
+
+
+def _three_sentences(B):
+    return pad_batch([([2, 5, 3, 9, 4], 0), ([7, 8], 1), ([10, 11, 2, 3, 4, 6, 5], 2)][:B])
+
+
+@pytest.mark.parametrize("given, stored", [
+    ([np.float64], np.float64),
+    ([np.float32], np.float32),
+    ([np.float32, np.float64], np.float64),
+    ([np.int64], np.float64),
+    ([np.complex64], np.complex64),
+    ([np.float64, np.complex128], np.complex128),
+], ids=["float64", "float32", "mixed", "int", "complex64", "complex128"])
+def test_the_storage_takes_the_result_type_of_the_given_arrays(given, stored):
+    cfg = small_config(dl=2)
+    table = param_shapes(cfg)
+    model = Model(cfg, {name: np.ones(shape, given[k % len(given)])
+                        for k, (name, shape) in enumerate(table)})
+    assert {arr.dtype for arr in (model.lstm_W, model.lstm_b, *model.params.values())} == {
+        np.dtype(stored)}
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning would mean a dropped imaginary part
+def test_complex_parameters_keep_their_imaginary_parts():
+    cfg = small_config(dl=2)
+    rng = np.random.default_rng(72)
+    params = {name: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for name, shape in param_shapes(cfg)}
+    model = Model(cfg, params)
+    for name, arr in model.named_params():
+        assert arr.tobytes() == params[name].tobytes(), name
+
+
+def _arrays_of(trace):
+    """(name, array) of every array a trace holds."""
+    for f in fields(trace):
+        value = getattr(trace, f.name)
+        if f.name == "cells":
+            yield from ((f"cells{k}.{tag}", c) for k, pair in enumerate(value)
+                        for tag, c in zip("fb", pair))
+        elif isinstance(value, np.ndarray):
+            yield f.name, value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+@pytest.mark.parametrize("B", [1, 3], ids=["paired-kernel", "per-direction"])
+def test_a_float32_model_runs_float32_end_to_end(arch, B):
+    """Nothing is upcast: with a float32 model and embedding matrix, every
+    array of the trace, the probabilities and every gradient are float32.
+    Both dropouts are 0, since the dropout draw is float64."""
+    cfg = small_config(arch=arch, dl=3)
+    rng = np.random.default_rng(70)
+    model64 = Model.build(cfg, rng)
+    emb64 = rng.standard_normal((12, cfg.m))
+    model, emb = cast_model(model64, np.float32), emb64.astype(np.float32)
+    batch = _three_sentences(B)
+    probs, trace = model_forward(model, emb, batch, np.random.default_rng(71), training=True)
+    arrays = {"probs": probs, **dict(_arrays_of(trace))}
+    assert trace.mask_embed is None and trace.mask_pool is None
+    _, dlogits = cross_entropy(probs, batch.labels)
+    grads, dEmb = model_backward(model, trace, dlogits)
+    arrays.update(grads, dlogits=dlogits, dEmb=dEmb,
+                  embedding_gradient=embedding_gradient(trace, dEmb, len(emb)))
+    assert {"states", "gates", "cells0.f", "pooled_dropped", "softmax.W"} <= set(arrays)
+    for name, arr in arrays.items():
+        assert arr.dtype == np.float32, name
+    assert np.abs(probs - model_forward(model64, emb64, batch)[0]).max() < 1e-5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arch", ["dense", "stacked"])
+@pytest.mark.parametrize("dl", [0, 3])
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+@pytest.mark.parametrize("B", [1, 3], ids=["paired-kernel", "per-direction"])
+def test_a_complex_forward_has_the_float64_forward_as_its_real_part(arch, dl, training, B):
+    """Parameters and embeddings nudged by about 1e-30j run the same
+    forward: the probabilities' real part is the float64 one to 1e-14,
+    with the same seeded dropout, and the nudge reaches their imaginary
+    part."""
+    cfg = small_config(arch=arch, dl=dl)
+    cfg.dropout_embed, cfg.dropout_pool = 0.3, 0.2
+    rng = np.random.default_rng(73 + dl)
+    model = Model.build(cfg, rng)
+    emb = rng.standard_normal((12, cfg.m))
+    nudged = Model(cfg, {name: arr + 1e-30j * rng.standard_normal(arr.shape)
+                         for name, arr in model.named_params()})
+    nudged_emb = emb + 1e-30j * rng.standard_normal(emb.shape)
+    batch = _three_sentences(B)
+    want, _ = model_forward(model, emb, batch, np.random.default_rng(74), training=training)
+    got, _ = model_forward(nudged, nudged_emb, batch, np.random.default_rng(74),
+                           training=training)
+    assert got.dtype == np.complex128
+    assert np.abs(got.real - want).max() <= 1e-14
+    assert np.abs(got.imag).min() > 0.0
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -1003,6 +1109,42 @@ def test_a_negative_seed_is_not_saved(tmp_path):
     with pytest.raises(CheckpointError, match=f"^{path}: seed '-3' is not a non-negative"):
         save_checkpoint(path, model, seed=-3, vocab={}, emb_matrix=np.zeros((2, 6)))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("complex_tensor", ["dense0.fwd.W", "embeddings"])
+def test_a_complex_tensor_is_not_saved(tmp_path, complex_tensor):
+    """Written as "<f8" it would lose its imaginary part, so it is refused
+    before the file is opened; a complex model is refused at its first tensor."""
+    rng = np.random.default_rng(15)
+    model = Model.build(small_config(dl=1), rng)
+    emb = rng.standard_normal((5, 6))
+    if complex_tensor == "embeddings":
+        emb = emb + 1e-30j
+    else:
+        model = cast_model(model, np.complex128)
+    path = tmp_path / "complex.ckpt"
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: tensor {complex_tensor} is complex"):
+        save_checkpoint(path, model, seed=3, vocab={"a": 2, "b": 3, "c": 4}, emb_matrix=emb)
+    assert not path.exists()
+
+
+def test_a_float32_model_is_saved_as_exact_float64(tmp_path):
+    """Every float32 value is a float64 one, so the file is the float64
+    copy's byte for byte and loads back equal."""
+    rng = np.random.default_rng(16)
+    model64 = Model.build(small_config(dl=1), rng)
+    emb = rng.standard_normal((5, 6)).astype(np.float32)
+    model, vocab = cast_model(model64, np.float32), {"a": 2, "b": 3, "c": 4}
+    path, path64 = tmp_path / "f32.ckpt", tmp_path / "f64.ckpt"
+    save_checkpoint(path, model, seed=3, vocab=vocab, emb_matrix=emb)
+    save_checkpoint(path64, cast_model(model, np.float64), seed=3, vocab=vocab,
+                    emb_matrix=emb.astype(np.float64))
+    assert path.read_bytes() == path64.read_bytes()
+    loaded, meta = load_checkpoint(path)
+    for (name, a), (_, b) in zip(model.named_params(), loaded.named_params()):
+        assert b.dtype == np.float64 and np.array_equal(a, b), name
+    assert np.array_equal(meta["emb_matrix"], emb)
 
 
 def _second_softmax_bias(blob):
