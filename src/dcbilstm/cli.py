@@ -206,10 +206,11 @@ def _cmd_prepare_data(args):
     specs = []
     for spec_arg in args.raw:
         path, sep, label = spec_arg.rpartition(":")
-        if not (sep and label.isascii() and label.isdigit()):
+        label = D.parse_count(label)
+        if not sep or label is None:
             raise ConfigError(f"--raw wants PATH:LABEL with a non-negative integer "
                               f"label, got {spec_arg!r}")
-        specs.append((path, int(label)))
+        specs.append((path, label))
     examples = []
     for path, label in specs:
         examples.extend(D.load_label_lines(path, label, encoding=args.encoding))

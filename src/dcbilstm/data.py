@@ -4,7 +4,7 @@ Each dataset format is a line reader in ``DATA_FORMATS``, which
 ``read_lines`` runs over a file's non-blank lines:
 
   tsv        one example per line, "<label>\\t<text>", labels are
-             non-negative integers.
+             non-negative integers in ASCII digits.
   sst_trees  one PTB-style parse per line with sentiment labels 0..4 at
              every node, e.g. "(3 (2 It) (4 (2 's) (4 great)))".  The root
              label is the sentence label.  With binary=True the five-way
@@ -35,6 +35,8 @@ PAD_IDX = 0
 UNK_IDX = 1
 EMBEDDING_SCALE = 0.1  # random embeddings are uniform in [-0.1, 0.1)
 _CHUNK_LINES = 512  # embedding lines per bulk parse
+
+_COUNT_RE = re.compile(r"[0-9]+")
 
 # splits off standard sentence punctuation while keeping contractions and
 # hyphenated words intact ("rock-solid", "don't")
@@ -82,8 +84,8 @@ class EmbeddingTable:
 def _vec_header_dim(line):
     """dim of a word2vec / fastText ``count dim`` header line, else None."""
     fields = line.split()
-    if len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
-        return int(fields[1])
+    if len(fields) == 2 and parse_count(fields[0]) is not None:
+        return parse_count(fields[1])
     return None
 
 
@@ -373,16 +375,20 @@ class Example:
     label: int
 
 
+def parse_count(text):
+    """``text`` as an int when it is ASCII digits alone, else None: the one
+    rule for a label or a count read from a file or a flag, so a sign, a
+    space, an underscore or a non-ASCII digit makes it None."""
+    return int(text) if _COUNT_RE.fullmatch(text) else None
+
+
 def _read_tsv(line, line_no):
     label_str, sep, text = line.partition("\t")
     if not sep:
         raise ParseError("expected '<label>\\t<text>'", line_no)
-    try:
-        label = int(label_str)
-    except ValueError:
-        raise ParseError(f"label {label_str!r} is not an integer", line_no)
-    if label < 0:
-        raise ParseError(f"label {label} is negative", line_no)
+    label = parse_count(label_str)
+    if label is None:
+        raise ParseError(f"label {label_str!r} is not a non-negative integer", line_no)
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("no tokens after tokenization", line_no)
@@ -413,14 +419,15 @@ def parse_tree(line, line_no=0):
             raise ParseError("text after the root" if spans else
                              f"expected '(', got {tok!r}", line_no)
         if tok == "(":
-            label = next(tokens, "")
-            if not label.isdecimal():
-                raise ParseError(f"expected a node label, got {label!r}", line_no)
+            text = next(tokens, "")
+            label = parse_count(text)
+            if label is None:
+                raise ParseError(f"expected a node label, got {text!r}", line_no)
             if stack:
                 if stack[-1][2] == "word":
                     raise ParseError("a node holds both a word and subtrees", line_no)
                 stack[-1][2] = "trees"
-            stack.append([int(label), len(words), None])
+            stack.append([label, len(words), None])
         elif tok == ")":
             label, start, holds = stack.pop()
             if holds is None:

@@ -509,14 +509,19 @@ def embedding_gradient(trace, dEmb, vocab_size):
 # checkpoint format
 #
 # Line 1 is the magic "DCBILSTM v1".  A flat text manifest follows (one
-# "key value" pair per line, utf-8): every ModelConfig field, arch first and
-# the rest in declaration order, written by ``format_setting`` and read by
-# ``parse_setting``, then the gate order, concat order and seed.  The vocab
-# section follows ("vocab <n>" and n tokens, one a line, in id order from 2,
-# as ``data.index_tokens`` numbers them), then "tensors <k>" and k blocks of
-# "name rows cols" followed by rows*cols little-endian float64 values: the
-# model's tensors, then "embeddings", n + 2 rows (padding, unknown, then
-# the tokens) of m columns.  Round-trips are bitwise stable.
+# "key value" pair per line, utf-8, keys in ``_MANIFEST_KEYS`` order): every
+# ModelConfig field, arch first and the rest in declaration order, written by
+# ``format_setting`` and read by ``parse_setting``, then the gate order,
+# concat order and seed.  The vocab section follows ("vocab <n>" and n
+# tokens, one a line, in id order from 2, as ``data.index_tokens`` numbers
+# them), then "tensors <k>" and k blocks of "name rows cols" followed by
+# rows*cols little-endian float64 values: the model's tensors in
+# ``param_shapes`` order, then "embeddings", n + 2 rows (padding, unknown,
+# then the tokens) of m columns.  The reader reads this one sequence and
+# nothing else.  Round-trips are bitwise stable.
+
+_SETTINGS = sorted(fields(ModelConfig), key=lambda f: f.name != "arch")
+_MANIFEST_KEYS = [*(f.name for f in _SETTINGS), "gate_order", "concat_order", "seed"]
 
 
 def save_checkpoint(path, model, seed, vocab, emb_matrix):
@@ -539,11 +544,11 @@ def save_checkpoint(path, model, seed, vocab, emb_matrix):
                 raise CheckpointError(f"tensor {name} is complex; a checkpoint holds real values")
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    keys = ["arch"] + [f.name for f in fields(ModelConfig) if f.name != "arch"]
-    lines = [CHECKPOINT_MAGIC, *(f"{key} {format_setting(getattr(cfg, key))}" for key in keys),
-             f"gate_order {GATE_ORDER}", f"concat_order {CONCAT_ORDER}", f"seed {seed}"]
-
-    lines += [f"vocab {len(tokens)}", *tokens, f"tensors {len(tensors)}"]
+    values = [*(format_setting(getattr(cfg, f.name)) for f in _SETTINGS),
+              GATE_ORDER, CONCAT_ORDER, seed]
+    lines = [CHECKPOINT_MAGIC,
+             *(f"{key} {value}" for key, value in zip(_MANIFEST_KEYS, values, strict=True)),
+             f"vocab {len(tokens)}", *tokens, f"tensors {len(tensors)}"]
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -574,11 +579,20 @@ def _read_line(fh, what):
         raise CheckpointError(f"{what} is not utf-8 text")
 
 
+def _read_value(fh, key):
+    """The value of the next line, which must be "key value"."""
+    found, _, value = _read_line(fh, key).partition(" ")
+    if found != key:
+        raise CheckpointError(f"expected key {key!r}, got {found!r}")
+    return value
+
+
 def _read_count(text, what):
-    """A non-negative decimal integer from the checkpoint's text part."""
-    if not (text.isascii() and text.isdigit()):
+    """A count from the checkpoint's text part, by ``data.parse_count``'s rule."""
+    count = data.parse_count(text)
+    if count is None:
         raise CheckpointError(f"{what} {text!r} is not a non-negative integer")
-    return int(text)
+    return count
 
 
 def load_checkpoint(path):
@@ -597,71 +611,44 @@ def load_checkpoint(path):
 def _read_checkpoint(fh):
     if _read_line(fh, "magic") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"not a {CHECKPOINT_MAGIC} checkpoint")
-    manifest = {}
-    vocab_tokens = None
-    n_tensors = None
-    while n_tensors is None:
-        line = _read_line(fh, "manifest")
-        key, _, value = line.partition(" ")
-        if key in manifest or (key == "vocab" and vocab_tokens is not None):
-            raise CheckpointError(f"{key!r} appears twice in the manifest")
-        if key == "vocab":
-            n_vocab = _read_count(value, "vocab size")
-            vocab_tokens = [_read_line(fh, "vocab token") for _ in range(n_vocab)]
-        elif key == "tensors":
-            n_tensors = _read_count(value, "tensor count")
-        else:
-            manifest[key] = value
-
-    required = {f.name for f in fields(ModelConfig)} | {"seed", "gate_order", "concat_order"}
-    missing = required - set(manifest)
-    if missing:
-        raise CheckpointError(f"manifest missing keys {sorted(missing)}")
-    unknown = set(manifest) - required
-    if unknown:
-        raise CheckpointError(f"unknown manifest keys {sorted(unknown)}")
-    if manifest["gate_order"] != GATE_ORDER or manifest["concat_order"] != CONCAT_ORDER:
+    *setting_texts, gate_order, concat_order, seed_text = [_read_value(fh, key)
+                                                           for key in _MANIFEST_KEYS]
+    settings = {}
+    for f, text in zip(_SETTINGS, setting_texts):
+        try:
+            settings[f.name] = parse_setting(f.type, text)
+        except ValueError as exc:
+            raise CheckpointError(f"bad value for {f.name}: {exc}")
+    cfg = ModelConfig(**settings).validate()
+    if (gate_order, concat_order) != (GATE_ORDER, CONCAT_ORDER):
         raise CheckpointError("incompatible gate/concat order")
-    if vocab_tokens is None:
-        raise CheckpointError("no vocab section")
-
-    tensors = {}
-    for _ in range(n_tensors):
-        header = _read_line(fh, "tensor header").split(" ")
-        if len(header) != 3:
-            raise CheckpointError(f"malformed tensor header {header!r}")
-        name = header[0]
-        if name in tensors:
-            raise CheckpointError(f"tensor {name} appears twice")
-        rows = _read_count(header[1], f"tensor {name} rows")
-        cols = _read_count(header[2], f"tensor {name} cols")
-        # read in 16 MiB pieces: a header may claim any size, and a pipe has no size to check
+    seed = _read_count(seed_text, "seed")
+    tokens = [_read_line(fh, "vocab token")
+              for _ in range(_read_count(_read_value(fh, "vocab"), "vocab size"))]
+    vocab = data.index_tokens(tokens)
+    if len(vocab) < len(tokens):
+        raise CheckpointError(f"vocab ids are not 2..{len(vocab) + 1}, one per token")
+    # four tensors a layer, dl + 1 layers, the softmax head's two and the
+    # embeddings: checked before param_shapes builds a layout of that depth
+    k = 4 * (cfg.dl + 1) + 3
+    if (count := _read_value(fh, "tensors")) != str(k):
+        raise CheckpointError(f"expected {k} tensors for dl = {cfg.dl}, got {count!r}")
+    params = {}
+    for name, (rows, cols) in [*param_shapes(cfg), ("embeddings", (len(tokens) + 2, cfg.m))]:
+        header = _read_line(fh, "tensor header")
+        if header != f"{name} {rows} {cols}":
+            raise CheckpointError(f"expected tensor header '{name} {rows} {cols}', got {header!r}")
+        # read in 16 MiB pieces: the settings may give any size, and a pipe has no size to check
         nbytes, buf = rows * cols * 8, bytearray()
         while len(buf) < nbytes and (chunk := fh.read(min(nbytes - len(buf), 1 << 24))):
             buf += chunk
         if len(buf) < nbytes:
             raise CheckpointError(f"truncated tensor {name}: {rows}x{cols} needs {nbytes} "
                                   f"bytes, {len(buf)} are left")
-        arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
-        if not np.isfinite(arr).all():
+        params[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if not np.isfinite(params[name]).all():
             raise CheckpointError(f"tensor {name} holds non-finite values")
-        tensors[name] = arr
     if fh.read(1):
         raise CheckpointError("trailing bytes after last tensor")
-
-    settings = {}
-    for f in fields(ModelConfig):
-        try:
-            settings[f.name] = parse_setting(f.type, manifest[f.name])
-        except ValueError as exc:
-            raise CheckpointError(f"bad value for {f.name}: {exc}")
-    cfg = ModelConfig(**settings).validate()
-    model = Model(cfg, {name: tensors.pop(name) for name, _ in param_shapes(cfg) if name in tensors})
-    if "embeddings" not in tensors:
-        raise CheckpointError("missing tensor embeddings")
-    meta = {"seed": _read_count(manifest["seed"], "seed"),
-            "vocab": data.index_tokens(vocab_tokens), "emb_matrix": tensors.pop("embeddings")}
-    _vocab_tokens(meta["vocab"], meta["emb_matrix"], cfg.m)
-    if tensors:
-        raise CheckpointError(f"unexpected tensors {sorted(tensors)}")
-    return model, meta
+    emb_matrix = params.pop("embeddings")
+    return Model(cfg, params), {"seed": seed, "vocab": vocab, "emb_matrix": emb_matrix}

@@ -77,9 +77,10 @@ class TrainConfig:
             raise ConfigError(f"cv_folds must be 0 or >= 2, got {self.cv_folds}")
         if self.cv_folds and (self.dev_path or self.test_path):
             raise ConfigError("cross-validation uses a single input file; drop dev/test paths")
-        if self.phrases and self.cv_folds:
-            # the held-out folds would hold phrases, not only sentences
-            raise ConfigError("phrases cannot be used with cv_folds")
+        if self.phrases and (self.cv_folds or not self.dev_path and self.dev_fraction > 0):
+            # held-out folds or a dev split carved from the training list would
+            # hold phrases, which share their subtrees with the training ones
+            raise ConfigError("phrases needs a dev file or dev_fraction 0, and no cv_folds")
         for name in ("batch_size", "epochs", "patience", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

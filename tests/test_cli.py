@@ -448,6 +448,7 @@ def test_prepare_data_undecodable_input_names_the_file_and_encoding(tmp_path, ca
 @pytest.mark.parametrize("flags,setting", [
     (["--binary"], "binary"), (["--phrases"], "phrases"),
     (["--data-format", "sst_trees", "--phrases", "--cv-folds", "2"], "phrases"),
+    (["--data-format", "sst_trees", "--phrases"], "phrases"),
 ])
 def test_train_cli_data_flags_act_on_one_format(toy_tsv, tmp_path, capsys, flags, setting):
     out_dir = tmp_path / "run"
@@ -595,7 +596,7 @@ def test_eval_cli_bad_checkpoint_exits_2(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bare), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {bare}: no vocab section\n"
+    assert captured.err == f"error: {bare}: expected key 'vocab', got 'tensors'\n"
 
 
 def test_eval_cli_rejects_a_tensor_given_twice(tmp_path, capsys):
@@ -611,12 +612,12 @@ def test_eval_cli_rejects_a_tensor_given_twice(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(twice), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {twice}: tensor softmax.b appears twice\n"
+    assert captured.err == f"error: {twice}: expected 11 tensors for dl = 1, got '12'\n"
 
 
 @pytest.mark.parametrize("rows,cols", [(99999999999, 99999999999), (3000000000, 1000)])
 def test_eval_cli_rejects_a_tensor_larger_than_the_file(tmp_path, capsys, rows, cols):
-    # the tensor is read in bounded pieces, so no header can make eval allocate its size
+    # a header must give the shape the settings give, so it is refused before any read
     good = (Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt").read_bytes()
     huge = tmp_path / "huge.ckpt"
     huge.write_bytes(good.replace(b"\ndense0.fwd.W 6 8\n",
@@ -626,8 +627,29 @@ def test_eval_cli_rejects_a_tensor_larger_than_the_file(tmp_path, capsys, rows, 
     assert main(["eval", "--checkpoint", str(huge), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {huge}: truncated tensor dense0.fwd.W: "
-                                   f"{rows}x{cols} needs {rows * cols * 8} bytes, "), captured.err
+    assert captured.err == (f"error: {huge}: expected tensor header 'dense0.fwd.W 6 8', "
+                            f"got 'dense0.fwd.W {rows} {cols}'\n")
+
+
+@pytest.mark.parametrize("num_classes", [99999999999, 10**18])
+def test_eval_cli_reads_a_tensor_the_settings_make_huge_in_pieces(tmp_path, capsys, num_classes):
+    # settings and header agree on a softmax weight larger than the file (and,
+    # at 10**18 classes, than an index), which is read in bounded pieces, so
+    # eval never allocates its size
+    good = (Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt").read_bytes()
+    huge = tmp_path / "huge.ckpt"
+    header = f"softmax.W 6 {num_classes}\n".encode()
+    blob = good.replace(b"\nnum_classes 2\n", f"\nnum_classes {num_classes}\n".encode(), 1)
+    blob = blob.replace(b"softmax.W 6 2\n", header, 1)
+    huge.write_bytes(blob)
+    left = len(blob) - blob.index(header) - len(header)
+    data = tmp_path / "two.tsv"
+    data.write_text("1\tgreat film\n0\tthe film\n", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(huge), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {huge}: truncated tensor softmax.W: 6x{num_classes} needs "
+                            f"{6 * num_classes * 8} bytes, {left} are left\n")
 
 
 def test_eval_cli_rejects_embeddings_that_do_not_fit_the_vocab(tmp_path, capsys):
@@ -642,8 +664,8 @@ def test_eval_cli_rejects_embeddings_that_do_not_fit_the_vocab(tmp_path, capsys)
     assert main(["eval", "--checkpoint", str(short), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {short}: embeddings are 3x4, not the 6x4 of 4 tokens "
-                            f"and m = 4\n")
+    assert captured.err == (f"error: {short}: expected tensor header 'embeddings 6 4', "
+                            f"got 'embeddings 3 4'\n")
 
 
 def _write_trees(path, depth=5000):
@@ -752,7 +774,8 @@ def test_prepare_data_rejects_an_input_that_yields_no_example(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("bad", [["--encoding", "bogus"], ["--raw", "{neg}:-1"],
-                                 ["--raw", "{neg}:x"], ["--raw", "{neg}"]])
+                                 ["--raw", "{neg}:x"], ["--raw", "{neg}"],
+                                 ["--raw", "{neg}:\u0663"]])
 def test_prepare_data_lines_checks_its_flags_before_reading(tmp_path, capsys, bad):
     pos = tmp_path / "pos.txt"
     neg = tmp_path / "neg.txt"

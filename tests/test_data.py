@@ -656,6 +656,16 @@ def test_load_tsv_errors(tmp_path):
         load_dataset(p, "jsonl")
 
 
+@pytest.mark.parametrize("label", ["1_0", "+1", " 1", "1 ", "\u0663", "-3"])
+def test_a_tsv_label_is_ascii_digits_alone(tmp_path, label):
+    # int() reads all but the last, so 1_0 was label 10
+    p = tmp_path / "d.tsv"
+    p.write_text(f"1\tok\n{label}\tfine film\n", encoding="utf-8")
+    message = f"{p}: line 2: label {label!r} is not a non-negative integer"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_dataset(p, "tsv")
+
+
 @pytest.mark.parametrize("fmt,flags,message", [
     ("jsonl", {}, "data format must be one of tsv, sst_trees, got 'jsonl'"),
     ("tsv", {"binary": True}, "binary needs data format sst_trees"),
@@ -686,7 +696,9 @@ def test_parse_tree_errors():
                 # a node holds one word or subtrees, not both and not two words
                 "(3 good (2 x))", "(3 a b)",
                 # a label glued to its word is not a leaf
-                "(3 (2 good)(37film))"]:
+                "(3 (2 good)(37film))",
+                # a label is ASCII digits alone
+                "(3 (\u0663 good))", "(3 (+2 good))"]:
         with pytest.raises(ParseError) as info:
             parse_tree(bad, line_no=1)
         assert "line 1" in str(info.value), bad

@@ -7,6 +7,7 @@ no code with the batched kernels.
 
 import itertools
 import re
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -907,13 +908,21 @@ def test_a_complex_forward_has_the_float64_forward_as_its_real_part(arch, dl, tr
 # ---------------------------------------------------------------------------
 # checkpoints
 
+# written by the code that still built models from per-layer parameter
+# objects (commit 15c4a20): dense, dl=2, forget bias, a vocab with a
+# non-ascii token and an embedding matrix
+_FIXTURE = Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt"
+
 
 @pytest.mark.parametrize("settings", [
     {},
     {"max_norm_s": None},
     {"train_embeddings": False},
     {"forget_bias": 2},
-], ids=["all-set", "no-max-norm", "frozen-embeddings", "int-forget-bias"])
+    {"dl": 0},
+    {"arch": "stacked"},
+], ids=["all-set", "no-max-norm", "frozen-embeddings", "int-forget-bias", "no-dense-layers",
+        "stacked"])
 def test_checkpoint_round_trip_bitwise(tmp_path, settings):
     rng = np.random.default_rng(8)
     cfg = ModelConfig(m=6, dl=2, dh=3, th=4, num_classes=3, arch="dense",
@@ -938,11 +947,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, settings):
 
 
 def test_checkpoint_from_before_the_parameter_table_round_trips(tmp_path):
-    # written by the code that still built models from per-layer parameter
-    # objects (commit 15c4a20): dense, dl=2, forget bias, a vocab with a
-    # non-ascii token and an embedding matrix
-    path = Path(__file__).parent / "data" / "dense_dl2_vocab.ckpt"
-    model, meta = load_checkpoint(path)
+    model, meta = load_checkpoint(_FIXTURE)
     assert model.config == ModelConfig(m=4, dl=2, dh=2, th=3, num_classes=2, arch="dense",
                                        dropout_embed=0.5, dropout_pool=0.25, max_norm_s=3.0,
                                        forget_bias=1.0, train_embeddings=True)
@@ -950,7 +955,7 @@ def test_checkpoint_from_before_the_parameter_table_round_trips(tmp_path):
     assert meta["vocab"] == {"café": 2, "film": 3, "great": 4, "the": 5}
     again = tmp_path / "again.ckpt"
     save_checkpoint(again, model, meta["seed"], vocab=meta["vocab"], emb_matrix=meta["emb_matrix"])
-    assert again.read_bytes() == path.read_bytes()
+    assert again.read_bytes() == _FIXTURE.read_bytes()
 
 
 def test_checkpoint_vocab_round_trip(tmp_path):
@@ -977,22 +982,26 @@ def test_checkpoint_without_vocab_or_embeddings_is_rejected(tmp_path, vocab_sect
     model = Model.build(small_config(dl=1), np.random.default_rng(10))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(checkpoint_without_embeddings(tmp_path / "good.ckpt", model, vocab_section))
-    message = "missing tensor embeddings" if vocab_section else "no vocab section"
-    with pytest.raises(CheckpointError, match=f"^{bad}: {message}$"):
+    # the reader meets the line that follows the missing part
+    message = ("expected 11 tensors for dl = 1, got '10'" if vocab_section
+               else "expected key 'vocab', got 'tensors'")
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
         load_checkpoint(bad)
 
 
-_SHORT = "embeddings are 3x6, not the 6x6 of 4 tokens and m = 6"
-_NARROW = "embeddings are 5x3, not the 5x6 of 3 tokens and m = 6"
 # per case: the vocab given to save_checkpoint, the tokens of a file's vocab
 # section, the embeddings' shape (m = 6), and the save and load errors
 _MISFITS = {
-    "short": ({"a": 2, "b": 3, "c": 4, "d": 5}, ["a", "b", "c", "d"], (3, 6), _SHORT, _SHORT),
-    "narrow": ({"a": 2, "b": 3, "c": 4}, ["a", "b", "c"], (5, 3), _NARROW, _NARROW),
+    "short": ({"a": 2, "b": 3, "c": 4, "d": 5}, ["a", "b", "c", "d"], (3, 6),
+              "embeddings are 3x6, not the 6x6 of 4 tokens and m = 6",
+              "expected tensor header 'embeddings 6 6', got 'embeddings 3 6'"),
+    "narrow": ({"a": 2, "b": 3, "c": 4}, ["a", "b", "c"], (5, 3),
+               "embeddings are 5x3, not the 5x6 of 3 tokens and m = 6",
+               "expected tensor header 'embeddings 5 6', got 'embeddings 5 3'"),
     # a file lists tokens only, so a gapped vocab comes back numbered 2..4
     "gapped": ({"a": 2, "b": 4, "c": 5}, ["a", "b", "c"], (6, 6),
                "vocab ids are not 2..4, one per token",
-               "embeddings are 6x6, not the 5x6 of 3 tokens and m = 6"),
+               "expected tensor header 'embeddings 5 6', got 'embeddings 6 6'"),
     "repeated": ({"a": 2, "b": 2, "c": 4}, ["a", "a", "b"], (5, 6),
                  "vocab ids are not 2..4, one per token",
                  "vocab ids are not 2..3, one per token"),
@@ -1012,7 +1021,7 @@ def test_checkpoint_embeddings_must_fit_the_vocab(tmp_path, case):
     # such a file, written without the check, does not load either
     old = tmp_path / "old.ckpt"
     old.write_bytes(checkpoint_with_vocab(tmp_path / "good.ckpt", model, tokens, emb))
-    with pytest.raises(CheckpointError, match=f"^{old}: {load_error}$"):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(old))}: {re.escape(load_error)}$"):
         load_checkpoint(old)
 
 
@@ -1153,14 +1162,17 @@ def _second_softmax_bias(blob):
             + b"softmax.b 1 3\n" + bytes(24))
 
 
-@pytest.mark.parametrize("mangle, key", [
-    (lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed 3\nseed 4\n"), "'seed'"),
-    (lambda blob: _corrupt(blob, b"\ntensors 11\n", b"\nvocab 1\nz\ntensors 11\n"), "'vocab'"),
-    (_second_softmax_bias, "softmax.b"),
+@pytest.mark.parametrize("mangle, message", [
+    (lambda blob: _corrupt(blob, b"\nseed 3\n", b"\nseed 3\nseed 4\n"),
+     "expected key 'vocab', got 'seed'"),
+    (lambda blob: _corrupt(blob, b"\ntensors 11\n", b"\nvocab 1\nz\ntensors 11\n"),
+     "expected key 'tensors', got 'vocab'"),
+    (_second_softmax_bias, "expected 11 tensors for dl = 1, got '12'"),
 ], ids=["manifest-key", "vocab-section", "tensor"])
-def test_checkpoint_rejects_a_repeated_key(tmp_path, mangle, key):
+def test_checkpoint_rejects_a_repeated_key(tmp_path, mangle, message):
     """A key, vocab section or tensor given twice is an error naming the
-    file and the key, never a silent choice of one copy."""
+    file, never a silent choice of one copy: the second copy stands where
+    the written sequence has another line."""
     rng = np.random.default_rng(12)
     model = Model.build(small_config(dl=1), rng)
     good = tmp_path / "good.ckpt"
@@ -1168,6 +1180,80 @@ def test_checkpoint_rejects_a_repeated_key(tmp_path, mangle, key):
                     emb_matrix=rng.standard_normal((5, 6)))
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(mangle(good.read_bytes()))
-    with pytest.raises(CheckpointError) as info:
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
         load_checkpoint(bad)
-    assert str(bad) in str(info.value) and f"{key} appears twice" in str(info.value)
+
+
+def _swap_blocks(blob, first, second, nbytes):
+    """blob with the tensor blocks headed by first and second, each holding
+    nbytes of values, swapped; first comes first in blob."""
+    a, b = blob.index(first), blob.index(second)
+    n = len(first) + nbytes
+    assert len(second) == len(first) and a + n <= b
+    return blob[:a] + blob[b:b + n] + blob[a + n:b] + blob[a:a + n] + blob[b + n:]
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda blob: _corrupt(blob, b"\ndl 1\ndh 3\n", b"\ndh 3\ndl 1\n"),
+     "expected key 'dl', got 'dh'"),
+    (lambda blob: _corrupt(_corrupt(blob, b"\nvocab 3\na\nb\nc\n", b"\n"),
+                           b"\nseed 3\n", b"\nvocab 3\na\nb\nc\nseed 3\n"),
+     "expected key 'seed', got 'vocab'"),
+    (lambda blob: _swap_blocks(blob, b"dense0.fwd.b 1 12\n", b"dense0.bwd.b 1 12\n", 96),
+     "expected tensor header 'dense0.fwd.b 1 12', got 'dense0.bwd.b 1 12'"),
+], ids=["manifest-lines-swapped", "vocab-before-seed", "tensors-swapped"])
+def test_checkpoint_is_read_in_the_written_order(tmp_path, mangle, message):
+    """The same lines in another order than the one save_checkpoint writes
+    are an error naming the file."""
+    rng = np.random.default_rng(12)
+    model = Model.build(small_config(dl=1), rng)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, model, seed=3, vocab={"a": 2, "b": 3, "c": 4},
+                    emb_matrix=rng.standard_normal((5, 6)))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(mangle(good.read_bytes()))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("dl", [1_000_000, 1_000_000_000])
+def test_a_depth_its_tensors_do_not_have_fails_at_once(tmp_path, dl):
+    """The tensor count is checked against dl before the layout of that
+    depth is built, so a deep manifest costs no time or memory."""
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(_corrupt(_FIXTURE.read_bytes(), b"\ndl 2\n", f"\ndl {dl}\n".encode()))
+    t0 = time.perf_counter()
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: expected {4 * dl + 7} "
+                                              f"tensors for dl = {dl}, got '15'$"):
+        load_checkpoint(path)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _mutant(blob, rng):
+    """blob with one seeded edit: a byte overwritten, 1-7 bytes deleted,
+    1-3 bytes inserted, or a bit flipped."""
+    at, kind = int(rng.integers(len(blob))), int(rng.integers(4))
+    if kind == 0:
+        return blob[:at] + rng.bytes(1) + blob[at + 1:]
+    if kind == 1:
+        return blob[:at] + blob[at + int(rng.integers(1, 8)):]
+    if kind == 2:
+        return blob[:at] + rng.bytes(int(rng.integers(1, 4))) + blob[at:]
+    return blob[:at] + bytes([blob[at] ^ 1 << int(rng.integers(8))]) + blob[at + 1:]
+
+
+def test_a_damaged_checkpoint_raises_checkpoint_error_or_loads(tmp_path):
+    """2,000 seeded single edits of a saved checkpoint: each one raises a
+    CheckpointError naming the file or loads; nothing else escapes."""
+    blob, rng = _FIXTURE.read_bytes(), np.random.default_rng(3200)
+    path = tmp_path / "mutant.ckpt"
+    loaded = 0
+    for _ in range(2000):
+        path.write_bytes(_mutant(blob, rng))
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        else:
+            loaded += 1
+    assert 0 < loaded < 2000  # both outcomes are met

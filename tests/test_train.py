@@ -565,6 +565,15 @@ def test_train_config_validation(tmp_path):
         TrainConfig(train_path="x", cv_folds=3, dev_path="y").validate()
     with pytest.raises(ConfigError):
         TrainConfig(train_path="x", epochs=0).validate()
+    # phrases held out in a carved dev split or a fold share subtrees with
+    # the training phrases
+    trees = dict(train_path="x", data_format="sst_trees", phrases=True)
+    for held_out in ({}, {"dev_fraction": 0.5}, {"cv_folds": 3, "dev_fraction": 0.0}):
+        with pytest.raises(ConfigError,
+                           match="^phrases needs a dev file or dev_fraction 0, and no cv_folds$"):
+            TrainConfig(**trees, **held_out).validate()
+    TrainConfig(**trees, dev_path="y").validate()
+    TrainConfig(**trees, dev_fraction=0.0).validate()
     # the data format is load_dataset's to check, before a file is read or written
     out_dir = tmp_path / "run"
     with pytest.raises(ConfigError, match="data format"):
